@@ -10,8 +10,9 @@ float.
 
 Modules:
 
-* ``exact``: Fraction-valued vectors and matrices, Bareiss
-  determinants, exact solves.
+* ``exact``: Fraction-valued vectors and matrices; determinants and
+  solves share one fraction-free (Bareiss) elimination kernel over
+  Python ints, each row scaled by the lcm of its denominators.
 * ``diagram``: the surgery diagram data model, linking/extended matrix
   builders and the JSON file format.
 * ``expansion``: negative continued fractions and the expansion of

@@ -7,19 +7,23 @@ so a single rounding error could silently change an answer.
 
 `fractions.Fraction` already maintains the canonical form the rest of
 the package relies on (positive denominator, lowest terms, zero stored
-as 0/1) on top of arbitrary-precision integers. The linear algebra
-here is deliberately small and dense; linking matrices of surgery
-presentations rarely exceed a few dozen rows, so asymptotics are a
-non-issue but exactness is not negotiable.
+as 0/1) on top of arbitrary-precision integers.
 
-Determinants use fraction-free Bareiss elimination: on integer
-matrices (the common case) every intermediate pivot stays integral,
-which avoids both rounding (there is none anyway) and the coefficient
-blow-up of naive fractional elimination.
+Determinants and solves share one elimination kernel. It scales each
+row (right-hand side included) by the lcm of its denominators, runs
+fraction-free Bareiss elimination (Bareiss 1968) over Python ints, and
+back-substitutes for y = d * x, where d is the last pivot (the
+determinant of the scaled system up to sign). By Cramer's rule y is
+integral, so every division is exact. Fractions are built only for the
+returned values. Linking matrices of expanded presentations are integer
+matrices with up to hundreds of rows; elimination is cubic in the
+dimension, and keeping the per-entry gcd of Fraction arithmetic out of
+the inner loop is what makes those sizes affordable.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -166,8 +170,50 @@ class SquareMatrix:
         return f"SquareMatrix([{body}])"
 
 
+def _eliminate(
+    rows: Sequence[Sequence[Fraction]], n: int
+) -> tuple[list[list[int]], int, int] | None:
+    """Integer fraction-free (Bareiss) elimination of the first n columns.
+
+    Each row is first scaled by the lcm of its denominators, so the
+    elimination runs over Python ints and no gcd is ever taken. Rows
+    may carry extra columns (a right-hand side) that are transformed
+    along. Returns (rows, sign, scale): the upper triangular integer
+    rows, the parity of the row swaps and the product of the row
+    scales, so that det = sign * rows[n-1][n-1] / scale. Returns None
+    when a pivot column is zero, that is, when the matrix is singular.
+    """
+    a = []
+    scale = 1
+    for row in rows:
+        s = math.lcm(*(entry.denominator for entry in row))
+        scale *= s
+        a.append([entry.numerator * (s // entry.denominator) for entry in row])
+    sign = 1
+    previous_pivot = 1
+    for k in range(n):
+        swap = next((i for i in range(k, n) if a[i][k]), None)
+        if swap is None:
+            return None
+        if swap != k:
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        zeros = [0] * (k + 1)
+        tail = a[k][k + 1 :]
+        for i in range(k + 1, n):
+            factor = a[i][k]
+            # Bareiss step: the division by the previous pivot is exact.
+            a[i] = zeros + [
+                (x * pivot - factor * y) // previous_pivot
+                for x, y in zip(a[i][k + 1 :], tail)
+            ]
+        previous_pivot = pivot
+    return a, sign, scale
+
+
 def det(matrix: SquareMatrix) -> Fraction:
-    """Exact determinant by fraction-free Bareiss elimination.
+    """Exact determinant by integer fraction-free elimination.
 
     The empty (0 x 0) matrix has determinant 1, so bordered and chain
     constructions compose correctly in the degenerate "no surgery"
@@ -176,25 +222,11 @@ def det(matrix: SquareMatrix) -> Fraction:
     n = matrix.dimension
     if n == 0:
         return Fraction(1)
-    a = [list(row) for row in matrix.rows]
-    sign = 1
-    previous_pivot = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss step: the division by the previous pivot is exact.
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / previous_pivot
-            a[i][k] = Fraction(0)
-        previous_pivot = pivot
-    value = a[n - 1][n - 1]
-    return -value if sign < 0 else value
+    reduced = _eliminate(matrix.rows, n)
+    if reduced is None:
+        return Fraction(0)
+    a, sign, scale = reduced
+    return Fraction(sign * a[n - 1][n - 1], scale)
 
 
 def solve(matrix: SquareMatrix, vector: Sequence[RationalLike]) -> tuple[Fraction, ...]:
@@ -211,27 +243,22 @@ def solve(matrix: SquareMatrix, vector: Sequence[RationalLike]) -> tuple[Fractio
         )
     if n == 0:
         return ()
-    aug = [list(matrix.row(i)) + [vec[i]] for i in range(n)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrix("matrix has determinant zero")
-        if pivot_row != k:
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        pivot = aug[k][k]
-        for i in range(k + 1, n):
-            factor = aug[i][k] / pivot
-            if factor == 0:
-                continue
-            for j in range(k, n + 1):
-                aug[i][j] -= factor * aug[k][j]
-    solution = [Fraction(0)] * n
+    reduced = _eliminate([row + (v,) for row, v in zip(matrix.rows, vec)], n)
+    if reduced is None:
+        raise SingularMatrix("matrix has determinant zero")
+    a = reduced[0]
+    # With d the last pivot (the determinant of the row-scaled, permuted
+    # system), y = d * x is integral by Cramer's rule, so back-substitution
+    # for y divides exactly.
+    d = a[n - 1][n - 1]
+    y = [0] * n
     for i in range(n - 1, -1, -1):
-        acc = aug[i][n]
+        row = a[i]
+        acc = d * row[n]
         for j in range(i + 1, n):
-            acc -= aug[i][j] * solution[j]
-        solution[i] = acc / aug[i][i]
-    return tuple(solution)
+            acc -= row[j] * y[j]
+        y[i] = acc // row[i]
+    return tuple(Fraction(value, d) for value in y)
 
 
 def inner_product(

@@ -6,17 +6,20 @@ presentation). When the linking matrix M of the surgered components is
 nonsingular that knot is rationally nullhomologous and carries exact
 rational invariants:
 
-    tb_Q  = tb + det(M0) / det(M)
-    rot_Q = rot - < (rot_1, ..., rot_k), M^-1 (lk_1, ..., lk_k) >
+    tb_Q  = tb + det(M0) / det(M) = tb - < lk, M^-1 lk >
+    rot_Q = rot - < (rot_1, ..., rot_k), M^-1 lk >
 
-where M0 borders M with the dual component's linking numbers, rot_i
-are the rotation numbers of the surgered components and lk_i the
-linking numbers of the dual with them. The homological order r of the
-dual is the smallest positive integer with r * M^-1 (lk_1, ..., lk_k)
-integral, i.e. the order of the dual's class in the surgery homology
-lattice; the denominators of tb_Q and rot_Q always divide it. The
-rational Seifert surface of the dual is the image of one for the
-original knot, so its Euler characteristic is carried over verbatim.
+where lk = (lk_1, ..., lk_k) are the linking numbers of the dual with
+the surgered components, rot_i are their rotation numbers and M0
+borders M with lk (corner 0). The second form of tb_Q is the Schur
+complement identity det(M0) = -det(M) * < lk, M^-1 lk >; it is the one
+computed, so a single exact solve x = M^-1 lk yields all three
+invariants. The homological order r of the dual is the smallest
+positive integer with r * x integral, i.e. the order of the dual's
+class in the surgery homology lattice; the denominators of tb_Q and
+rot_Q always divide it. The rational Seifert surface of the dual is
+the image of one for the original knot, so its Euler characteristic
+is carried over verbatim.
 
 For the (+1)-push-off chain presentation of contact (+1/n)-surgery the
 formulas collapse to closed forms:
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import SurgeryDiagram, ValidationError, build_general_matrices
-from .exact import det, format_rational, inner_product, solve
+from .exact import SingularMatrix, format_rational, inner_product, solve
 
 __all__ = [
     "DualKnotInvariants",
@@ -115,22 +118,25 @@ def dual_invariants_matrix(
     """Dual invariants via the general linking-matrix formulas.
 
     Every component except ``dual_index`` must carry an integer contact
-    coefficient (expand the diagram first if necessary). Raises
+    coefficient (expand the diagram first if necessary). One exact
+    solve x = M^-1 lk gives tb_Q = tb - <lk, x>,
+    rot_Q = rot - <(rot_1, ..., rot_k), x> and the order as the lcm of
+    the denominators of x. Raises
     NonNullhomologousDual when det(M) = 0.
     """
-    m, m0, link_vector = build_general_matrices(diagram, dual_index)
-    det_m = det(m)
-    if det_m == 0:
+    m, _, link_vector = build_general_matrices(diagram, dual_index)
+    try:
+        solution = solve(m, link_vector)
+    except SingularMatrix:
         raise NonNullhomologousDual(
             "det(M) = 0: the dual knot is not rationally nullhomologous and "
             "its rational invariants are undefined"
-        )
+        ) from None
     dual = diagram.components[dual_index].knot
-    solution = solve(m, link_vector)
     order = math.lcm(*(value.denominator for value in solution)) if solution else 1
     others = [i for i in range(len(diagram.components)) if i != dual_index]
     rotations = tuple(diagram.components[i].knot.rot for i in others)
-    tb_q = Fraction(dual.tb) + det(m0) / det_m
+    tb_q = Fraction(dual.tb) - inner_product(link_vector, solution)
     rot_q = Fraction(dual.rot) - inner_product(rotations, solution)
     return DualKnotInvariants(
         tb_q=tb_q, rot_q=rot_q, order=order, euler_char=dual.euler_char

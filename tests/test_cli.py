@@ -10,6 +10,7 @@ import pytest
 
 import surgerycalc.data as bundled
 import surgerycalc.exact
+import surgerycalc.invariants
 from surgerycalc.cli import main
 from surgerycalc.selftest import SelfTestFailure, run_checks
 
@@ -333,6 +334,23 @@ def test_selftest_fault_injection(monkeypatch):
     true_det = surgerycalc.exact.det
     monkeypatch.setattr(surgerycalc.exact, "det", lambda m: -true_det(m))
     with pytest.raises(SelfTestFailure, match=r"det\(M\) = n\*tb\+1 grid"):
+        run_checks()
+
+
+def test_selftest_fault_injection_solve_path(monkeypatch):
+    # The matrix-path dual invariants reach the elimination kernel only
+    # through solve; a perturbed solution must be caught by the
+    # closed-form comparison grid.
+    true_solve = surgerycalc.invariants.solve
+
+    def perturbed(matrix, vector):
+        solution = true_solve(matrix, vector)
+        return (solution[0] + 1,) + solution[1:]
+
+    monkeypatch.setattr(surgerycalc.invariants, "solve", perturbed)
+    with pytest.raises(
+        SelfTestFailure, match=r"closed-form vs matrix-path dual invariants"
+    ):
         run_checks()
 
 

@@ -21,7 +21,7 @@ from surgerycalc import (
     solve,
 )
 
-from helpers import cofactor_det
+from helpers import cofactor_det, random_rational
 
 fractions_st = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -118,6 +118,71 @@ def test_det_rational_entries():
     assert det(matrix) == Fraction(1, 10) - Fraction(1, 12)
 
 
+def _random_rational_rows(rng, n):
+    # Mixed denominators, and zeros often enough to force row swaps and
+    # singular matrices.
+    return [
+        [Fraction(0) if rng.random() < 0.3 else random_rational(rng) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def test_det_and_solve_rational_entries_randomized():
+    rng = random.Random(20261017)
+    singular = 0
+    for _ in range(600):
+        n = rng.randint(0, 6)
+        rows = _random_rational_rows(rng, n)
+        matrix = SquareMatrix(rows)
+        oracle = cofactor_det(rows)
+        assert det(matrix) == oracle
+        vector = tuple(random_rational(rng, allow_zero=True) for _ in rows)
+        if oracle == 0:
+            singular += 1
+            with pytest.raises(SingularMatrix):
+                solve(matrix, vector)
+        else:
+            assert matrix.apply(solve(matrix, vector)) == vector
+    assert singular > 0
+
+
+# First pivot zero: elimination must swap rows to proceed.
+ZERO_FIRST_PIVOT = (
+    [[0, 2, 1], [3, 1, 0], [1, 0, 4]],
+    [[0, "1/2"], ["2/3", "1/5"]],
+    [[0, 0, "1/3"], [0, "-5/2", 1], ["7/4", 1, 0]],
+)
+
+# Nonzero pivots until the last one, which vanishes.
+ZERO_LAST_PIVOT = (
+    [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+    [["1/2", 1, "3/2"], [2, "5/2", 3], ["7/2", 4, "9/2"]],
+    [[2, 1], [6, 3]],
+)
+
+
+@pytest.mark.parametrize("rows", ZERO_FIRST_PIVOT)
+def test_zero_first_pivot_needs_row_swap(rows):
+    matrix = SquareMatrix(rows)
+    assert matrix[0, 0] == 0
+    assert det(matrix) == cofactor_det(matrix.rows) != 0
+    vector = tuple(Fraction(k + 1, 3) for k in range(matrix.dimension))
+    assert matrix.apply(solve(matrix, vector)) == vector
+
+
+@pytest.mark.parametrize("rows", ZERO_LAST_PIVOT)
+def test_singular_only_at_last_pivot(rows):
+    matrix = SquareMatrix(rows)
+    n = matrix.dimension
+    assert all(
+        cofactor_det([row[:k] for row in matrix.rows[:k]]) != 0 for k in range(1, n)
+    )
+    assert cofactor_det(matrix.rows) == 0
+    assert det(matrix) == 0
+    with pytest.raises(SingularMatrix):
+        solve(matrix, (1,) * n)
+
+
 def test_matrix_shape_validation():
     with pytest.raises(DimensionMismatch):
         SquareMatrix([[1, 2], [3]])
@@ -181,7 +246,9 @@ def test_solve_dimension_zero():
 )
 def test_solve_multiply_back_hypothesis(rows, vector):
     matrix = SquareMatrix(rows)
-    if det(matrix) == 0:
+    # Singularity is decided by the independent oracle: det shares the
+    # elimination kernel with solve.
+    if cofactor_det(rows) == 0:
         with pytest.raises(SingularMatrix):
             solve(matrix, vector)
         return

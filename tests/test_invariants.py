@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,12 +17,17 @@ from surgerycalc import (
     PlusOneChainSpec,
     SurgeryComponent,
     SurgeryDiagram,
+    Unsupported,
     ValidationError,
+    build_general_matrices,
     chain_diagram,
     dual_invariants_closed_form,
     dual_invariants_matrix,
+    expand_diagram,
     homological_order,
 )
+
+from helpers import cofactor_det, random_diagram
 
 
 def test_homological_order_values():
@@ -134,3 +141,62 @@ def test_invariants_validation():
         )
     with pytest.raises(ValidationError):
         DualKnotInvariants(tb_q=Fraction(1), rot_q=Fraction(0), order=0, euler_char=1)
+
+
+def _dual_cases(rng, count):
+    """Random diagrams with one unsurgered component and M of dimension 1-6."""
+    cases = []
+    while len(cases) < count:
+        diagram = random_diagram(rng, max_components=6)
+        unsurgered = [c for c in diagram.components if not c.is_surgered]
+        if len(unsurgered) != 1:
+            continue
+        if any(
+            c.contact_coefficient.denominator != 1
+            for c in diagram.components
+            if c.is_surgered
+        ):
+            try:
+                diagram = expand_diagram(diagram).derived_diagram
+            except Unsupported:
+                continue
+        if not 1 <= len(diagram.components) - 1 <= 6:
+            continue
+        cases.append((diagram, diagram.component_index(unsurgered[0].id)))
+    return cases
+
+
+def _replace_column(rows, index, column):
+    return [row[:index] + [v] + row[index + 1 :] for row, v in zip(rows, column)]
+
+
+def test_matrix_path_matches_cofactor_oracle_randomized():
+    # Oracle shares no code with the elimination kernel: tb_Q from the
+    # bordered determinant, the solution x from Cramer's rule.
+    degenerate = 0
+    for diagram, dual_index in _dual_cases(random.Random(20261017), 300):
+        m, m0, link_vector = build_general_matrices(diagram, dual_index)
+        rows = [list(row) for row in m.rows]
+        det_m = cofactor_det(rows)
+        if det_m == 0:
+            degenerate += 1
+            with pytest.raises(NonNullhomologousDual):
+                dual_invariants_matrix(diagram, dual_index)
+            continue
+        x = [
+            cofactor_det(_replace_column(rows, i, link_vector)) / det_m
+            for i in range(len(rows))
+        ]
+        others = [i for i in range(len(diagram.components)) if i != dual_index]
+        dual = diagram.components[dual_index].knot
+        rot_q = dual.rot - sum(
+            diagram.components[i].knot.rot * value for i, value in zip(others, x)
+        )
+        expected = DualKnotInvariants(
+            tb_q=dual.tb + cofactor_det(m0.rows) / det_m,
+            rot_q=rot_q,
+            order=math.lcm(*(value.denominator for value in x)),
+            euler_char=dual.euler_char,
+        )
+        assert dual_invariants_matrix(diagram, dual_index) == expected
+    assert degenerate > 0
