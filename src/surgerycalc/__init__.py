@@ -19,7 +19,8 @@ Modules:
   rational coefficients into (+-1)-surgeries with stabilization
   bookkeeping.
 * ``invariants``: closed-form and matrix-path invariants of
-  surgery-dual knots.
+  surgery-dual knots; ``dual_invariants`` is the one entry point that
+  expands rational coefficients when the matrix path needs it.
 * ``classify``: the tight/overtwisted decision rules with
   justification traces.
 * ``cli`` / ``selftest``: the command-line tool and its built-in
@@ -92,6 +93,7 @@ from .expansion import (
 from .invariants import (
     DualKnotInvariants,
     NonNullhomologousDual,
+    dual_invariants,
     dual_invariants_closed_form,
     dual_invariants_matrix,
     homological_order,
@@ -139,6 +141,7 @@ __all__ = [
     "det",
     "diagram_from_obj",
     "diagram_to_obj",
+    "dual_invariants",
     "dual_invariants_closed_form",
     "dual_invariants_matrix",
     "evaluate_negative_continued_fraction",

@@ -42,16 +42,15 @@ from .diagram import (
     LegendrianKnotData,
     MissingCoefficient,
     SurgeryDiagram,
-    UnexpandedCoefficient,
     ValidationError,
 )
 from .exact import RationalLike, as_rational, format_rational
-from .expansion import NotCoprime, Unsupported, expand_diagram
+from .expansion import NotCoprime, Unsupported
 from .invariants import (
     DualKnotInvariants,
     NonNullhomologousDual,
+    dual_invariants,
     dual_invariants_closed_form,
-    dual_invariants_matrix,
 )
 
 __all__ = [
@@ -345,29 +344,6 @@ def _with_component_prefix(verdict: Verdict, component_id: str) -> Verdict:
     )
 
 
-def _surgered_manifold_tb(diagram: SurgeryDiagram, index: int) -> Optional[Fraction]:
-    """tb of an unsurgered component in the surgered manifold, if defined.
-
-    Falls back to expanding rational coefficients first; returns None
-    when the dual is not rationally nullhomologous or the expansion is
-    unsupported.
-    """
-    component_id = diagram.components[index].id
-    try:
-        return dual_invariants_matrix(diagram, index).tb_q
-    except UnexpandedCoefficient:
-        pass
-    except (NonNullhomologousDual, MissingCoefficient):
-        return None
-    try:
-        derived = expand_diagram(diagram).derived_diagram
-        return dual_invariants_matrix(
-            derived, derived.component_index(component_id)
-        ).tb_q
-    except (NonNullhomologousDual, Unsupported, MissingCoefficient):
-        return None
-
-
 def classify_diagram(
     diagram: SurgeryDiagram,
     assumptions: Optional[Mapping[str, bool]] = None,
@@ -386,7 +362,8 @@ def classify_diagram(
 
     A Tight verdict for an integer query n = p (q = 1) additionally
     gets a "conway-counterexample" trace entry when the component's tb
-    in the surgered manifold is an integer <= -2 and 2 <= n < |tb|.
+    in the surgered manifold is an integer <= -2 and 2 <= n < |tb|, or
+    a trace entry giving the reason when that tb is undefined.
 
     Assumption sets that contradict the rules' own conclusions are
     rejected: a (+1)-tight assumption is inconsistent with an
@@ -445,27 +422,29 @@ def classify_diagram(
         )
 
     if p is not None:
-        for index, component in enumerate(diagram.components):
+        for component in diagram.components:
             if component.is_surgered:
                 continue
             assumed = component.id in assumed_tight
             verdict = classify_lemma_tight(assumed, p, q)
             trace = (f"component {component.id!r}:",) + verdict.trace
             if verdict.conclusion is Conclusion.TIGHT and q == 1 and p >= 2:
-                tb_surgered = _surgered_manifold_tb(diagram, index)
-                if (
-                    tb_surgered is not None
-                    and tb_surgered.denominator == 1
-                    and tb_surgered <= -2
-                    and p < -tb_surgered
-                ):
-                    trace = trace + (
-                        f"{CONWAY_FLAG}: tb = {format_rational(tb_surgered)} <= -2 "
-                        f"in the surgered manifold and 2 <= n = {p} < |tb| = "
-                        f"{-int(tb_surgered)}, yet contact (+{p})-surgery is "
-                        "tight, contradicting the conjecture that it must be "
-                        "overtwisted",
+                try:
+                    tb = dual_invariants(diagram, component.id).tb_q
+                except (NonNullhomologousDual, MissingCoefficient, Unsupported) as error:
+                    trace += (
+                        "Conway check skipped: tb in the surgered manifold is "
+                        f"undefined: {error}",
                     )
+                else:
+                    if tb.denominator == 1 and tb <= -2 and p < -tb:
+                        trace += (
+                            f"{CONWAY_FLAG}: tb = {format_rational(tb)} <= -2 in "
+                            f"the surgered manifold and 2 <= n = {p} < |tb| = "
+                            f"{-int(tb)}, yet contact (+{p})-surgery is tight, "
+                            "contradicting the conjecture that it must be "
+                            "overtwisted",
+                        )
             verdicts.append(
                 Verdict(conclusion=verdict.conclusion, rule=verdict.rule, trace=trace)
             )

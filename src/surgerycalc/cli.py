@@ -44,9 +44,11 @@ from .classify import (
     verdict_to_obj,
 )
 from .diagram import (
+    AmbientStatus,
     LegendrianKnotData,
     MissingCoefficient,
     ParseError,
+    SurgeryComponent,
     SurgeryDiagram,
     UnexpandedCoefficient,
     ValidationError,
@@ -61,19 +63,16 @@ from .expansion import (
     Unsupported,
     ZIGZAG_POLICIES,
     expand_diagram,
-    expand_negative_rational,
-    expand_positive_rational,
-    expand_positive_unit_fraction,
 )
 from .invariants import (
     DualKnotInvariants,
     NonNullhomologousDual,
+    dual_invariants,
     dual_invariants_closed_form,
-    dual_invariants_matrix,
 )
 from .selftest import SelfTestFailure, run_checks
 
-__all__ = ["entry", "main", "parse_diagram_file", "Report"]
+__all__ = ["entry", "main", "Report"]
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -112,11 +111,6 @@ class Report:
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), indent=2, sort_keys=True) + "\n"
-
-
-def parse_diagram_file(path) -> SurgeryDiagram:
-    """Load and validate a diagram document from a file path."""
-    return load_diagram(path)
 
 
 # --------------------------------------------------------------------------
@@ -162,27 +156,32 @@ def _verdicts_text(verdict_objs: list[dict]) -> list[str]:
 # Input helpers
 
 
-def _batch_paths(raw: str) -> list[Path]:
+def _run_diagrams(command: str, raw: str, handle) -> tuple[object, int]:
+    """Results and exit code of ``handle(path) -> payload`` on a diagram.
+
+    ``raw`` names a diagram file, or a directory whose *.json files are
+    processed independently in sorted order; a failing file becomes an
+    error entry of the batch.
+    """
+    key, _, keyed = _DIAGRAM_COMMANDS[command]
+    if not Path(raw).is_dir():
+        payload = handle(Path(raw))
+        return ({key: payload} if keyed else payload), EXIT_OK
     files = sorted(Path(raw).glob("*.json"))
     if not files:
         raise ParseError(f"directory {raw!r} contains no *.json diagrams")
-    return files
-
-
-def _per_file(paths: list[Path], handler) -> tuple[list[dict], int]:
-    """Process directory entries independently; failures stay per-file."""
     entries = []
     worst = EXIT_OK
-    for path in paths:
+    for path in files:
         try:
-            entries.append({"file": path.name, **handler(path)})
+            entries.append({"file": path.name, key: handle(path)})
         except NonNullhomologousDual as error:
             entries.append({"file": path.name, "error": str(error)})
             worst = max(worst, EXIT_UNDEFINED)
         except _INPUT_ERRORS as error:
             entries.append({"file": path.name, "error": str(error)})
             worst = max(worst, EXIT_INPUT)
-    return entries, worst
+    return {"batch": entries}, worst
 
 
 def _knot_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser):
@@ -216,53 +215,30 @@ def _coefficient_from_args(
 
 def _cmd_expand(args, parser) -> tuple[Report, int]:
     options = {"zigzag_policy": args.zigzag_policy, "format": args.format}
+
+    def expansion(diagram: SurgeryDiagram) -> dict:
+        return _expansion_obj(
+            expand_diagram(diagram, zigzag_policy=args.zigzag_policy)
+        )
+
     if args.diagram is not None:
         options["input"] = args.diagram
-
-        def handle(path: Path) -> dict:
-            presentation = expand_diagram(
-                parse_diagram_file(path), zigzag_policy=args.zigzag_policy
-            )
-            return {"expansion": _expansion_obj(presentation)}
-
-        if Path(args.diagram).is_dir():
-            entries, worst = _per_file(_batch_paths(args.diagram), handle)
-            return Report("expand", options, {"batch": entries}), worst
-        presentation = expand_diagram(
-            parse_diagram_file(args.diagram), zigzag_policy=args.zigzag_policy
+        results, code = _run_diagrams(
+            "expand", args.diagram, lambda path: expansion(load_diagram(path))
         )
-        return Report("expand", options, _expansion_obj(presentation)), EXIT_OK
+        return Report("expand", options, results), code
     knot = _knot_from_args(args, parser)
     coefficient = _coefficient_from_args(args, parser)
     options.update(
         {"tb": knot.tb, "rot": knot.rot, "chi": knot.euler_char,
          "coefficient": format_rational(coefficient)}
     )
-    if coefficient > 0 and coefficient.numerator == 1:
-        presentation = expand_positive_unit_fraction(knot, coefficient.denominator)
-    elif coefficient > 0:
-        presentation = expand_positive_rational(
-            knot,
-            coefficient.numerator,
-            coefficient.denominator,
-            zigzag_policy=args.zigzag_policy,
-        )
-    else:
-        presentation = expand_negative_rational(
-            knot, coefficient, zigzag_policy=args.zigzag_policy
-        )
-    return Report("expand", options, _expansion_obj(presentation)), EXIT_OK
-
-
-def _dual_invariants_with_expansion(
-    diagram: SurgeryDiagram, dual_id: str
-) -> DualKnotInvariants:
-    """Matrix-path invariants, expanding rational coefficients if needed."""
-    try:
-        return dual_invariants_matrix(diagram, diagram.component_index(dual_id))
-    except UnexpandedCoefficient:
-        derived = expand_diagram(diagram).derived_diagram
-        return dual_invariants_matrix(derived, derived.component_index(dual_id))
+    diagram = SurgeryDiagram(
+        ambient=AmbientStatus.UNKNOWN,
+        components=(SurgeryComponent(knot=knot, contact_coefficient=coefficient),),
+        linking=((0,),),
+    )
+    return Report("expand", options, expansion(diagram)), EXIT_OK
 
 
 def _chain_invariants(args, parser) -> DualKnotInvariants:
@@ -282,20 +258,12 @@ def _cmd_invariants(args, parser) -> tuple[Report, int]:
     if args.dual is None:
         parser.error("--dual ID is required with a diagram file")
     options.update({"input": args.diagram, "dual": args.dual})
-
-    def handle(path: Path) -> dict:
-        invariants = _dual_invariants_with_expansion(
-            parse_diagram_file(path), args.dual
-        )
-        return {"invariants": _invariants_obj(invariants)}
-
-    if Path(args.diagram).is_dir():
-        entries, worst = _per_file(_batch_paths(args.diagram), handle)
-        return Report("invariants", options, {"batch": entries}), worst
-    invariants = _dual_invariants_with_expansion(
-        parse_diagram_file(args.diagram), args.dual
+    results, code = _run_diagrams(
+        "invariants",
+        args.diagram,
+        lambda path: _invariants_obj(dual_invariants(load_diagram(path), args.dual)),
     )
-    return Report("invariants", options, _invariants_obj(invariants)), EXIT_OK
+    return Report("invariants", options, results), code
 
 
 def _cmd_classify(args, parser) -> tuple[Report, int]:
@@ -318,9 +286,9 @@ def _cmd_classify(args, parser) -> tuple[Report, int]:
         options.update({"p": p, "q": q})
     citations: list[str] = []
 
-    def handle(path: Path) -> dict:
+    def handle(path: Path) -> list[dict]:
         verdicts = classify_diagram(
-            parse_diagram_file(path),
+            load_diagram(path),
             assumptions,
             p=p,
             q=q,
@@ -328,13 +296,10 @@ def _cmd_classify(args, parser) -> tuple[Report, int]:
         )
         objs = [verdict_to_obj(v) for v in verdicts]
         citations.extend(obj["rule"] for obj in objs if obj["rule"] != RULE_NONE)
-        return {"verdicts": objs}
+        return objs
 
-    if Path(args.diagram).is_dir():
-        entries, worst = _per_file(_batch_paths(args.diagram), handle)
-        return Report("classify", options, {"batch": entries}, citations), worst
-    results = handle(Path(args.diagram))
-    return Report("classify", options, results, citations), EXIT_OK
+    results, code = _run_diagrams("classify", args.diagram, handle)
+    return Report("classify", options, results, citations), code
 
 
 def _cmd_bennequin(args, parser) -> tuple[Report, int]:
@@ -348,9 +313,7 @@ def _cmd_bennequin(args, parser) -> tuple[Report, int]:
         if Path(args.diagram).is_dir():
             parser.error("bennequin takes a single diagram file")
         options.update({"input": args.diagram, "dual": args.dual})
-        invariants = _dual_invariants_with_expansion(
-            parse_diagram_file(args.diagram), args.dual
-        )
+        invariants = dual_invariants(load_diagram(args.diagram), args.dual)
     report = bennequin_check(invariants)
     verdict = verdict_from_bennequin(report)
     results = {
@@ -380,36 +343,20 @@ def _cmd_selftest(args, parser) -> tuple[Report, int]:
 # Rendering
 
 
-def _batch_entry_lines(entry: dict, key: str, render) -> list[str]:
-    if "error" in entry:
-        return [f"  error: {entry['error']}"]
-    return ["  " + line for line in render(entry[key])]
-
-
 def _render_text(report: Report) -> str:
     lines = [f"command: {report.command}"]
     results = report.results
-    if report.command == "invariants":
+    if report.command in _DIAGRAM_COMMANDS:
+        key, render, keyed = _DIAGRAM_COMMANDS[report.command]
         if "batch" in results:
             for entry in results["batch"]:
                 lines.append(f"file: {entry['file']}")
-                lines.extend(_batch_entry_lines(entry, "invariants", _invariants_lines))
+                if "error" in entry:
+                    lines.append(f"  error: {entry['error']}")
+                else:
+                    lines.extend("  " + line for line in render(entry[key]))
         else:
-            lines.extend(_invariants_lines(results))
-    elif report.command == "expand":
-        if "batch" in results:
-            for entry in results["batch"]:
-                lines.append(f"file: {entry['file']}")
-                lines.extend(_batch_entry_lines(entry, "expansion", _expand_lines))
-        else:
-            lines.extend(_expand_lines(results))
-    elif report.command == "classify":
-        if "batch" in results:
-            for entry in results["batch"]:
-                lines.append(f"file: {entry['file']}")
-                lines.extend(_batch_entry_lines(entry, "verdicts", _verdicts_text))
-        else:
-            lines.extend(_verdicts_text(results["verdicts"]))
+            lines.extend(render(results[key] if keyed else results))
     elif report.command == "bennequin":
         lines.extend(
             [
@@ -464,6 +411,16 @@ def _expand_lines(obj: dict) -> list[str]:
     for row in obj["linking"]:
         lines.append("  [" + ", ".join(str(entry) for entry in row) + "]")
     return lines
+
+
+# Commands that read a diagram file or directory: command -> (payload key
+# of a batch entry, line renderer of one payload, whether a single file's
+# results keep the key). Only classify keeps it: {"verdicts": [...]}.
+_DIAGRAM_COMMANDS = {
+    "expand": ("expansion", _expand_lines, False),
+    "invariants": ("invariants", _invariants_lines, False),
+    "classify": ("verdicts", _verdicts_text, True),
+}
 
 
 # --------------------------------------------------------------------------

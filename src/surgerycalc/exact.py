@@ -132,9 +132,6 @@ class SquareMatrix:
     def row(self, index: int) -> tuple[Fraction, ...]:
         return self._rows[index]
 
-    def column(self, index: int) -> tuple[Fraction, ...]:
-        return tuple(row[index] for row in self._rows)
-
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         return self._rows[i][j]

@@ -37,12 +37,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import SurgeryDiagram, ValidationError, build_general_matrices
+from .diagram import (
+    SurgeryDiagram,
+    UnexpandedCoefficient,
+    ValidationError,
+    build_general_matrices,
+)
 from .exact import SingularMatrix, format_rational, inner_product, solve
+from .expansion import expand_diagram
 
 __all__ = [
     "DualKnotInvariants",
     "NonNullhomologousDual",
+    "dual_invariants",
     "dual_invariants_closed_form",
     "dual_invariants_matrix",
     "homological_order",
@@ -141,3 +148,24 @@ def dual_invariants_matrix(
     return DualKnotInvariants(
         tb_q=tb_q, rot_q=rot_q, order=order, euler_char=dual.euler_char
     )
+
+
+def dual_invariants(diagram: SurgeryDiagram, component_id: str) -> DualKnotInvariants:
+    """Invariants of component ``component_id`` after surgering the others.
+
+    Runs the matrix path on the diagram as given; only when that meets
+    a non-integer coefficient (UnexpandedCoefficient) is the diagram
+    expanded with the default zigzag policy and the matrix path rerun
+    on the derived diagram. A diagram whose surgered coefficients are
+    all integers is therefore not expanded: an integer coefficient
+    other than +-1 keeps its knot's unstabilized rot, so rot_Q can
+    differ from the one of the expansion that ``expand`` prints, while
+    tb_Q and the order agree. Raises ValidationError for an unknown id,
+    and NonNullhomologousDual, MissingCoefficient or Unsupported from
+    the matrix path or the expansion.
+    """
+    try:
+        return dual_invariants_matrix(diagram, diagram.component_index(component_id))
+    except UnexpandedCoefficient:
+        derived = expand_diagram(diagram).derived_diagram
+        return dual_invariants_matrix(derived, derived.component_index(component_id))

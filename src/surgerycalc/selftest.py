@@ -13,6 +13,7 @@ produce identical results.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Sequence
 
 from . import exact
@@ -26,6 +27,7 @@ from .classify import (
 from .data import load as load_bundled
 from .diagram import (
     AmbientStatus,
+    LegendrianKnotData,
     PlusOneChainSpec,
     build_extended_matrix,
     build_general_matrices,
@@ -195,9 +197,7 @@ def _check_bennequin_chain() -> dict:
     return {"name": name, "cases": cases}
 
 
-def _boundary_knot(tb: int, rot: int, euler_char: int):
-    from .diagram import LegendrianKnotData
-
+def _boundary_knot(tb: int, rot: int, euler_char: int) -> LegendrianKnotData:
     return LegendrianKnotData(id="b", tb=tb, rot=rot, euler_char=euler_char)
 
 
@@ -226,8 +226,6 @@ def _check_counterexample_diagram() -> dict:
 
 
 def _check_expansion_roundtrip() -> dict:
-    from math import gcd
-
     name = "negative continued fraction round trip (p, q <= 40)"
     cases = 0
     for p in range(2, 41):

@@ -2,15 +2,39 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import surgerycalc
 from surgerycalc import (
     AmbientStatus,
     LegendrianKnotData,
     SurgeryComponent,
     SurgeryDiagram,
 )
+
+
+def run_cli(*argv):
+    """Run ``python -m surgerycalc`` in a child process.
+
+    The child gets the source root of the imported package prepended to
+    its PYTHONPATH, so the suite also runs from a source checkout in
+    which the package is not installed.
+    """
+    source_root = str(Path(surgerycalc.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = source_root + (os.pathsep + inherited if inherited else "")
+    return subprocess.run(
+        [sys.executable, "-m", "surgerycalc", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
 
 
 def cofactor_det(rows):

@@ -9,8 +9,6 @@ report.
 from __future__ import annotations
 
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from math import gcd
 
@@ -41,7 +39,7 @@ from surgerycalc import (
 from surgerycalc.classify import CONWAY_FLAG
 from surgerycalc.diagram import LegendrianKnotData
 
-from helpers import cofactor_det, random_diagram
+from helpers import cofactor_det, random_diagram, run_cli
 
 
 def _report(criterion: str) -> None:
@@ -149,11 +147,7 @@ def test_criterion_6_degenerate_dual(tmp_path):
         dual_invariants_matrix(diagram, diagram.component_index("U"))
     path = tmp_path / "s1xs2.json"
     path.write_text(bundled.read_text("s1xs2.json"), encoding="utf-8")
-    result = subprocess.run(
-        [sys.executable, "-m", "surgerycalc", "invariants", str(path), "--dual", "U"],
-        capture_output=True,
-        text=True,
-    )
+    result = run_cli("invariants", str(path), "--dual", "U")
     assert result.returncode == 3
     _report("6 (degenerate dual: det M = 0, exit code 3)")
 
@@ -182,13 +176,7 @@ def test_criterion_7_expansion_round_trips():
 
 def test_criterion_8_determinism_and_round_trip():
     """selftest output is byte-identical; parse-serialize is the identity."""
-    runs = [
-        subprocess.run(
-            [sys.executable, "-m", "surgerycalc", "selftest", "--format", "json"],
-            capture_output=True,
-        )
-        for _ in range(2)
-    ]
+    runs = [run_cli("selftest", "--format", "json") for _ in range(2)]
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
     rng = random.Random(20260810)

@@ -225,6 +225,58 @@ def test_classify_counterexample_all_n():
         assert flagged == (n == 2)  # 2 <= n < |tb| = 3
 
 
+def _conway_skip_lines(verdict):
+    return [line for line in verdict.trace if line.startswith("Conway check skipped")]
+
+
+def test_classify_conway_check_reports_undefined_tb():
+    # (+1)-surgery on the tb = -1 unknot: the push-off U is not
+    # rationally nullhomologous, so its tb in the surgered manifold is
+    # undefined and the Conway check says why it gave up.
+    verdict = classify_diagram(bundled.load("s1xs2.json"), {"U": True}, p=2, q=1)[-1]
+    assert verdict.conclusion is Conclusion.TIGHT
+    (line,) = _conway_skip_lines(verdict)
+    assert "not rationally nullhomologous" in line
+    assert CONWAY_FLAG not in line
+
+
+@pytest.mark.parametrize(
+    "other_coefficient, reason",
+    [
+        (None, "carries no contact surgery coefficient"),
+        (Fraction(2, 5), "not of an expandable shape"),
+    ],
+)
+def test_classify_conway_check_reason_per_failure(other_coefficient, reason):
+    # A second unsurgered component (MissingCoefficient) or an
+    # unexpandable coefficient (Unsupported) leaves tb undefined too.
+    diagram = SurgeryDiagram(
+        ambient=AmbientStatus.TIGHT,
+        components=(
+            SurgeryComponent(knot=knot(-3, 0, 1, "D")),
+            SurgeryComponent(
+                knot=knot(-1, 0, 1, "E"), contact_coefficient=other_coefficient
+            ),
+            SurgeryComponent(
+                knot=knot(-1, 0, 1, "U"), contact_coefficient=Fraction(-1)
+            ),
+        ),
+        linking=((0, 1, 1), (1, 0, 0), (1, 0, 0)),
+    )
+    verdicts = classify_diagram(diagram, {"D": True}, p=2, q=1)
+    (tight,) = [v for v in verdicts if v.conclusion is Conclusion.TIGHT]
+    (line,) = _conway_skip_lines(tight)
+    assert reason in line
+    assert not any(CONWAY_FLAG in entry for v in verdicts for entry in v.trace)
+
+
+def test_classify_conway_check_silent_when_tb_defined():
+    diagram = bundled.load("figure1.json")
+    for n in (2, 3):
+        for verdict in classify_diagram(diagram, {"L": True}, p=n, q=1):
+            assert _conway_skip_lines(verdict) == []
+
+
 def test_classify_pipeline_thm1():
     diagram = SurgeryDiagram(
         ambient=AmbientStatus.TIGHT,

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 
 import pytest
 
@@ -14,14 +12,7 @@ import surgerycalc.invariants
 from surgerycalc.cli import main
 from surgerycalc.selftest import SelfTestFailure, run_checks
 
-
-def run_cli(*argv):
-    result = subprocess.run(
-        [sys.executable, "-m", "surgerycalc", *argv],
-        capture_output=True,
-        text=True,
-    )
-    return result
+from helpers import run_cli
 
 
 def figure1_path(tmp_path):
@@ -98,6 +89,18 @@ def test_classify_counterexample(tmp_path, capsys):
     assert "tight (rule: lemma-tight)" in out
     assert "conway-counterexample" in out
     assert "rules fired: lemma-tight" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_classify_conway_check_gives_up_in_trace(tmp_path, capsys, fmt):
+    path = s1xs2_path(tmp_path)
+    code = main(["classify", str(path), "--n", "2", "--assume-plus-one-tight", "U",
+                 "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("Conway check skipped: tb in the surgered manifold is "
+                     "undefined: det(M) = 0") == 1
+    assert "conway-counterexample" not in out
 
 
 def test_classify_thm1_json(tmp_path, capsys):
@@ -384,3 +387,117 @@ def test_unknown_dual_id_exit_2(tmp_path):
     result = run_cli("invariants", str(path), "--dual", "Z")
     assert result.returncode == 2
     assert "no component with id" in result.stderr
+
+
+# --------------------------------------------------------------------------
+# one coefficient-shape dispatch, one diagram/directory path
+
+
+def _run_json(capsys, *argv):
+    code = main([*argv, "--format", "json"])
+    captured = capsys.readouterr()
+    results = json.loads(captured.out)["results"] if captured.out else None
+    return code, results, captured.err
+
+
+@pytest.mark.parametrize("policy", ["all-negative", "all-positive", "balanced"])
+@pytest.mark.parametrize(
+    "coefficient_args, coefficient",
+    [
+        (["--p", "1"], "1"),
+        (["--p", "-1"], "-1"),
+        (["--n", "3"], "1/3"),
+        (["--p", "1", "--q", "3"], "1/3"),
+        (["--p", "5", "--q", "2"], "5/2"),
+        (["--p", "7", "--q", "3"], "7/3"),
+        (["--p", "-5", "--q", "3"], "-5/3"),
+        (["--p", "-2"], "-2"),
+        (["--p", "2"], "2"),
+        (["--p", "4"], "4"),
+        (["--p", "2", "--q", "3"], "2/3"),
+        (["--p", "2", "--q", "5"], "2/5"),
+        (["--p", "0"], "0"),
+    ],
+)
+def test_expand_single_knot_matches_one_component_diagram(
+    tmp_path, capsys, policy, coefficient_args, coefficient
+):
+    path = tmp_path / "one.json"
+    path.write_text(
+        json.dumps(
+            {
+                "ambient": "unknown",
+                "components": [
+                    {"id": "L", "tb": -2, "rot": 1, "euler_char": -1,
+                     "contact_coefficient": coefficient}
+                ],
+                "linking": [[0]],
+            }
+        ),
+        encoding="utf-8",
+    )
+    single = _run_json(
+        capsys, "expand", "--tb", "-2", "--rot", "1", "--chi", "-1",
+        *coefficient_args, "--zigzag-policy", policy,
+    )
+    from_file = _run_json(capsys, "expand", str(path), "--zigzag-policy", policy)
+    assert single == from_file
+    code, results, err = single
+    errors = {
+        "2/3": "not of an expandable shape",
+        "2/5": "not of an expandable shape",
+        "0": "contact coefficient 0 is not a surgery",
+    }
+    if coefficient in errors:
+        assert code == 2 and results is None
+        assert errors[coefficient] in err
+    else:
+        # +1/n included: the requested policy is reported, as for a file
+        assert code == 0 and results["zigzag_policy"] == policy
+
+
+@pytest.mark.parametrize(
+    "command, options, key",
+    [
+        ("expand", ["--zigzag-policy", "balanced"], "expansion"),
+        ("invariants", ["--dual", "L"], "invariants"),
+        ("classify", ["--assume-plus-one-tight", "L", "--n", "2"], "verdicts"),
+    ],
+)
+def test_batch_entries_match_single_file_results(
+    tmp_path, capsys, command, options, key
+):
+    figure1_path(tmp_path)
+    s1xs2_path(tmp_path)
+    (tmp_path / "broken.json").write_text("{oops", encoding="utf-8")
+    (tmp_path / "rational.json").write_text(
+        json.dumps(
+            {
+                "ambient": "tight",
+                "components": [
+                    {"id": "L", "tb": -2, "rot": 1, "euler_char": -1,
+                     "contact_coefficient": None},
+                    {"id": "K", "tb": -1, "rot": 0, "euler_char": 1,
+                     "contact_coefficient": "-5/3"},
+                ],
+                "linking": [[0, 2], [2, 0]],
+            }
+        ),
+        encoding="utf-8",
+    )
+    batch_code, batch, _ = _run_json(capsys, command, str(tmp_path), *options)
+    codes = []
+    for entry in batch["batch"]:
+        code, results, err = _run_json(
+            capsys, command, str(tmp_path / entry["file"]), *options
+        )
+        codes.append(code)
+        if code == 0:
+            single = results["verdicts"] if command == "classify" else results
+            assert entry == {"file": entry["file"], key: single}
+        else:
+            assert entry == {"file": entry["file"], "error": err[len("error: "):-1]}
+    assert [entry["file"] for entry in batch["batch"]] == [
+        "broken.json", "figure1.json", "rational.json", "s1xs2.json"
+    ]
+    assert batch_code == max(codes) > 0

@@ -13,6 +13,7 @@ from surgerycalc import (
     AmbientStatus,
     DualKnotInvariants,
     LegendrianKnotData,
+    MissingCoefficient,
     NonNullhomologousDual,
     PlusOneChainSpec,
     SurgeryComponent,
@@ -21,6 +22,7 @@ from surgerycalc import (
     ValidationError,
     build_general_matrices,
     chain_diagram,
+    dual_invariants,
     dual_invariants_closed_form,
     dual_invariants_matrix,
     expand_diagram,
@@ -143,27 +145,13 @@ def test_invariants_validation():
         DualKnotInvariants(tb_q=Fraction(1), rot_q=Fraction(0), order=0, euler_char=1)
 
 
-def _dual_cases(rng, count):
-    """Random diagrams with one unsurgered component and M of dimension 1-6."""
-    cases = []
-    while len(cases) < count:
+def _dual_cases(rng):
+    """Random unexpanded diagrams with exactly one unsurgered component."""
+    while True:
         diagram = random_diagram(rng, max_components=6)
-        unsurgered = [c for c in diagram.components if not c.is_surgered]
-        if len(unsurgered) != 1:
-            continue
-        if any(
-            c.contact_coefficient.denominator != 1
-            for c in diagram.components
-            if c.is_surgered
-        ):
-            try:
-                diagram = expand_diagram(diagram).derived_diagram
-            except Unsupported:
-                continue
-        if not 1 <= len(diagram.components) - 1 <= 6:
-            continue
-        cases.append((diagram, diagram.component_index(unsurgered[0].id)))
-    return cases
+        unsurgered = [c.id for c in diagram.components if not c.is_surgered]
+        if len(unsurgered) == 1:
+            yield diagram, unsurgered[0]
 
 
 def _replace_column(rows, index, column):
@@ -172,31 +160,109 @@ def _replace_column(rows, index, column):
 
 def test_matrix_path_matches_cofactor_oracle_randomized():
     # Oracle shares no code with the elimination kernel: tb_Q from the
-    # bordered determinant, the solution x from Cramer's rule.
-    degenerate = 0
-    for diagram, dual_index in _dual_cases(random.Random(20261017), 300):
-        m, m0, link_vector = build_general_matrices(diagram, dual_index)
+    # bordered determinant, the solution x from Cramer's rule. It runs on
+    # the diagram itself when every coefficient is an integer and on its
+    # expansion otherwise; dual_invariants gets the unexpanded diagram.
+    seen = dict.fromkeys(("degenerate", "expanded", "integer", "unsupported"), 0)
+    checked = 0
+    for diagram, dual_id in _dual_cases(random.Random(20261017)):
+        if checked == 300:
+            break
+        coefficients = [c.contact_coefficient for c in diagram.components]
+        if all(r is None or r.denominator == 1 for r in coefficients):
+            oracle_diagram = diagram
+            unit_only = all(r in (None, 1, -1) for r in coefficients)
+            kind = None if unit_only else "integer"
+        else:
+            try:
+                oracle_diagram = expand_diagram(diagram).derived_diagram
+            except Unsupported:
+                seen["unsupported"] += 1
+                with pytest.raises(Unsupported):
+                    dual_invariants(diagram, dual_id)
+                continue
+            kind = "expanded"
+        if not 1 <= len(oracle_diagram.components) - 1 <= 6:
+            continue
+        checked += 1
+        if kind:
+            seen[kind] += 1
+        dual_index = oracle_diagram.component_index(dual_id)
+        m, m0, link_vector = build_general_matrices(oracle_diagram, dual_index)
         rows = [list(row) for row in m.rows]
         det_m = cofactor_det(rows)
         if det_m == 0:
-            degenerate += 1
+            seen["degenerate"] += 1
             with pytest.raises(NonNullhomologousDual):
-                dual_invariants_matrix(diagram, dual_index)
+                dual_invariants(diagram, dual_id)
             continue
         x = [
             cofactor_det(_replace_column(rows, i, link_vector)) / det_m
             for i in range(len(rows))
         ]
-        others = [i for i in range(len(diagram.components)) if i != dual_index]
-        dual = diagram.components[dual_index].knot
-        rot_q = dual.rot - sum(
-            diagram.components[i].knot.rot * value for i, value in zip(others, x)
-        )
+        others = [c for c in oracle_diagram.components if c.id != dual_id]
+        dual = oracle_diagram.components[dual_index].knot
+        rot_q = dual.rot - sum(c.knot.rot * value for c, value in zip(others, x))
         expected = DualKnotInvariants(
             tb_q=dual.tb + cofactor_det(m0.rows) / det_m,
             rot_q=rot_q,
             order=math.lcm(*(value.denominator for value in x)),
             euler_char=dual.euler_char,
         )
-        assert dual_invariants_matrix(diagram, dual_index) == expected
-    assert degenerate > 0
+        assert dual_invariants(diagram, dual_id) == expected
+    assert all(seen.values()), seen
+
+
+def _one_surgery_and_dual(coefficient, dual_linking=1):
+    """Knot K (tb = -1) surgered with ``coefficient``; unsurgered dual L."""
+    return SurgeryDiagram(
+        ambient=AmbientStatus.UNKNOWN,
+        components=(
+            SurgeryComponent(
+                knot=LegendrianKnotData(id="K", tb=-1, rot=0, euler_char=1),
+                contact_coefficient=coefficient,
+            ),
+            SurgeryComponent(
+                knot=LegendrianKnotData(id="L", tb=-1, rot=0, euler_char=1)
+            ),
+        ),
+        linking=((0, dual_linking), (dual_linking, 0)),
+    )
+
+
+@pytest.mark.parametrize(
+    "diagram, component_id, error",
+    [
+        (bundled.load("s1xs2.json"), "U", NonNullhomologousDual),
+        (bundled.load("figure1.json"), "Z", ValidationError),
+        (_one_surgery_and_dual(Fraction(2, 5)), "L", Unsupported),
+        (_one_surgery_and_dual(None), "L", MissingCoefficient),
+        (_one_surgery_and_dual(Fraction(-1), dual_linking=0), "L", None),
+    ],
+)
+def test_dual_invariants_errors(diagram, component_id, error):
+    # A second unsurgered component makes the dual's complement
+    # unsurgered (MissingCoefficient); the last row is the control.
+    if error is None:
+        assert dual_invariants(diagram, component_id).tb_q == -1
+        return
+    with pytest.raises(error):
+        dual_invariants(diagram, component_id)
+
+
+def test_dual_invariants_keeps_integer_coefficients_unexpanded():
+    # Contact (-3)-surgery along K: the matrix path runs on the diagram as
+    # given, with K's unstabilized rot = 0. The expansion that `expand`
+    # prints stabilizes K twice (rot = -2 under all-negative zigzags), so
+    # rot_Q differs there, while tb_Q and the order agree.
+    diagram = _one_surgery_and_dual(Fraction(-3))
+    invariants = dual_invariants(diagram, "L")
+    assert invariants == dual_invariants_matrix(diagram, 1)
+    assert invariants == DualKnotInvariants(
+        tb_q=Fraction(-3, 4), rot_q=Fraction(0), order=4, euler_char=1
+    )
+    derived = expand_diagram(diagram).derived_diagram
+    assert [c.knot.rot for c in derived.components] == [-2, 0]
+    expanded = dual_invariants(derived, "L")
+    assert (expanded.tb_q, expanded.order) == (invariants.tb_q, invariants.order)
+    assert expanded.rot_q == Fraction(-1, 2)
