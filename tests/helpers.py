@@ -18,12 +18,13 @@ from surgerycalc import (
 )
 
 
-def run_cli(*argv):
+def run_cli(*argv, text=True):
     """Run ``python -m surgerycalc`` in a child process.
 
     The child gets the source root of the imported package prepended to
     its PYTHONPATH, so the suite also runs from a source checkout in
-    which the package is not installed.
+    which the package is not installed.  With ``text=False`` stdout and
+    stderr are the raw bytes the child wrote.
     """
     source_root = str(Path(surgerycalc.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
@@ -32,7 +33,7 @@ def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "surgerycalc", *argv],
         capture_output=True,
-        text=True,
+        text=text,
         env=env,
     )
 

@@ -176,8 +176,9 @@ def test_criterion_7_expansion_round_trips():
 
 def test_criterion_8_determinism_and_round_trip():
     """selftest output is byte-identical; parse-serialize is the identity."""
-    runs = [run_cli("selftest", "--format", "json") for _ in range(2)]
+    runs = [run_cli("selftest", "--format", "json", text=False) for _ in range(2)]
     assert runs[0].returncode == runs[1].returncode == 0
+    assert isinstance(runs[0].stdout, bytes)
     assert runs[0].stdout == runs[1].stdout
     rng = random.Random(20260810)
     for _ in range(200):

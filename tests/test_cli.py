@@ -322,12 +322,12 @@ def test_selftest_passes(capsys):
 
 
 def test_selftest_deterministic_byte_identical():
-    first = run_cli("selftest", "--format", "json")
-    second = run_cli("selftest", "--format", "json")
+    first = run_cli("selftest", "--format", "json", text=False)
+    second = run_cli("selftest", "--format", "json", text=False)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
-    third = run_cli("selftest")
-    fourth = run_cli("selftest")
+    third = run_cli("selftest", text=False)
+    fourth = run_cli("selftest", text=False)
     assert third.stdout == fourth.stdout
 
 
