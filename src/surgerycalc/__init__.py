@@ -13,11 +13,13 @@ Modules:
 * ``exact``: Fraction-valued vectors and matrices; determinants and
   solves share one fraction-free (Bareiss) elimination kernel over
   Python ints, each row scaled by the lcm of its denominators.
-* ``diagram``: the surgery diagram data model, linking/extended matrix
-  builders and the JSON file format.
+* ``diagram``: the surgery diagram data model, one framed linking
+  matrix builder behind ``dual_system`` (what the invariants run on)
+  and the bordered check matrices, and the JSON file format.
 * ``expansion``: negative continued fractions and the expansion of
   rational coefficients into (+-1)-surgeries with stabilization
-  bookkeeping.
+  bookkeeping; one private coefficient-shape dispatch serves the
+  diagram and single-knot expanders.
 * ``invariants``: closed-form and matrix-path invariants of
   surgery-dual knots; ``dual_invariants`` is the one entry point that
   expands rational coefficients when the matrix path needs it.
@@ -56,6 +58,7 @@ from .diagram import (
     chain_diagram,
     diagram_from_obj,
     diagram_to_obj,
+    dual_system,
     load_diagram,
     parity_lint,
     parse_diagram,
@@ -144,6 +147,7 @@ __all__ = [
     "dual_invariants",
     "dual_invariants_closed_form",
     "dual_invariants_matrix",
+    "dual_system",
     "evaluate_negative_continued_fraction",
     "expand_diagram",
     "expand_negative_rational",

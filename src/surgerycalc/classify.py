@@ -31,7 +31,6 @@ conjecture that such surgeries are always overtwisted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -45,7 +44,7 @@ from .diagram import (
     ValidationError,
 )
 from .exact import RationalLike, as_rational, format_rational
-from .expansion import NotCoprime, Unsupported
+from .expansion import Unsupported, _check_coprime_positive
 from .invariants import (
     DualKnotInvariants,
     NonNullhomologousDual,
@@ -307,11 +306,7 @@ def classify_lemma_tight(plus_one_known_tight: bool, p: int, q: int) -> Verdict:
     (-p/(p-q))-surgery along its push-off, i.e. Legendrian
     (-1)-surgeries, which preserve tightness (used as an axiom).
     """
-    for name, value in (("p", p), ("q", q)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValidationError(f"{name} must be a positive integer, got {value!r}")
-    if math.gcd(p, q) != 1:
-        raise NotCoprime(f"p = {p} and q = {q} are not relatively prime")
+    _check_coprime_positive(p, q)
     if not plus_one_known_tight:
         return _inconclusive(
             "premise missing: contact (+1)-surgery along the knot is not known "

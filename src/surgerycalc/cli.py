@@ -52,6 +52,7 @@ from .diagram import (
     SurgeryDiagram,
     UnexpandedCoefficient,
     ValidationError,
+    _warn_even_euler_char,
     diagram_to_obj,
     load_diagram,
 )
@@ -187,9 +188,11 @@ def _run_diagrams(command: str, raw: str, handle) -> tuple[object, int]:
 def _knot_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser):
     if args.tb is None or args.rot is None:
         parser.error("single-knot mode needs --tb and --rot")
-    return LegendrianKnotData(
+    knot = LegendrianKnotData(
         id=args.id, tb=args.tb, rot=args.rot, euler_char=args.chi
     )
+    _warn_even_euler_char(knot)
+    return knot
 
 
 def _coefficient_from_args(
@@ -441,7 +444,6 @@ def _add_knot_options(parser: argparse.ArgumentParser) -> None:
         "--chi", type=int, default=1,
         help="Euler characteristic of a Seifert surface (default: 1)",
     )
-    parser.add_argument("--id", default="L", help="knot id label (default: L)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     expand.add_argument("diagram", nargs="?", help="diagram file or directory")
     _add_knot_options(expand)
+    expand.add_argument("--id", default="L", help="knot id label (default: L)")
     expand.add_argument("--n", type=int, help="expand coefficient +1/N")
     expand.add_argument("--p", type=int, help="coefficient numerator (signed)")
     expand.add_argument("--q", type=int, help="coefficient denominator (positive)")

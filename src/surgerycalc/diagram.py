@@ -12,10 +12,13 @@ Topological framings are always derived as ``tb + coefficient``, so
 the diagonal of the stored linking matrix is unused and must be zero.
 This avoids carrying redundant, possibly inconsistent data.
 
-The module also builds the two matrices every rational-invariant
-computation runs on: the linking matrix ``M`` of the surgered
-components (framings on the diagonal) and its bordered extension
-``M0`` (corner 0, border the unsurgered component's linking numbers).
+The module also builds the linking matrices. One private builder
+writes every framed matrix (framings tb_i + r_i on the diagonal,
+linking numbers elsewhere). ``dual_system`` gives what the
+rational-invariant computation runs on: the matrix ``M`` of the
+surgered components and the unsurgered component's linking vector.
+The bordered extension ``M0`` (corner 0, border that vector) is built
+only for checks, by ``build_general_matrices`` and the chain builders.
 
 Diagrams serialize to a small JSON document; rationals travel as
 "p/q" strings, never floats. ``parse_diagram(serialize_diagram(d))``
@@ -49,6 +52,7 @@ __all__ = [
     "chain_diagram",
     "diagram_from_obj",
     "diagram_to_obj",
+    "dual_system",
     "load_diagram",
     "parity_lint",
     "parse_diagram",
@@ -101,9 +105,11 @@ class LegendrianKnotData:
 
     ``euler_char`` is the Euler characteristic of a minimal genus
     Seifert surface. A connected surface with one boundary circle has
-    odd Euler characteristic at most 1; even values are accepted with
-    a warning rather than rejected, since callers may feed data whose
-    surface conventions we cannot certify.
+    odd Euler characteristic at most 1; even values are accepted rather
+    than rejected, since callers may feed data whose surface conventions
+    we cannot certify. Construction has no side effects: the warning
+    about an even value is issued where outside data enters, once per
+    input knot (``diagram_from_obj`` and the CLI's single-knot mode).
     """
 
     id: str
@@ -125,13 +131,17 @@ class LegendrianKnotData:
                 f"{self.id}.euler_char = {self.euler_char} exceeds 1, impossible "
                 "for a surface with boundary"
             )
-        if self.euler_char % 2 == 0:
-            warnings.warn(
-                f"{self.id}.euler_char = {self.euler_char} is even; a connected "
-                "Seifert surface with one boundary circle has odd Euler "
-                "characteristic",
-                stacklevel=2,
-            )
+
+
+def _warn_even_euler_char(knot: LegendrianKnotData) -> None:
+    """Warn, at the caller's line, when an input knot's euler_char is even."""
+    if knot.euler_char % 2 == 0:
+        warnings.warn(
+            f"{knot.id}.euler_char = {knot.euler_char} is even; a connected "
+            "Seifert surface with one boundary circle has odd Euler "
+            "characteristic",
+            stacklevel=2,
+        )
 
 
 @dataclass(frozen=True)
@@ -279,13 +289,7 @@ def build_linking_matrix(spec: PlusOneChainSpec) -> SquareMatrix:
     numbers, all equal to tb for push-offs along the contact framing.
     Its determinant is n*tb + 1.
     """
-    tb = spec.tb
-    return SquareMatrix(
-        tuple(
-            tuple(tb + 1 if i == j else tb for j in range(spec.n))
-            for i in range(spec.n)
-        )
-    )
+    return presentation_matrix(chain_diagram(spec, dual_id=None))
 
 
 def build_extended_matrix(spec: PlusOneChainSpec) -> SquareMatrix:
@@ -295,31 +299,22 @@ def build_extended_matrix(spec: PlusOneChainSpec) -> SquareMatrix:
     push-off with each surgered one), lower-right block the chain
     linking matrix. Its determinant is -n*tb^2.
     """
-    tb = spec.tb
-    inner = build_linking_matrix(spec)
-    first_row = (0,) + (tb,) * spec.n
-    rows = [first_row]
-    for i in range(spec.n):
-        rows.append((tb,) + tuple(inner.row(i)))
-    return SquareMatrix(rows)
+    return build_general_matrices(chain_diagram(spec), spec.n)[1]
 
 
 def chain_diagram(
-    spec: PlusOneChainSpec,
-    *,
-    source_id: str = "L",
-    dual_id: Optional[str] = "dual",
-    ambient: AmbientStatus = AmbientStatus.UNKNOWN,
+    spec: PlusOneChainSpec, *, dual_id: Optional[str] = "dual"
 ) -> SurgeryDiagram:
     """Realize a (+1)-push-off chain as a surgery diagram.
 
-    The diagram has ``n`` surgered push-offs and, when ``dual_id`` is
-    given, one extra unsurgered push-off whose surgery-dual invariants
-    can then be computed. All pairwise linking numbers equal tb.
+    The diagram has ``n`` surgered push-offs L#1, ..., L#n and, when
+    ``dual_id`` is given, one extra unsurgered push-off, last, whose
+    surgery-dual invariants can then be computed. All pairwise linking
+    numbers equal tb.
     """
     knots = [
         LegendrianKnotData(
-            id=f"{source_id}#{i}", tb=spec.tb, rot=spec.rot, euler_char=spec.euler_char
+            id=f"L#{i}", tb=spec.tb, rot=spec.rot, euler_char=spec.euler_char
         )
         for i in range(1, spec.n + 1)
     ]
@@ -338,15 +333,13 @@ def chain_diagram(
     linking = tuple(
         tuple(0 if i == j else spec.tb for j in range(size)) for i in range(size)
     )
-    return SurgeryDiagram(ambient=ambient, components=tuple(components), linking=linking)
+    return SurgeryDiagram(
+        ambient=AmbientStatus.UNKNOWN, components=tuple(components), linking=linking
+    )
 
 
 def _integral_framing(component: SurgeryComponent) -> int:
     """Topological framing tb + r of an integer-surgered component."""
-    if component.contact_coefficient is None:
-        raise MissingCoefficient(
-            f"component {component.id!r} carries no contact surgery coefficient"
-        )
     topological = topological_coefficient(component)
     if topological.denominator != 1:
         raise UnexpandedCoefficient(
@@ -357,35 +350,43 @@ def _integral_framing(component: SurgeryComponent) -> int:
     return int(topological)
 
 
+def _framed_matrix(diagram: SurgeryDiagram, indices) -> SquareMatrix:
+    """Framed linking matrix of the components at ``indices``.
+
+    Topological framings tb_i + r_i on the diagonal, linking numbers
+    elsewhere; each of those components must carry an integer
+    contact coefficient.
+    """
+    framings = {i: _integral_framing(diagram.components[i]) for i in indices}
+    return SquareMatrix(
+        tuple(
+            tuple(
+                framings[i] if i == j else diagram.linking_number(i, j)
+                for j in indices
+            )
+            for i in indices
+        )
+    )
+
+
 def presentation_matrix(diagram: SurgeryDiagram) -> SquareMatrix:
     """Linking matrix of a fully integer-surgered diagram.
 
     Topological framings tb_i + r_i on the diagonal, linking numbers
     elsewhere. Every component must be surgered.
     """
-    framings = [_integral_framing(component) for component in diagram.components]
-    n = len(framings)
-    return SquareMatrix(
-        tuple(
-            tuple(
-                framings[i] if i == j else diagram.linking_number(i, j)
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-    )
+    return _framed_matrix(diagram, range(len(diagram.components)))
 
 
-def build_general_matrices(
+def dual_system(
     diagram: SurgeryDiagram, dual_index: int
-) -> tuple[SquareMatrix, SquareMatrix, tuple[int, ...]]:
-    """``M``, bordered ``M0`` and the dual linking vector of a diagram.
+) -> tuple[SquareMatrix, tuple[int, ...]]:
+    """``M`` and the dual linking vector ``lk`` of a diagram.
 
     ``dual_index`` names the single unsurgered component; every other
-    component must carry an integer contact coefficient. ``M`` holds
-    the topological framings tb_i + r_i on its diagonal and linking
-    numbers off it; ``M0`` borders ``M`` with corner 0 and the dual
-    component's linking numbers; the returned vector is that border.
+    component must carry an integer contact coefficient. ``M`` is the
+    framed linking matrix of those other components and ``lk`` holds
+    their linking numbers with the dual component, in the same order.
     """
     n = len(diagram.components)
     if not 0 <= dual_index < n:
@@ -396,21 +397,24 @@ def build_general_matrices(
             f"dual component {dual.id!r} must not carry a surgery coefficient"
         )
     others = [i for i in range(n) if i != dual_index]
-    framings = {i: _integral_framing(diagram.components[i]) for i in others}
-    m = SquareMatrix(
-        tuple(
-            tuple(
-                framings[i] if i == j else diagram.linking_number(i, j)
-                for j in others
-            )
-            for i in others
-        )
-    )
     link_vector = tuple(diagram.linking_number(dual_index, i) for i in others)
-    bordered_rows = [(0,) + link_vector]
-    for row_index, i in enumerate(others):
-        bordered_rows.append((link_vector[row_index],) + tuple(m.row(row_index)))
-    m0 = SquareMatrix(bordered_rows)
+    return _framed_matrix(diagram, others), link_vector
+
+
+def build_general_matrices(
+    diagram: SurgeryDiagram, dual_index: int
+) -> tuple[SquareMatrix, SquareMatrix, tuple[int, ...]]:
+    """``M``, bordered ``M0`` and the dual linking vector of a diagram.
+
+    ``M`` and the vector are those of ``dual_system``; ``M0`` borders
+    ``M`` with corner 0 and the vector. Only checks need ``M0``: the
+    dual invariants themselves are computed from ``dual_system``.
+    """
+    m, link_vector = dual_system(diagram, dual_index)
+    m0 = SquareMatrix(
+        [(0,) + link_vector]
+        + [(entry,) + row for entry, row in zip(link_vector, m.rows)]
+    )
     return m, m0, link_vector
 
 
@@ -544,6 +548,7 @@ def diagram_from_obj(obj: object) -> SurgeryDiagram:
             rot=_require_int(raw["rot"], f"{where}.rot"),
             euler_char=_require_int(raw["euler_char"], f"{where}.euler_char"),
         )
+        _warn_even_euler_char(knot)
         components.append(
             SurgeryComponent(knot=knot, contact_coefficient=coefficient)
         )

@@ -129,9 +129,6 @@ class SquareMatrix:
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return self._rows
 
-    def row(self, index: int) -> tuple[Fraction, ...]:
-        return self._rows[index]
-
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         return self._rows[i][j]

@@ -25,6 +25,10 @@ taken. Curves derived from different sources link as their sources do.
 
 Positive coefficients +p/q in lowest terms with 1 < p < q are outside
 the shapes the expansion rules above certify and raise Unsupported.
+One private dispatch picks the shape for every caller: ``expand_diagram``
+runs it on each surgered component (so +1 and -1 pass through as the
+knot itself), and the single-knot expanders run it after checking that
+their argument has the shape they are named for.
 
 Stabilization sign choices ("zigzags") are not canonical and genuinely
 change the resulting contact structure. They are fixed by a policy
@@ -205,9 +209,9 @@ def _signs_for(count: int, policy: str) -> tuple[int, ...]:
 
 def _resolve_policy(
     policy: ZigzagPolicy, counts: Sequence[int]
-) -> tuple[str, tuple[tuple[int, ...], ...]]:
+) -> tuple[tuple[int, ...], ...]:
     if isinstance(policy, str):
-        return policy, tuple(_signs_for(count, policy) for count in counts)
+        return tuple(_signs_for(count, policy) for count in counts)
     explicit = tuple(tuple(signs) for signs in policy)
     if len(explicit) != len(counts):
         raise ValidationError(
@@ -220,7 +224,7 @@ def _resolve_policy(
                 f"curve {position} needs {count} stabilization signs, got "
                 f"{len(signs)}"
             )
-    return "explicit", explicit
+    return explicit
 
 
 # --------------------------------------------------------------------------
@@ -242,7 +246,7 @@ def _negative_chain(
     zigzag_policy: ZigzagPolicy,
     *,
     first_is_pushoff: bool,
-) -> tuple[str, list[_Curve]]:
+) -> list[_Curve]:
     """Build the (-1)-surgered chain expanding contact (r)-surgery, r < 0.
 
     When ``first_is_pushoff`` is false the first curve is the source
@@ -252,7 +256,7 @@ def _negative_chain(
     """
     digits = negative_continued_fraction(r)
     counts = stabilization_counts(digits)
-    policy_name, signs = _resolve_policy(zigzag_policy, counts)
+    signs = _resolve_policy(zigzag_policy, counts)
     identity = len(digits) == 1 and counts[0] == 0 and not first_is_pushoff
     curves = []
     tb = source.tb
@@ -271,49 +275,79 @@ def _negative_chain(
             stabilization_signs=sign_list,
         )
         curves.append(_Curve(knot=knot, coefficient=Fraction(-1), step=step))
-    return policy_name, curves
+    return curves
 
 
-def _group_linking(group: Sequence[_Curve], i: int, j: int) -> int:
-    """Linking number of two curves derived from the same source.
+def _plus_one_curve(source: LegendrianKnotData, curve_id: str) -> _Curve:
+    """A contact (+1)-surgery along an unstabilized push-off of ``source``."""
+    knot = LegendrianKnotData(
+        id=curve_id, tb=source.tb, rot=source.rot, euler_char=source.euler_char
+    )
+    step = ExpansionStep(
+        source_id=source.id,
+        coefficient=Fraction(1),
+        stabilizations=0,
+        stabilization_signs=(),
+    )
+    return _Curve(knot=knot, coefficient=Fraction(1), step=step)
 
-    The later curve is a parallel copy of a push-off of the earlier
-    one, so they link by the earlier curve's contact framing: its tb.
+
+def _knot_group(
+    knot: LegendrianKnotData, r: Fraction, zigzag_policy: ZigzagPolicy
+) -> list[_Curve]:
+    """The curves expanding contact (r)-surgery along one knot.
+
+    This is the only place that maps a coefficient shape to its
+    expansion; +1 and -1 expand to the knot itself.
     """
-    earlier = min(i, j)
-    return group[earlier].knot.tb
+    if r > 0 and r.numerator == 1:
+        n = r.denominator
+        return [
+            _plus_one_curve(knot, knot.id if n == 1 else f"{knot.id}#{position}")
+            for position in range(1, n + 1)
+        ]
+    if r > 0 and r.numerator > r.denominator:
+        p, q = r.numerator, r.denominator
+        tail = _negative_chain(
+            knot, Fraction(-p, p - q), zigzag_policy, first_is_pushoff=True
+        )
+        return [_plus_one_curve(knot, knot.id)] + tail
+    if r < 0:
+        return _negative_chain(knot, r, zigzag_policy, first_is_pushoff=False)
+    raise Unsupported(
+        f"contact coefficient {format_rational(r)} on component "
+        f"{knot.id!r} is not of an expandable shape "
+        "(+-1, +1/n, +p/q with p > q >= 1, or negative)"
+    )
 
 
 def _assemble(
     groups: Sequence[Sequence[_Curve]],
     source_linking,
     ambient: AmbientStatus,
-    policy_name: str,
+    zigzag_policy: ZigzagPolicy,
 ) -> ExpandedPresentation:
     """Glue per-component curve groups into one derived diagram.
 
     ``source_linking(a, b)`` gives the linking number of the sources of
     groups a and b; curves from different groups inherit it verbatim.
+    Within a group a later curve is a parallel copy of a push-off of an
+    earlier one, so the two link by the earlier curve's contact
+    framing: its tb.
     """
-    flat: list[tuple[int, int, _Curve]] = []
-    for g, group in enumerate(groups):
-        for k, curve in enumerate(group):
-            flat.append((g, k, curve))
+    flat = [(g, curve) for g, group in enumerate(groups) for curve in group]
     size = len(flat)
     linking = [[0] * size for _ in range(size)]
     for a in range(size):
-        ga, ka, curve_a = flat[a]
+        ga, curve_a = flat[a]
         for b in range(a + 1, size):
-            gb, kb, _curve_b = flat[b]
-            if ga == gb:
-                value = _group_linking(groups[ga], ka, kb)
-            else:
-                value = source_linking(ga, gb)
+            gb = flat[b][0]
+            value = curve_a.knot.tb if ga == gb else source_linking(ga, gb)
             linking[a][b] = value
             linking[b][a] = value
     components = tuple(
         SurgeryComponent(knot=curve.knot, contact_coefficient=curve.coefficient)
-        for _, _, curve in flat
+        for _, curve in flat
     )
     derived = SurgeryDiagram(
         ambient=ambient,
@@ -321,56 +355,33 @@ def _assemble(
         linking=tuple(tuple(row) for row in linking),
     )
     steps = tuple(
-        curve.step for _, _, curve in flat if curve.step is not None
+        curve.step for _, curve in flat if curve.step is not None
     )
+    policy_name = zigzag_policy if isinstance(zigzag_policy, str) else "explicit"
     return ExpandedPresentation(
         steps=steps, derived_diagram=derived, zigzag_policy=policy_name
     )
 
 
-def _unit_fraction_group(source: LegendrianKnotData, n: int) -> list[_Curve]:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
-    curves = []
-    for position in range(1, n + 1):
-        curve_id = source.id if n == 1 else f"{source.id}#{position}"
-        knot = LegendrianKnotData(
-            id=curve_id, tb=source.tb, rot=source.rot, euler_char=source.euler_char
-        )
-        step = ExpansionStep(
-            source_id=source.id,
-            coefficient=Fraction(1),
-            stabilizations=0,
-            stabilization_signs=(),
-        )
-        curves.append(_Curve(knot=knot, coefficient=Fraction(1), step=step))
-    return curves
+def _expand_knot(
+    knot: LegendrianKnotData, r: Fraction, zigzag_policy: ZigzagPolicy
+) -> ExpandedPresentation:
+    """Expansion of contact (r)-surgery along one knot, ambient unknown."""
+    return _assemble(
+        [_knot_group(knot, r, zigzag_policy)],
+        lambda a, b: 0,
+        AmbientStatus.UNKNOWN,
+        zigzag_policy,
+    )
 
 
-def _positive_rational_group(
-    source: LegendrianKnotData, p: int, q: int, zigzag_policy: ZigzagPolicy
-) -> tuple[str, list[_Curve]]:
+def _check_coprime_positive(p: int, q: int) -> None:
+    """Raise unless p and q are relatively prime positive integers."""
     for name, value in (("p", p), ("q", q)):
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValidationError(f"{name} must be a positive integer, got {value!r}")
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"p = {p} and q = {q} are not relatively prime")
-    if q - p >= 0:
-        raise RangeError(
-            f"positive rational expansion needs p > q >= 1, got +{p}/{q} "
-            "(only +1/n is expandable when p <= q)"
-        )
-    head_step = ExpansionStep(
-        source_id=source.id,
-        coefficient=Fraction(1),
-        stabilizations=0,
-        stabilization_signs=(),
-    )
-    head = _Curve(knot=source, coefficient=Fraction(1), step=head_step)
-    policy_name, tail = _negative_chain(
-        source, Fraction(-p, p - q), zigzag_policy, first_is_pushoff=True
-    )
-    return policy_name, [head] + tail
 
 
 # --------------------------------------------------------------------------
@@ -378,10 +389,7 @@ def _positive_rational_group(
 
 
 def expand_positive_unit_fraction(
-    knot: LegendrianKnotData,
-    n: int,
-    *,
-    ambient: AmbientStatus = AmbientStatus.UNKNOWN,
+    knot: LegendrianKnotData, n: int
 ) -> ExpandedPresentation:
     """Expand contact (+1/n)-surgery along a knot.
 
@@ -389,10 +397,9 @@ def expand_positive_unit_fraction(
     derived diagram's linking matrix is the (+1)-push-off chain matrix
     (diagonal tb + 1, off-diagonal tb).
     """
-    group = _unit_fraction_group(knot, n)
-    return _assemble(
-        [group], lambda a, b: 0, ambient, DEFAULT_ZIGZAG_POLICY
-    )
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    return _expand_knot(knot, Fraction(1, n), DEFAULT_ZIGZAG_POLICY)
 
 
 def expand_negative_rational(
@@ -400,7 +407,6 @@ def expand_negative_rational(
     r: RationalLike,
     *,
     zigzag_policy: ZigzagPolicy = DEFAULT_ZIGZAG_POLICY,
-    ambient: AmbientStatus = AmbientStatus.UNKNOWN,
 ) -> ExpandedPresentation:
     """Expand contact (r)-surgery with r < 0 into (-1)-surgeries.
 
@@ -413,10 +419,7 @@ def expand_negative_rational(
         raise RangeError(
             f"negative expansion needs r < 0, got {format_rational(value)}"
         )
-    policy_name, curves = _negative_chain(
-        knot, value, zigzag_policy, first_is_pushoff=False
-    )
-    return _assemble([curves], lambda a, b: 0, ambient, policy_name)
+    return _expand_knot(knot, value, zigzag_policy)
 
 
 def expand_positive_rational(
@@ -425,15 +428,19 @@ def expand_positive_rational(
     q: int,
     *,
     zigzag_policy: ZigzagPolicy = DEFAULT_ZIGZAG_POLICY,
-    ambient: AmbientStatus = AmbientStatus.UNKNOWN,
 ) -> ExpandedPresentation:
     """Expand contact (+p/q)-surgery with coprime p > q >= 1.
 
     One contact (+1)-surgery along the knot itself, then the expansion
     of a contact (-p/(p-q))-surgery along its push-off.
     """
-    policy_name, curves = _positive_rational_group(knot, p, q, zigzag_policy)
-    return _assemble([curves], lambda a, b: 0, ambient, policy_name)
+    _check_coprime_positive(p, q)
+    if q - p >= 0:
+        raise RangeError(
+            f"positive rational expansion needs p > q >= 1, got +{p}/{q} "
+            "(only +1/n is expandable when p <= q)"
+        )
+    return _expand_knot(knot, Fraction(p, q), zigzag_policy)
 
 
 def expand_diagram(
@@ -443,11 +450,12 @@ def expand_diagram(
 ) -> ExpandedPresentation:
     """Expand every surgered component of a diagram into (+-1)-surgeries.
 
-    Components already carrying +1 or -1 pass through unchanged, as do
-    unsurgered components. Derived curves keep their source's linking
-    numbers with curves derived from other components. Only the named
-    zigzag policies are accepted here; per-curve explicit signs are a
-    single-knot affair.
+    Each surgered component goes through the same shape dispatch as
+    the single-knot expanders, so +1 and -1 pass through unchanged;
+    unsurgered components pass through as they are. Derived curves
+    keep their source's linking numbers with curves derived from other
+    components. Only the named zigzag policies are accepted here;
+    per-curve explicit signs are a single-knot affair.
     """
     if not isinstance(zigzag_policy, str):
         raise ValidationError(
@@ -455,43 +463,10 @@ def expand_diagram(
             "use the single-knot expanders for explicit sign lists"
         )
     _signs_for(0, zigzag_policy)  # validate the name early
-    groups: list[list[_Curve]] = []
-    for component in diagram.components:
-        r = component.contact_coefficient
-        if r is None:
-            groups.append(
-                [_Curve(knot=component.knot, coefficient=None, step=None)]
-            )
-        elif r == 1 or r == -1:
-            step = ExpansionStep(
-                source_id=component.id,
-                coefficient=r,
-                stabilizations=0,
-                stabilization_signs=(),
-            )
-            groups.append(
-                [_Curve(knot=component.knot, coefficient=r, step=step)]
-            )
-        elif r > 0 and r.numerator == 1:
-            groups.append(_unit_fraction_group(component.knot, r.denominator))
-        elif r > 0 and r.numerator > r.denominator:
-            _, curves = _positive_rational_group(
-                component.knot, r.numerator, r.denominator, zigzag_policy
-            )
-            groups.append(curves)
-        elif r < 0:
-            _, curves = _negative_chain(
-                component.knot, r, zigzag_policy, first_is_pushoff=False
-            )
-            groups.append(curves)
-        else:
-            raise Unsupported(
-                f"contact coefficient {format_rational(r)} on component "
-                f"{component.id!r} is not of an expandable shape "
-                "(+-1, +1/n, +p/q with p > q >= 1, or negative)"
-            )
-
-    def source_linking(a: int, b: int) -> int:
-        return diagram.linking_number(a, b)
-
-    return _assemble(groups, source_linking, diagram.ambient, zigzag_policy)
+    groups = [
+        [_Curve(knot=component.knot, coefficient=None, step=None)]
+        if component.contact_coefficient is None
+        else _knot_group(component.knot, component.contact_coefficient, zigzag_policy)
+        for component in diagram.components
+    ]
+    return _assemble(groups, diagram.linking_number, diagram.ambient, zigzag_policy)

@@ -41,7 +41,7 @@ from .diagram import (
     SurgeryDiagram,
     UnexpandedCoefficient,
     ValidationError,
-    build_general_matrices,
+    dual_system,
 )
 from .exact import SingularMatrix, format_rational, inner_product, solve
 from .expansion import expand_diagram
@@ -131,7 +131,7 @@ def dual_invariants_matrix(
     the denominators of x. Raises
     NonNullhomologousDual when det(M) = 0.
     """
-    m, _, link_vector = build_general_matrices(diagram, dual_index)
+    m, link_vector = dual_system(diagram, dual_index)
     try:
         solution = solve(m, link_vector)
     except SingularMatrix:

@@ -59,13 +59,18 @@ def _fail(name: str, detail: str) -> None:
     raise SelfTestFailure(f"{name}: {detail}")
 
 
-def _cofactor_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Independent determinant oracle: recursive Laplace expansion."""
+def _cofactor_det(rows: Sequence[Sequence[exact.RationalLike]]) -> Fraction:
+    """Independent determinant oracle: recursive Laplace expansion.
+
+    Deliberately naive so that it shares no code path with the
+    elimination kernel it checks; the tests use it as their oracle too.
+    Entries are ints or Fractions; the result is always a Fraction.
+    """
     n = len(rows)
     if n == 0:
         return Fraction(1)
     if n == 1:
-        return rows[0][0]
+        return Fraction(rows[0][0])
     total = Fraction(0)
     for j in range(n):
         head = rows[0][j]
@@ -185,7 +190,9 @@ def _check_bennequin_chain() -> dict:
                         f"tb={tb}, chi={euler_char}, n={n}: boundary chain "
                         f"endpoints {mid} != {rhs}",
                     )
-                knot_data = _boundary_knot(tb, boundary, euler_char)
+                knot_data = LegendrianKnotData(
+                    id="b", tb=tb, rot=boundary, euler_char=euler_char
+                )
                 verdict = classify_thm1(AmbientStatus.TIGHT, knot_data, n)
                 if verdict.conclusion is not Conclusion.INCONCLUSIVE:
                     _fail(
@@ -195,10 +202,6 @@ def _check_bennequin_chain() -> dict:
                     )
                 cases += 1
     return {"name": name, "cases": cases}
-
-
-def _boundary_knot(tb: int, rot: int, euler_char: int) -> LegendrianKnotData:
-    return LegendrianKnotData(id="b", tb=tb, rot=rot, euler_char=euler_char)
 
 
 def _check_counterexample_diagram() -> dict:
@@ -240,7 +243,7 @@ def _check_expansion_roundtrip() -> dict:
                 _fail(name, f"r={r}: digits {digits} do not evaluate back")
             cases += 1
     presentation = expand_positive_rational(
-        _boundary_knot(-2, 1, -1), 5, 2
+        LegendrianKnotData(id="b", tb=-2, rot=1, euler_char=-1), 5, 2
     )
     coefficients = tuple(step.coefficient for step in presentation.steps)
     if coefficients != (Fraction(1), Fraction(-1), Fraction(-1)):

@@ -1,4 +1,4 @@
-"""Shared test utilities: independent oracles and seeded generators."""
+"""Shared test utilities: a CLI runner, oracles and seeded generators."""
 
 from __future__ import annotations
 
@@ -36,28 +36,6 @@ def run_cli(*argv, text=True):
         text=text,
         env=env,
     )
-
-
-def cofactor_det(rows):
-    """Independent determinant oracle: recursive Laplace expansion.
-
-    Deliberately naive so that it shares no code path with the Bareiss
-    implementation under test.
-    """
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(rows[0][0])
-    total = Fraction(0)
-    for j in range(n):
-        head = rows[0][j]
-        if head == 0:
-            continue
-        minor = [list(row[:j]) + list(row[j + 1 :]) for row in rows[1:]]
-        term = Fraction(head) * cofactor_det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
 
 
 def euclid_subtractive_steps(p: int, q: int) -> int:

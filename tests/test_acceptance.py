@@ -38,8 +38,9 @@ from surgerycalc import (
 )
 from surgerycalc.classify import CONWAY_FLAG
 from surgerycalc.diagram import LegendrianKnotData
+from surgerycalc.selftest import _cofactor_det as cofactor_det
 
-from helpers import cofactor_det, random_diagram, run_cli
+from helpers import random_diagram, run_cli
 
 
 def _report(criterion: str) -> None:

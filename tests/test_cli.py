@@ -389,6 +389,56 @@ def test_unknown_dual_id_exit_2(tmp_path):
     assert "no component with id" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["invariants", "bennequin"])
+def test_id_option_only_on_expand(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--chain", "--tb", "-2", "--rot", "0", "--n", "1",
+              "--id", "L"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --id" in capsys.readouterr().err
+    code = main(["expand", "--tb", "-2", "--rot", "1", "--chi", "-1", "--n", "2",
+                 "--id", "K"])
+    assert code == 0 and "K#2: tb=-2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, knot_id, location",
+    [
+        (["--tb", "0", "--rot", "0", "--chi", "0", "--n", "3"], "L", "cli.py"),
+        (["--tb", "0", "--rot", "0", "--chi", "0", "--p", "-7", "--q", "3"],
+         "L", "cli.py"),
+        (["--tb", "0", "--rot", "0", "--chi", "0", "--p", "1",
+          "--id", "K"], "K", "cli.py"),
+        ([], "A", "diagram.py"),
+    ],
+)
+def test_even_euler_char_warns_once_per_input_knot(tmp_path, argv, knot_id, location):
+    if not argv:
+        path = tmp_path / "even.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "ambient": "unknown",
+                    "components": [
+                        {"id": "A", "tb": 0, "rot": 0, "euler_char": 0,
+                         "contact_coefficient": "-7/3"},
+                        {"id": "B", "tb": -1, "rot": 0, "euler_char": 1,
+                         "contact_coefficient": "1/4"},
+                    ],
+                    "linking": [[0, 1], [1, 0]],
+                }
+            ),
+            encoding="utf-8",
+        )
+        argv = [str(path)]
+    result = run_cli("expand", *argv)
+    assert result.returncode == 0
+    warned = [line for line in result.stderr.splitlines() if "UserWarning" in line]
+    assert len(warned) == 1
+    assert f"UserWarning: {knot_id}.euler_char = 0 is even" in warned[0]
+    assert warned[0].split(":")[0].endswith(location)
+
+
 # --------------------------------------------------------------------------
 # one coefficient-shape dispatch, one diagram/directory path
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,7 @@ from surgerycalc import (
     build_linking_matrix,
     chain_diagram,
     det,
+    dual_system,
     parity_lint,
     parse_diagram,
     presentation_matrix,
@@ -31,8 +34,9 @@ from surgerycalc import (
     serialize_diagram,
     topological_coefficient,
 )
+from surgerycalc.selftest import _cofactor_det as cofactor_det
 
-from helpers import cofactor_det, random_diagram
+from helpers import random_diagram
 
 
 def unknot(cid="K", tb=-1, rot=0, chi=1):
@@ -49,9 +53,29 @@ def test_euler_char_above_one_rejected():
 
 
 def test_even_euler_char_warns_but_passes():
-    with pytest.warns(UserWarning):
+    # Constructing a value has no side effects; parsing outside data
+    # warns once per input component, at a real source line.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         knot = LegendrianKnotData(id="K", tb=-1, rot=0, euler_char=0)
     assert knot.euler_char == 0
+    document = {
+        "ambient": "unknown",
+        "components": [
+            {"id": "K", "tb": -1, "rot": 0, "euler_char": 0,
+             "contact_coefficient": "1/3"},
+            {"id": "M", "tb": -1, "rot": 0, "euler_char": 1,
+             "contact_coefficient": None},
+            {"id": "N", "tb": -2, "rot": 0, "euler_char": -2,
+             "contact_coefficient": None},
+        ],
+        "linking": [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+    }
+    with pytest.warns(UserWarning) as record:
+        diagram = parse_diagram(json.dumps(document))
+    assert [str(w.message).split(".")[0] for w in record] == ["K", "N"]
+    assert all(w.filename.endswith("diagram.py") for w in record)
+    assert diagram.component("K").knot == knot
 
 
 def test_zero_coefficient_rejected():
@@ -174,16 +198,44 @@ def test_general_matrices_degenerate_pushoff():
 
 
 def test_general_matrices_match_chain_builders():
-    for tb in range(-5, 0):
+    # Entries written out from the formulas: diagonal tb + 1 and
+    # off-diagonal tb for M; M0 borders it with tb and corner 0.
+    for tb in range(-5, 3):
         for n in range(1, 6):
             spec = PlusOneChainSpec(tb=tb, rot=2, euler_char=-1, n=n)
+            m_rows = [[tb + 1 if i == j else tb for j in range(n)] for i in range(n)]
+            m0_rows = [[0] + [tb] * n] + [[tb] + row for row in m_rows]
             diagram = chain_diagram(spec)
             m, m0, link_vector = build_general_matrices(
                 diagram, diagram.component_index("dual")
             )
-            assert m == build_linking_matrix(spec)
-            assert m0 == build_extended_matrix(spec)
+            assert m == build_linking_matrix(spec) == SquareMatrix(m_rows)
+            assert m0 == build_extended_matrix(spec) == SquareMatrix(m0_rows)
             assert link_vector == (tb,) * n
+            assert diagram.ids == tuple(f"L#{i}" for i in range(1, n + 1)) + ("dual",)
+
+
+def test_dual_system_table():
+    figure1 = bundled.load("figure1.json")
+    s1xs2 = bundled.load("s1xs2.json")
+    lone = SurgeryDiagram(
+        ambient=AmbientStatus.UNKNOWN,
+        components=(SurgeryComponent(knot=unknot("L")),),
+        linking=((0,),),
+    )
+    chain = chain_diagram(PlusOneChainSpec(tb=-3, rot=1, euler_char=1, n=4))
+    for diagram, dual_id in ((figure1, "L"), (s1xs2, "U"), (lone, "L"), (chain, "dual")):
+        index = diagram.component_index(dual_id)
+        m, m0, link_vector = build_general_matrices(diagram, index)
+        assert dual_system(diagram, index) == (m, link_vector)
+    for diagram, index, message in (
+        (figure1, 3, "out of range"),
+        (figure1, -1, "out of range"),
+        (figure1, figure1.component_index("U"), "must not carry a surgery"),
+        (s1xs2, s1xs2.component_index("K"), "must not carry a surgery"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            dual_system(diagram, index)
 
 
 def test_general_matrices_no_surgered_components():

@@ -20,8 +20,9 @@ from surgerycalc import (
     parse_rational,
     solve,
 )
+from surgerycalc.selftest import _cofactor_det as cofactor_det
 
-from helpers import cofactor_det, random_rational
+from helpers import random_rational
 
 fractions_st = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -89,6 +90,12 @@ def test_det_pushoff_chain_3x3():
     # n = 3 push-offs of a tb = -2 knot: det must equal n*tb + 1 = -5.
     assert det(matrix) == -5
     assert cofactor_det(matrix.rows) == -5
+
+
+def test_cofactor_oracle_returns_fraction_for_int_entries():
+    for rows in ([], [[7]], [[2, 1], [1, 3]]):
+        assert isinstance(cofactor_det(rows), Fraction)
+    assert cofactor_det([[7]]) == 7
 
 
 def test_det_dimension_zero_is_one():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import surgerycalc.data as bundled
 from surgerycalc import (
+    AmbientStatus,
     LegendrianKnotData,
     NotCoprime,
     RangeError,
@@ -26,7 +27,12 @@ from surgerycalc import (
     negative_continued_fraction,
     presentation_matrix,
     stabilization_counts,
+    SurgeryComponent,
+    SurgeryDiagram,
+    ValidationError,
+    classify_lemma_tight,
 )
+from surgerycalc.expansion import ZIGZAG_POLICIES
 
 from helpers import euclid_subtractive_steps
 
@@ -388,3 +394,63 @@ def test_expand_diagram_all_coefficients_unit():
     for component in presentation.derived_diagram.components:
         assert component.contact_coefficient in (Fraction(1), Fraction(-1))
     assert len(presentation.steps) == len(presentation.derived_diagram.components)
+
+
+# --------------------------------------------------------------------------
+# One coefficient-shape dispatch
+
+
+@pytest.mark.parametrize("policy", ZIGZAG_POLICIES)
+@pytest.mark.parametrize(
+    "coefficient, expander, args",
+    [
+        ("1", expand_positive_unit_fraction, (1,)),
+        ("1/3", expand_positive_unit_fraction, (3,)),
+        ("-1", expand_negative_rational, (Fraction(-1),)),
+        ("-5/3", expand_negative_rational, (Fraction(-5, 3),)),
+        ("-3", expand_negative_rational, (-3,)),
+        ("2", expand_positive_rational, (2, 1)),
+        ("5/2", expand_positive_rational, (5, 2)),
+        ("7/3", expand_positive_rational, (7, 3)),
+    ],
+)
+def test_single_knot_expanders_match_expand_diagram(policy, coefficient, expander, args):
+    source = knot(tb=-2, rot=1, chi=-1)
+    diagram = SurgeryDiagram(
+        ambient=AmbientStatus.UNKNOWN,
+        components=(
+            SurgeryComponent(knot=source, contact_coefficient=Fraction(coefficient)),
+        ),
+        linking=((0,),),
+    )
+    # The unit-fraction expander makes no zigzag choice and reports the
+    # default policy.
+    takes_policy = expander is not expand_positive_unit_fraction
+    kwargs = {"zigzag_policy": policy} if takes_policy else {}
+    single = expander(source, *args, **kwargs)
+    via_diagram = expand_diagram(diagram, zigzag_policy=policy)
+    assert single.steps == via_diagram.steps
+    assert single.derived_diagram == via_diagram.derived_diagram
+    assert single.zigzag_policy == (policy if takes_policy else "all-negative")
+    assert via_diagram.zigzag_policy == policy
+    if coefficient in ("1", "-1"):
+        assert via_diagram.derived_diagram == diagram
+
+
+@pytest.mark.parametrize(
+    "p, q, error, message",
+    [
+        (0, 1, ValidationError, "p must be a positive integer, got 0"),
+        (3, -2, ValidationError, "q must be a positive integer, got -2"),
+        (True, 1, ValidationError, "p must be a positive integer, got True"),
+        (4, 2, NotCoprime, "p = 4 and q = 2 are not relatively prime"),
+    ],
+)
+def test_positive_pq_checks_shared_with_lemma(p, q, error, message):
+    for call in (
+        lambda: expand_positive_rational(knot(), p, q),
+        lambda: classify_lemma_tight(True, p, q),
+    ):
+        with pytest.raises(error) as raised:
+            call()
+        assert str(raised.value) == message

@@ -28,8 +28,9 @@ from surgerycalc import (
     expand_diagram,
     homological_order,
 )
+from surgerycalc.selftest import _cofactor_det as cofactor_det
 
-from helpers import cofactor_det, random_diagram
+from helpers import random_diagram
 
 
 def test_homological_order_values():
