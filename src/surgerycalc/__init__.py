@@ -14,15 +14,17 @@ Modules:
   solves share one fraction-free (Bareiss) elimination kernel over
   Python ints, each row scaled by the lcm of its denominators.
 * ``diagram``: the surgery diagram data model, one framed linking
-  matrix builder behind ``dual_system`` (what the invariants run on)
-  and the bordered check matrices, and the JSON file format.
+  matrix builder behind the invariants' k x k system, ``dual_system``
+  (what the dense oracle runs on) and the bordered check matrices, and
+  the JSON file format.
 * ``expansion``: negative continued fractions and the expansion of
   rational coefficients into (+-1)-surgeries with stabilization
   bookkeeping; one private coefficient-shape dispatch serves the
   diagram and single-knot expanders.
-* ``invariants``: closed-form and matrix-path invariants of
-  surgery-dual knots; ``dual_invariants`` is the one entry point that
-  expands rational coefficients when the matrix path needs it.
+* ``invariants``: invariants of surgery-dual knots; ``dual_invariants``
+  is the one entry point: a k x k solve over the unexpanded components
+  plus an O(m) sweep per expanded curve group, never the expanded
+  matrix. The closed forms and the dense matrix path stay as oracles.
 * ``classify``: the tight/overtwisted decision rules with
   justification traces.
 * ``cli`` / ``selftest``: the command-line tool and its built-in

@@ -5,9 +5,9 @@ Subcommands:
 * ``expand``: expand rational contact surgery coefficients into a
   (+-1)-surgery presentation, either for a diagram file or for a
   single knot given by --tb/--rot/--chi and a coefficient.
-* ``invariants``: rational invariants of a surgery-dual knot, via the
-  matrix path (diagram file plus --dual) or the closed forms
-  (--chain --tb --rot --n).
+* ``invariants``: rational invariants of a surgery-dual knot, from a
+  diagram file plus --dual (``dual_invariants``) or from the closed
+  forms (--chain --tb --rot --n, with no diagram and no --dual).
 * ``classify``: run every applicable tight/overtwisted rule on a
   diagram, optionally with (+1)-tight assumptions and a prospective
   +p/q surgery query.
@@ -50,7 +50,6 @@ from .diagram import (
     ParseError,
     SurgeryComponent,
     SurgeryDiagram,
-    UnexpandedCoefficient,
     ValidationError,
     _warn_even_euler_char,
     diagram_to_obj,
@@ -84,7 +83,6 @@ _INPUT_ERRORS = (
     ParseError,
     ValidationError,
     MissingCoefficient,
-    UnexpandedCoefficient,
     NotCoprime,
     RangeError,
     Unsupported,
@@ -245,6 +243,8 @@ def _cmd_expand(args, parser) -> tuple[Report, int]:
 
 
 def _chain_invariants(args, parser) -> DualKnotInvariants:
+    if args.diagram is not None or args.dual is not None:
+        parser.error("--chain takes no diagram file and no --dual")
     if args.tb is None or args.rot is None or args.n is None:
         parser.error("--chain mode needs --tb, --rot and --n")
     return dual_invariants_closed_form(args.tb, args.rot, args.chi, args.n)

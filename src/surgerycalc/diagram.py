@@ -14,11 +14,13 @@ This avoids carrying redundant, possibly inconsistent data.
 
 The module also builds the linking matrices. One private builder
 writes every framed matrix (framings tb_i + r_i on the diagonal,
-linking numbers elsewhere). ``dual_system`` gives what the
-rational-invariant computation runs on: the matrix ``M`` of the
-surgered components and the unsurgered component's linking vector.
-The bordered extension ``M0`` (corner 0, border that vector) is built
-only for checks, by ``build_general_matrices`` and the chain builders.
+linking numbers elsewhere). With rational framings it gives the
+k x k matrix of unexpanded components that ``invariants`` solves.
+``dual_system`` gives what the dense oracle path runs on: the integer
+matrix ``M`` of the surgered components and the unsurgered
+component's linking vector. The bordered extension ``M0`` (corner 0,
+border that vector) is built only for checks, by
+``build_general_matrices`` and the chain builders.
 
 Diagrams serialize to a small JSON document; rationals travel as
 "p/q" strings, never floats. ``parse_diagram(serialize_diagram(d))``
@@ -350,14 +352,14 @@ def _integral_framing(component: SurgeryComponent) -> int:
     return int(topological)
 
 
-def _framed_matrix(diagram: SurgeryDiagram, indices) -> SquareMatrix:
+def _framed_matrix(diagram: SurgeryDiagram, indices, framing) -> SquareMatrix:
     """Framed linking matrix of the components at ``indices``.
 
-    Topological framings tb_i + r_i on the diagonal, linking numbers
-    elsewhere; each of those components must carry an integer
-    contact coefficient.
+    ``framing(component)`` on the diagonal (``_integral_framing`` or
+    ``topological_coefficient``: tb_i + r_i either way), linking
+    numbers elsewhere.
     """
-    framings = {i: _integral_framing(diagram.components[i]) for i in indices}
+    framings = {i: framing(diagram.components[i]) for i in indices}
     return SquareMatrix(
         tuple(
             tuple(
@@ -375,7 +377,28 @@ def presentation_matrix(diagram: SurgeryDiagram) -> SquareMatrix:
     Topological framings tb_i + r_i on the diagonal, linking numbers
     elsewhere. Every component must be surgered.
     """
-    return _framed_matrix(diagram, range(len(diagram.components)))
+    return _framed_matrix(
+        diagram, range(len(diagram.components)), _integral_framing
+    )
+
+
+def _dual_links(
+    diagram: SurgeryDiagram, dual_index: int
+) -> tuple[list[int], tuple[int, ...]]:
+    """Indices of the components other than the dual, and their links with it.
+
+    ``dual_index`` must name an unsurgered component.
+    """
+    n = len(diagram.components)
+    if not 0 <= dual_index < n:
+        raise ValidationError(f"dual index {dual_index} out of range")
+    dual = diagram.components[dual_index]
+    if dual.is_surgered:
+        raise ValidationError(
+            f"dual component {dual.id!r} must not carry a surgery coefficient"
+        )
+    others = [i for i in range(n) if i != dual_index]
+    return others, tuple(diagram.linking_number(dual_index, i) for i in others)
 
 
 def dual_system(
@@ -388,17 +411,8 @@ def dual_system(
     framed linking matrix of those other components and ``lk`` holds
     their linking numbers with the dual component, in the same order.
     """
-    n = len(diagram.components)
-    if not 0 <= dual_index < n:
-        raise ValidationError(f"dual index {dual_index} out of range")
-    dual = diagram.components[dual_index]
-    if dual.is_surgered:
-        raise ValidationError(
-            f"dual component {dual.id!r} must not carry a surgery coefficient"
-        )
-    others = [i for i in range(n) if i != dual_index]
-    link_vector = tuple(diagram.linking_number(dual_index, i) for i in others)
-    return _framed_matrix(diagram, others), link_vector
+    others, link_vector = _dual_links(diagram, dual_index)
+    return _framed_matrix(diagram, others, _integral_framing), link_vector
 
 
 def build_general_matrices(

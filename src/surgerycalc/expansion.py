@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .diagram import (
     AmbientStatus,
@@ -156,15 +156,16 @@ def negative_continued_fraction(r: RationalLike) -> tuple[int, ...]:
         raise RangeError(
             f"negative continued fraction needs r < 0, got {format_rational(value)}"
         )
+    p, q = value.numerator, value.denominator
     digits = []
     while True:
-        a = math.floor(value)
+        a, s = divmod(p, q)
         digits.append(a)
-        if value == a:
+        if s == 0:
             return tuple(digits)
-        # r = a - 1/r' with r' = -1/(r - a); r - a lies in (0, 1), so
-        # r' < -1 and the next digit is at most -2.
-        value = Fraction(-1) / (value - a)
+        # r = a + s/q = a - 1/r' with r' = -q/s; 0 < s < q, so r' < -1
+        # and the next digit is at most -2.
+        p, q = -q, s
 
 
 def evaluate_negative_continued_fraction(digits: Sequence[int]) -> Fraction:
@@ -231,13 +232,21 @@ def _resolve_policy(
 # Chain assembly
 
 
-@dataclass(frozen=True)
-class _Curve:
-    """Internal: one derived curve with its surgery data and origin."""
+class _Curve(NamedTuple):
+    """Internal: one derived curve of a group, before it becomes a component.
 
-    knot: LegendrianKnotData
-    coefficient: Optional[Fraction]
-    step: Optional[ExpansionStep]
+    ``coefficient`` is +1 or -1 for an expanded curve and None for an
+    unsurgered component passing through (``invariants`` also keeps an
+    unexpanded integer-surgered component as one curve with its own
+    coefficient); ``signs`` are the zigzags applied to reach this curve
+    from its predecessor.
+    """
+
+    id: str
+    tb: int
+    rot: int
+    coefficient: Optional[int]
+    signs: tuple[int, ...]
 
 
 def _negative_chain(
@@ -265,45 +274,25 @@ def _negative_chain(
         tb -= count
         rot += sum(sign_list)
         curve_id = source.id if identity else f"{source.id}#{position}"
-        knot = LegendrianKnotData(
-            id=curve_id, tb=tb, rot=rot, euler_char=source.euler_char
-        )
-        step = ExpansionStep(
-            source_id=source.id,
-            coefficient=Fraction(-1),
-            stabilizations=count,
-            stabilization_signs=sign_list,
-        )
-        curves.append(_Curve(knot=knot, coefficient=Fraction(-1), step=step))
+        curves.append(_Curve(curve_id, tb, rot, -1, sign_list))
     return curves
-
-
-def _plus_one_curve(source: LegendrianKnotData, curve_id: str) -> _Curve:
-    """A contact (+1)-surgery along an unstabilized push-off of ``source``."""
-    knot = LegendrianKnotData(
-        id=curve_id, tb=source.tb, rot=source.rot, euler_char=source.euler_char
-    )
-    step = ExpansionStep(
-        source_id=source.id,
-        coefficient=Fraction(1),
-        stabilizations=0,
-        stabilization_signs=(),
-    )
-    return _Curve(knot=knot, coefficient=Fraction(1), step=step)
 
 
 def _knot_group(
     knot: LegendrianKnotData, r: Fraction, zigzag_policy: ZigzagPolicy
 ) -> list[_Curve]:
-    """The curves expanding contact (r)-surgery along one knot.
+    """The curves expanding contact (r)-surgery along one knot, in chain order.
 
     This is the only place that maps a coefficient shape to its
-    expansion; +1 and -1 expand to the knot itself.
+    expansion; +1 and -1 expand to the knot itself. Every curve is a
+    (+1)-surgery along an unstabilized push-off or a (-1)-surgery.
     """
     if r > 0 and r.numerator == 1:
         n = r.denominator
         return [
-            _plus_one_curve(knot, knot.id if n == 1 else f"{knot.id}#{position}")
+            _Curve(
+                knot.id if n == 1 else f"{knot.id}#{position}", knot.tb, knot.rot, 1, ()
+            )
             for position in range(1, n + 1)
         ]
     if r > 0 and r.numerator > r.denominator:
@@ -311,7 +300,7 @@ def _knot_group(
         tail = _negative_chain(
             knot, Fraction(-p, p - q), zigzag_policy, first_is_pushoff=True
         )
-        return [_plus_one_curve(knot, knot.id)] + tail
+        return [_Curve(knot.id, knot.tb, knot.rot, 1, ())] + tail
     if r < 0:
         return _negative_chain(knot, r, zigzag_policy, first_is_pushoff=False)
     raise Unsupported(
@@ -322,6 +311,7 @@ def _knot_group(
 
 
 def _assemble(
+    sources: Sequence[LegendrianKnotData],
     groups: Sequence[Sequence[_Curve]],
     source_linking,
     ambient: AmbientStatus,
@@ -329,11 +319,12 @@ def _assemble(
 ) -> ExpandedPresentation:
     """Glue per-component curve groups into one derived diagram.
 
-    ``source_linking(a, b)`` gives the linking number of the sources of
-    groups a and b; curves from different groups inherit it verbatim.
-    Within a group a later curve is a parallel copy of a push-off of an
-    earlier one, so the two link by the earlier curve's contact
-    framing: its tb.
+    Group a holds the curves derived from ``sources[a]``, whose Euler
+    characteristic they share. ``source_linking(a, b)`` gives the
+    linking number of the sources of groups a and b; curves from
+    different groups inherit it verbatim. Within a group a later curve
+    is a parallel copy of a push-off of an earlier one, so the two link
+    by the earlier curve's contact framing: its tb.
     """
     flat = [(g, curve) for g, group in enumerate(groups) for curve in group]
     size = len(flat)
@@ -342,24 +333,37 @@ def _assemble(
         ga, curve_a = flat[a]
         for b in range(a + 1, size):
             gb = flat[b][0]
-            value = curve_a.knot.tb if ga == gb else source_linking(ga, gb)
+            value = curve_a.tb if ga == gb else source_linking(ga, gb)
             linking[a][b] = value
             linking[b][a] = value
-    components = tuple(
-        SurgeryComponent(knot=curve.knot, contact_coefficient=curve.coefficient)
-        for _, curve in flat
-    )
+    components = []
+    steps = []
+    for g, curve in flat:
+        source = sources[g]
+        coefficient = None if curve.coefficient is None else Fraction(curve.coefficient)
+        knot = LegendrianKnotData(
+            id=curve.id, tb=curve.tb, rot=curve.rot, euler_char=source.euler_char
+        )
+        components.append(
+            SurgeryComponent(knot=knot, contact_coefficient=coefficient)
+        )
+        if coefficient is not None:
+            steps.append(
+                ExpansionStep(
+                    source_id=source.id,
+                    coefficient=coefficient,
+                    stabilizations=len(curve.signs),
+                    stabilization_signs=curve.signs,
+                )
+            )
     derived = SurgeryDiagram(
         ambient=ambient,
-        components=components,
+        components=tuple(components),
         linking=tuple(tuple(row) for row in linking),
-    )
-    steps = tuple(
-        curve.step for _, curve in flat if curve.step is not None
     )
     policy_name = zigzag_policy if isinstance(zigzag_policy, str) else "explicit"
     return ExpandedPresentation(
-        steps=steps, derived_diagram=derived, zigzag_policy=policy_name
+        steps=tuple(steps), derived_diagram=derived, zigzag_policy=policy_name
     )
 
 
@@ -368,6 +372,7 @@ def _expand_knot(
 ) -> ExpandedPresentation:
     """Expansion of contact (r)-surgery along one knot, ambient unknown."""
     return _assemble(
+        [knot],
         [_knot_group(knot, r, zigzag_policy)],
         lambda a, b: 0,
         AmbientStatus.UNKNOWN,
@@ -463,10 +468,13 @@ def expand_diagram(
             "use the single-knot expanders for explicit sign lists"
         )
     _signs_for(0, zigzag_policy)  # validate the name early
+    knots = [component.knot for component in diagram.components]
     groups = [
-        [_Curve(knot=component.knot, coefficient=None, step=None)]
+        [_Curve(knot.id, knot.tb, knot.rot, None, ())]
         if component.contact_coefficient is None
-        else _knot_group(component.knot, component.contact_coefficient, zigzag_policy)
-        for component in diagram.components
+        else _knot_group(knot, component.contact_coefficient, zigzag_policy)
+        for knot, component in zip(knots, diagram.components)
     ]
-    return _assemble(groups, diagram.linking_number, diagram.ambient, zigzag_policy)
+    return _assemble(
+        knots, groups, diagram.linking_number, diagram.ambient, zigzag_policy
+    )

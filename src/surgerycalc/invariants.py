@@ -1,25 +1,83 @@
 """Rational classical invariants of surgery-dual knots.
 
 After surgering every other component of a diagram, an unsurgered
-component survives as a knot in the new manifold (the "dual" of the
-presentation). When the linking matrix M of the surgered components is
-nonsingular that knot is rationally nullhomologous and carries exact
-rational invariants:
+component L survives as a knot in the new manifold (the "dual" of the
+presentation). When the surgery's linking matrix is nonsingular that
+knot is rationally nullhomologous and carries exact rational
+invariants. For an integer-surgered diagram with linking matrix M of
+the surgered components, linking vector lk with L and rotation vector
+rot:
 
     tb_Q  = tb + det(M0) / det(M) = tb - < lk, M^-1 lk >
-    rot_Q = rot - < (rot_1, ..., rot_k), M^-1 lk >
+    rot_Q = rot - < rot, M^-1 lk >
 
-where lk = (lk_1, ..., lk_k) are the linking numbers of the dual with
-the surgered components, rot_i are their rotation numbers and M0
-borders M with lk (corner 0). The second form of tb_Q is the Schur
-complement identity det(M0) = -det(M) * < lk, M^-1 lk >; it is the one
-computed, so a single exact solve x = M^-1 lk yields all three
-invariants. The homological order r of the dual is the smallest
-positive integer with r * x integral, i.e. the order of the dual's
-class in the surgery homology lattice; the denominators of tb_Q and
-rot_Q always divide it. The rational Seifert surface of the dual is
-the image of one for the original knot, so its Euler characteristic
-is carried over verbatim.
+where M0 borders M with lk (corner 0); the second form of tb_Q is the
+Schur complement identity det(M0) = -det(M) * < lk, M^-1 lk >. The
+homological order of L is the smallest positive integer r with
+r * M^-1 lk integral, i.e. the order of L's class in the surgery
+homology lattice; the denominators of tb_Q and rot_Q always divide it.
+The rational Seifert surface of L is the image of one for the original
+knot, so its Euler characteristic is carried over verbatim.
+``dual_invariants_matrix`` evaluates these formulas densely; it is the
+oracle of the compressed path below.
+
+Integer-coefficient convention. When every surgered coefficient is an
+integer, each surgered component is one curve with its own tb and rot
+and M is the k x k framed linking matrix. Otherwise every surgered
+component K_i (coefficient r_i) stands for its group of m_i curves
+c_1, ..., c_m from ``expansion._knot_group`` with the default
+(all-negative) zigzags: tb t_j, rot rot_j, coefficient e_j = +-1.
+Within a group c_a and c_b (a < b) link by t_a; curves of different
+groups link as their sources do, and each links L by l_i = lk(L, K_i).
+M is then (sum m_i) x (sum m_i).
+
+Compressed path (``dual_invariants``), which never builds that M:
+
+1. Lambda is the k x k matrix with Lambda_ii = tb_i + r_i and
+   Lambda_ij = lk_ij. One exact solve gives sigma = Lambda^-1 l, the
+   sums of the group parts of x = M^-1 lk, and tb_Q = tb - < l, sigma >.
+2. In the basis c'_j = c_j - c_(j-1) a group's block G becomes the
+   symmetric tridiagonal H with H_11 = t_1 + e_1,
+   H_jj = t_j - t_(j-1) + e_j + e_(j-1) and H_(j,j+1) = -e_j, and the
+   all-ones vector becomes e_1: the group couples to L and to other
+   groups only through its first curve. The tail T = H[2..m] has
+   continuants D_j = det H[j..m], D_(m+1) = 1, D_(m+2) = 0,
+   D_j = H_jj D_(j+1) - D_(j+2), and pivots p_j = D_j / D_(j+1).
+   The tail rows give the suffix sums x'_j = x_j + ... + x_m as
+   x' = sigma_i (1, rho_2, rho_2 rho_3, ...) with rho_j = e_(j-1)/p_j,
+   i.e. x'_j = sigma_i eps_j D_(j+1) / D_2 with eps_j = e_1 ... e_(j-1);
+   then x_j = x'_j - x'_(j+1). One O(m) sweep in integers.
+3. < rot, x > = < P rot, x' > (P the difference map), so group i adds
+   sigma_i w_i / D_2 with w_i = sum_j eps_j D_(j+1) (rot_j - rot_(j-1)),
+   rot_0 = 0; rot_Q = rot - sum_i sigma_i w_i / D_2.
+4. The order is the lcm of the denominators of x. In group i every x_j
+   is an integer multiple of sigma_i / D_2 and x_m = eps_m sigma_i / D_2,
+   so group i contributes the denominator of sigma_i / D_2.
+
+A one-curve group has an empty tail (D_2 = 1, x_1 = sigma_i), which is
+also the unexpanded integer case. Three facts make the path total:
+
+* The tail pivots never vanish. +1/n: t_j = tb and e_j = +1, so
+  H_jj = 2 for j >= 2, D_j = m - j + 2 and p_j > 1. Negative r with
+  continued fraction digits (a_1, ..., a_m): e_j = -1 and
+  t_j - t_(j-1) = a_j + 2, so H_jj = a_j <= -2 for j >= 2, p_m <= -2
+  and p_j = a_j - 1/p_(j+1) < a_j + 1 <= -1 by induction. +p/q with
+  p > q: c_1 is K_i with e_1 = +1 and c_2, ... is the chain of
+  -p/(p-q) = [a'_1, ...]; H_jj = a'_(j-1) for j >= 3 as before and
+  H_22 = a'_1 + 1, so p_2 = -p/(p-q) + 1 = -q/(p-q) < 0.
+* det M = det Lambda * prod_i D_2^(i). The change of basis is
+  unimodular. Eliminating the tails (a Schur complement on the
+  block-diagonal T_i) leaves the first curves with diagonal
+  H_11 - 1/p_2 = p_1 and off-diagonal lk_ij, and p_1 = tb_i + r_i in
+  every shape: tb + 1 - (m-1)/m = tb + 1/n; tb + a_1 - 1/p_2 = tb + r;
+  tb + 1 + (p-q)/q = tb + p/q. That matrix is Lambda. Hence M is
+  singular exactly when Lambda is, and a SingularMatrix from the
+  k x k solve is the dense path's NonNullhomologousDual.
+* A group with tb_i + r_i = 0 needs no special case: that is a zero
+  diagonal entry of Lambda, which the exact solve pivots around, and
+  the sweep divides only by the tail continuants, never by
+  p_1 = tb_i + r_i. Such a G is singular by itself
+  (det G = p_1 D_2 = 0), but neither path ever inverts G.
 
 For the (+1)-push-off chain presentation of contact (+1/n)-surgery the
 formulas collapse to closed forms:
@@ -38,13 +96,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import (
+    SurgeryComponent,
     SurgeryDiagram,
-    UnexpandedCoefficient,
     ValidationError,
+    _dual_links,
+    _framed_matrix,
     dual_system,
+    topological_coefficient,
 )
 from .exact import SingularMatrix, format_rational, inner_product, solve
-from .expansion import expand_diagram
+from .expansion import DEFAULT_ZIGZAG_POLICY, _Curve, _knot_group
 
 __all__ = [
     "DualKnotInvariants",
@@ -122,7 +183,7 @@ def dual_invariants_closed_form(
 def dual_invariants_matrix(
     diagram: SurgeryDiagram, dual_index: int
 ) -> DualKnotInvariants:
-    """Dual invariants via the general linking-matrix formulas.
+    """Dual invariants via the dense linking-matrix formulas (the oracle).
 
     Every component except ``dual_index`` must carry an integer contact
     coefficient (expand the diagram first if necessary). One exact
@@ -132,13 +193,7 @@ def dual_invariants_matrix(
     NonNullhomologousDual when det(M) = 0.
     """
     m, link_vector = dual_system(diagram, dual_index)
-    try:
-        solution = solve(m, link_vector)
-    except SingularMatrix:
-        raise NonNullhomologousDual(
-            "det(M) = 0: the dual knot is not rationally nullhomologous and "
-            "its rational invariants are undefined"
-        ) from None
+    solution = _solve_dual(m, link_vector)
     dual = diagram.components[dual_index].knot
     order = math.lcm(*(value.denominator for value in solution)) if solution else 1
     others = [i for i in range(len(diagram.components)) if i != dual_index]
@@ -153,19 +208,111 @@ def dual_invariants_matrix(
 def dual_invariants(diagram: SurgeryDiagram, component_id: str) -> DualKnotInvariants:
     """Invariants of component ``component_id`` after surgering the others.
 
-    Runs the matrix path on the diagram as given; only when that meets
-    a non-integer coefficient (UnexpandedCoefficient) is the diagram
-    expanded with the default zigzag policy and the matrix path rerun
-    on the derived diagram. A diagram whose surgered coefficients are
-    all integers is therefore not expanded: an integer coefficient
-    other than +-1 keeps its knot's unstabilized rot, so rot_Q can
-    differ from the one of the expansion that ``expand`` prints, while
-    tb_Q and the order agree. Raises ValidationError for an unknown id,
-    and NonNullhomologousDual, MissingCoefficient or Unsupported from
-    the matrix path or the expansion.
+    The compressed path of the module docstring: one k x k solve over
+    the unexpanded components and one O(m) sweep per curve group; the
+    expanded diagram is never built. Under the integer-coefficient
+    convention a diagram whose surgered coefficients are all integers
+    is not expanded: an integer coefficient other than +-1 keeps its
+    knot's unstabilized rot, so rot_Q can differ from the one of the
+    expansion that ``expand`` prints, while tb_Q and the order agree.
+    Otherwise each surgered component is taken as its group of curves
+    under the default zigzag policy. Raises ValidationError for an
+    unknown or surgered dual, Unsupported for a coefficient outside
+    the expandable shapes, MissingCoefficient for a second unsurgered
+    component and NonNullhomologousDual when Lambda is singular, with
+    the precedence and messages of the dense path on the expansion.
     """
+    dual_index = diagram.component_index(component_id)
+    others, link_vector = _dual_links(diagram, dual_index)
+    groups = _curve_groups([diagram.components[i] for i in others])
+    sigma = _solve_dual(
+        _framed_matrix(diagram, others, topological_coefficient), link_vector
+    )
+    dual = diagram.components[dual_index].knot
+    rot_q = Fraction(dual.rot)
+    order = 1
+    for sigma_i, curves in zip(sigma, groups):
+        tail_det, weight = _group_sweep(curves)
+        unit = sigma_i / tail_det
+        rot_q -= unit * weight
+        order = math.lcm(order, unit.denominator)
+    return DualKnotInvariants(
+        tb_q=dual.tb - inner_product(link_vector, sigma),
+        rot_q=rot_q,
+        order=order,
+        euler_char=dual.euler_char,
+    )
+
+
+def _solve_dual(matrix, link_vector) -> tuple[Fraction, ...]:
+    """``matrix^-1 link_vector``; NonNullhomologousDual when it is singular."""
     try:
-        return dual_invariants_matrix(diagram, diagram.component_index(component_id))
-    except UnexpandedCoefficient:
-        derived = expand_diagram(diagram).derived_diagram
-        return dual_invariants_matrix(derived, derived.component_index(component_id))
+        return solve(matrix, link_vector)
+    except SingularMatrix:
+        raise NonNullhomologousDual(
+            "det(M) = 0: the dual knot is not rationally nullhomologous and "
+            "its rational invariants are undefined"
+        ) from None
+
+
+def _curve_groups(components: list[SurgeryComponent]) -> list[list[_Curve]]:
+    """The curve group of each component other than the dual.
+
+    The dense path expands the diagram when it meets a non-integer
+    coefficient before any unsurgered component, so exactly then every
+    surgered component becomes its ``_knot_group`` (and Unsupported
+    comes first); otherwise each is one curve carrying its own integer
+    coefficient. An unsurgered component gets no curves: building
+    Lambda raises MissingCoefficient for the first one.
+    """
+    first = next(
+        (
+            c
+            for c in components
+            if not c.is_surgered or c.contact_coefficient.denominator != 1
+        ),
+        None,
+    )
+    expand = first is not None and first.is_surgered
+    groups = []
+    for c in components:
+        if not c.is_surgered:
+            groups.append([])
+        elif expand:
+            groups.append(
+                _knot_group(c.knot, c.contact_coefficient, DEFAULT_ZIGZAG_POLICY)
+            )
+        else:
+            r = int(c.contact_coefficient)
+            groups.append([_Curve(c.id, c.knot.tb, c.knot.rot, r, ())])
+    return groups
+
+
+def _tail_continuants(curves: list[_Curve]) -> list[int]:
+    """D_2, ..., D_(m+1), D_(m+2) of a group (module docstring, step 2).
+
+    Entry j - 2 is det H[j..m] of the group's tridiagonal block; the
+    tail pivots are the ratios of consecutive entries.
+    """
+    m = len(curves)
+    below = [0] * (m + 1)
+    below[m - 1] = 1
+    for j in range(m - 2, -1, -1):
+        upper, lower = curves[j], curves[j + 1]
+        diagonal = lower.tb - upper.tb + lower.coefficient + upper.coefficient
+        below[j] = diagonal * below[j + 1] - below[j + 2]
+    return below
+
+
+def _group_sweep(curves: list[_Curve]) -> tuple[int, int]:
+    """(D_2, w) of a group: x'_j = sigma eps_j D_(j+1) / D_2, and
+    < rot, x > = sigma * w / D_2 (module docstring, steps 2 and 3)."""
+    below = _tail_continuants(curves)
+    weight = 0
+    sign = 1
+    previous_rot = 0
+    for curve, minor in zip(curves, below):
+        weight += sign * minor * (curve.rot - previous_rot)
+        sign *= curve.coefficient
+        previous_rot = curve.rot
+    return below[0], weight

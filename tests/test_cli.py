@@ -401,6 +401,22 @@ def test_id_option_only_on_expand(capsys, command):
     assert code == 0 and "K#2: tb=-2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["invariants", "bennequin"])
+@pytest.mark.parametrize(
+    "extra",
+    [["/nonexistent.json"], ["--dual", "L"], ["/nonexistent.json", "--dual", "L"]],
+)
+def test_chain_rejects_diagram_and_dual(capsys, command, extra):
+    # --chain reads only --tb/--rot/--chi/--n; a diagram or --dual next to
+    # it is a usage error, not silently ignored.
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *extra, "--chain", "--tb", "-2", "--rot", "0", "--n", "1"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--chain takes no diagram file and no --dual" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, knot_id, location",
     [

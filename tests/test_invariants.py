@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import surgerycalc.data as bundled
 from surgerycalc import (
@@ -18,6 +20,7 @@ from surgerycalc import (
     PlusOneChainSpec,
     SurgeryComponent,
     SurgeryDiagram,
+    UnexpandedCoefficient,
     Unsupported,
     ValidationError,
     build_general_matrices,
@@ -25,9 +28,13 @@ from surgerycalc import (
     dual_invariants,
     dual_invariants_closed_form,
     dual_invariants_matrix,
+    evaluate_negative_continued_fraction,
     expand_diagram,
     homological_order,
+    reverse_orientation,
 )
+from surgerycalc.expansion import _knot_group
+from surgerycalc.invariants import _tail_continuants
 from surgerycalc.selftest import _cofactor_det as cofactor_det
 
 from helpers import random_diagram
@@ -267,3 +274,300 @@ def test_dual_invariants_keeps_integer_coefficients_unexpanded():
     expanded = dual_invariants(derived, "L")
     assert (expanded.tb_q, expanded.order) == (invariants.tb_q, invariants.order)
     assert expanded.rot_q == Fraction(-1, 2)
+
+
+# --------------------------------------------------------------------------
+# Compressed path vs the dense oracle
+
+
+def _dense_oracle(diagram, component_id):
+    """The dense path: the matrix formulas on the diagram as given, or on
+    its expansion (default zigzags) when a coefficient is not an integer."""
+    try:
+        return dual_invariants_matrix(diagram, diagram.component_index(component_id))
+    except UnexpandedCoefficient:
+        derived = expand_diagram(diagram).derived_diagram
+        return dual_invariants_matrix(derived, derived.component_index(component_id))
+
+
+def _outcome(function, diagram, component_id):
+    try:
+        return function(diagram, component_id)
+    except ValueError as error:
+        return type(error), str(error)
+
+
+def _expanded(diagram):
+    """Whether the invariants path takes curve groups: some coefficient is
+    not an integer."""
+    return any(
+        c.is_surgered and c.contact_coefficient.denominator != 1
+        for c in diagram.components
+    )
+
+
+def _singular_multi_curve_group(diagram):
+    """Whether the diagram is expanded and some multi-curve group has
+    tb_i + r_i = 0 (its own block G is singular)."""
+    return _expanded(diagram) and any(
+        c.is_surgered
+        and c.knot.tb + c.contact_coefficient == 0
+        and len(_knot_group(c.knot, c.contact_coefficient, "all-negative")) > 1
+        for c in diagram.components
+    )
+
+
+def test_compressed_path_matches_dense_oracle_randomized():
+    seen = dict.fromkeys(("defined", "singular", "singular-group", "error"), 0)
+    cases = 0
+    for diagram, dual_id in _dual_cases(random.Random(20261018)):
+        if cases == 2000:
+            break
+        cases += 1
+        expected = _outcome(_dense_oracle, diagram, dual_id)
+        assert _outcome(dual_invariants, diagram, dual_id) == expected
+        if isinstance(expected, DualKnotInvariants):
+            seen["defined"] += 1
+            seen["singular-group"] += _singular_multi_curve_group(diagram)
+        elif expected[0] is NonNullhomologousDual:
+            seen["singular"] += 1
+        else:
+            seen["error"] += 1
+    assert all(seen.values()), seen
+
+
+def test_errors_keep_dense_precedence():
+    # Any component may be the one asked about (a surgered one is a
+    # ValidationError), and a second unsurgered component competes with an
+    # unexpandable coefficient by position, as on the dense path.
+    rng = random.Random(7)
+    kinds = set()
+    for _ in range(1500):
+        diagram = random_diagram(rng, max_components=5)
+        for component in diagram.components:
+            expected = _outcome(_dense_oracle, diagram, component.id)
+            assert _outcome(dual_invariants, diagram, component.id) == expected
+            kinds.add(expected[0] if isinstance(expected, tuple) else "defined")
+    assert kinds == {
+        "defined",
+        ValidationError,
+        MissingCoefficient,
+        Unsupported,
+        NonNullhomologousDual,
+    }
+
+
+def _negative_digits(m, deepest):
+    """m continued-fraction digits cycling through -2, ..., deepest."""
+    return [-2 - k % (-1 - deepest) for k in range(m)]
+
+
+def _long_coefficient(kind, m):
+    """A coefficient whose group has exactly m curves."""
+    if kind == "minus-n1-over-n":
+        return Fraction(-(m + 1), m)
+    if kind == "inverse":
+        return Fraction(1, m)
+    if kind == "stabilized":
+        return evaluate_negative_continued_fraction(_negative_digits(m, -9))
+    # positive: a head curve, then a tail -P/Q of m - 1 curves
+    tail = -evaluate_negative_continued_fraction(_negative_digits(m - 1, -4))
+    return Fraction(tail.numerator, tail.numerator - tail.denominator)
+
+
+@pytest.mark.parametrize(
+    "kinds, sizes",
+    [
+        (("minus-n1-over-n",), (40,)),
+        (("inverse",), (35,)),
+        (("stabilized",), (45,)),
+        (("positive",), (60,)),
+        (("positive", "stabilized", "inverse"), (20, 15, 15)),
+    ],
+)
+def test_long_chain_shapes_match_dense_oracle(kinds, sizes):
+    components = [
+        SurgeryComponent(
+            knot=LegendrianKnotData(id=f"K{j}", tb=-2 - j, rot=j - 1, euler_char=1),
+            contact_coefficient=_long_coefficient(kind, m),
+        )
+        for j, (kind, m) in enumerate(zip(kinds, sizes))
+    ]
+    components.append(
+        SurgeryComponent(knot=LegendrianKnotData(id="L", tb=-3, rot=1, euler_char=-1))
+    )
+    size = len(components)
+    linking = tuple(
+        tuple(0 if i == j else (2 if (i + j) % 2 else -2) for j in range(size))
+        for i in range(size)
+    )
+    diagram = SurgeryDiagram(
+        ambient=AmbientStatus.UNKNOWN, components=tuple(components), linking=linking
+    )
+    derived = expand_diagram(diagram).derived_diagram
+    assert len(derived.components) == sum(sizes) + 1
+    assert dual_invariants(diagram, "L") == _dense_oracle(diagram, "L")
+
+
+def test_tail_pivots_nonzero_and_first_pivot_is_framing():
+    # Every expandable coefficient p/q with |p|, |q| <= 40: the tail
+    # continuants D_2, ..., D_(m+1) (products of the tail pivots) are
+    # nonzero, and the first pivot H_11 - D_3/D_2 is tb + r, so the
+    # group's block has det G = (tb + r) * D_2.
+    knot = LegendrianKnotData(id="K", tb=-3, rot=2, euler_char=1)
+    shapes = 0
+    for p in range(-40, 41):
+        for q in range(1, 41):
+            r = Fraction(p, q)
+            if p == 0 or math.gcd(p, q) != 1 or 1 < p < q:
+                continue
+            curves = _knot_group(knot, r, "all-negative")
+            below = _tail_continuants(curves)
+            assert all(below[: len(curves)]), (r, below)
+            first = curves[0].tb + curves[0].coefficient
+            assert first * below[0] - below[1] == (knot.tb + r) * below[0]
+            shapes += 1
+    assert shapes > 1000
+
+
+def _push_off_diagram(coefficient, tb_k, rot_k, tb_l, rot_l, link):
+    return SurgeryDiagram(
+        ambient=AmbientStatus.UNKNOWN,
+        components=(
+            SurgeryComponent(
+                knot=LegendrianKnotData(id="K", tb=tb_k, rot=rot_k, euler_char=1),
+                contact_coefficient=coefficient,
+            ),
+            SurgeryComponent(
+                knot=LegendrianKnotData(id="L", tb=tb_l, rot=rot_l, euler_char=-1)
+            ),
+        ),
+        linking=((0, link), (link, 0)),
+    )
+
+
+def test_plus_one_over_n_at_scale_matches_closed_form():
+    # L a push-off of K: contact (+1/N)-surgery, N = 10^4 curves.
+    n = 10**4
+    for tb, rot in ((-2, 1), (-5, -3), (3, 2)):
+        diagram = _push_off_diagram(Fraction(1, n), tb, rot, tb, rot, tb)
+        assert dual_invariants(diagram, "L") == dual_invariants_closed_form(
+            tb, rot, -1, n
+        )
+
+
+def test_minus_n1_over_n_at_scale():
+    # Contact (-(N+1)/N)-surgery, N = 10^4 curves: tb_Q = tb_L - l^2/(tb_K + r).
+    n = 10**4
+    r = Fraction(-(n + 1), n)
+    for tb_k, tb_l, link in ((-3, -2, 5), (-1, -4, 1), (2, 0, -3)):
+        diagram = _push_off_diagram(r, tb_k, 1, tb_l, 0, link)
+        invariants = dual_invariants(diagram, "L")
+        assert invariants.tb_q == tb_l - Fraction(link * link) / (tb_k + r)
+        assert invariants.order % invariants.tb_q.denominator == 0
+
+
+def test_curve_names_of_the_expansion_do_not_matter():
+    # The expansion of K (coefficient 1/2) names its curves K#1, K#2, which
+    # collides with the component K#1; the derived diagram is invalid, but
+    # the dual's invariants do not depend on curve names.
+    def diagram(other_id):
+        return SurgeryDiagram(
+            ambient=AmbientStatus.UNKNOWN,
+            components=(
+                SurgeryComponent(
+                    knot=LegendrianKnotData(id="K", tb=-2, rot=1, euler_char=1),
+                    contact_coefficient=Fraction(1, 2),
+                ),
+                SurgeryComponent(
+                    knot=LegendrianKnotData(id=other_id, tb=-1, rot=0, euler_char=1),
+                    contact_coefficient=Fraction(-1),
+                ),
+                SurgeryComponent(
+                    knot=LegendrianKnotData(id="L", tb=-1, rot=0, euler_char=1)
+                ),
+            ),
+            linking=((0, 1, 1), (1, 0, 0), (1, 0, 0)),
+        )
+
+    with pytest.raises(ValidationError, match="duplicate component id 'K#1'"):
+        expand_diagram(diagram("K#1"))
+    expected = _dense_oracle(diagram("M"), "L")
+    assert expected == DualKnotInvariants(
+        tb_q=Fraction(0), rot_q=Fraction(1), order=2, euler_char=1
+    )
+    assert dual_invariants(diagram("K#1"), "L") == expected
+
+
+# --------------------------------------------------------------------------
+# Invariance properties of the compressed path
+
+
+def _defined_case(seed):
+    """A random diagram with one unsurgered component whose dual is defined."""
+    rng = random.Random(seed)
+    for diagram, dual_id in _dual_cases(rng):
+        try:
+            return diagram, dual_id, dual_invariants(diagram, dual_id)
+        except (NonNullhomologousDual, Unsupported):
+            continue
+
+
+def _unstabilized(diagram, component):
+    """Whether the path taken gives ``component`` no stabilized curve."""
+    if not _expanded(diagram):
+        return True
+    curves = _knot_group(component.knot, component.contact_coefficient, "all-negative")
+    return all(not curve.signs for curve in curves)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_reversing_the_dual_negates_rot_q(seed):
+    diagram, dual_id, invariants = _defined_case(seed)
+    reversed_dual = dual_invariants(reverse_orientation(diagram, dual_id), dual_id)
+    assert reversed_dual == DualKnotInvariants(
+        tb_q=invariants.tb_q,
+        rot_q=-invariants.rot_q,
+        order=invariants.order,
+        euler_char=invariants.euler_char,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_reversing_a_surgered_component(seed):
+    # tb_Q and the order never change. rot_Q does not change when the
+    # component's curves carry no stabilization; otherwise reversal turns
+    # its all-negative zigzags into all-positive ones (checked exactly
+    # when it is the only surgered component).
+    diagram, dual_id, invariants = _defined_case(seed)
+    for component in diagram.components:
+        if not component.is_surgered:
+            continue
+        flipped = dual_invariants(reverse_orientation(diagram, component.id), dual_id)
+        assert (flipped.tb_q, flipped.order) == (invariants.tb_q, invariants.order)
+        if _unstabilized(diagram, component):
+            assert flipped == invariants
+        elif len(diagram.components) == 2:
+            derived = expand_diagram(diagram, zigzag_policy="all-positive")
+            derived = derived.derived_diagram
+            assert flipped == dual_invariants_matrix(
+                derived, derived.component_index(dual_id)
+            )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.randoms())
+def test_permuting_components_changes_nothing(seed, shuffler):
+    diagram, dual_id, invariants = _defined_case(seed)
+    order = list(range(len(diagram.components)))
+    shuffler.shuffle(order)
+    permuted = SurgeryDiagram(
+        ambient=diagram.ambient,
+        components=tuple(diagram.components[i] for i in order),
+        linking=tuple(
+            tuple(diagram.linking[i][j] for j in order) for i in order
+        ),
+    )
+    assert dual_invariants(permuted, dual_id) == invariants
