@@ -10,9 +10,10 @@ float.
 
 Modules:
 
-* ``exact``: Fraction-valued vectors and matrices; determinants and
-  solves share one fraction-free (Bareiss) elimination kernel over
-  Python ints, each row scaled by the lcm of its denominators.
+* ``exact``: exact vectors and matrices; int entries stay ints, and
+  determinants and solves share one fraction-free (Bareiss)
+  elimination kernel over Python ints (a row holding a Fraction is
+  scaled by the lcm of its denominators). Results are Fractions.
 * ``diagram``: the surgery diagram data model, one framed linking
   matrix builder behind the invariants' k x k system, ``dual_system``
   (what the dense oracle runs on) and the bordered check matrices, and

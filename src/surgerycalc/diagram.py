@@ -185,9 +185,7 @@ class SurgeryDiagram:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(
-            self, "linking", tuple(tuple(row) for row in self.linking)
-        )
+        object.__setattr__(self, "linking", tuple(map(tuple, self.linking)))
         if not isinstance(self.ambient, AmbientStatus):
             raise ValidationError(f"ambient must be an AmbientStatus, got {self.ambient!r}")
         ids = [component.id for component in self.components]
@@ -197,31 +195,37 @@ class SurgeryDiagram:
                 raise ValidationError(f"duplicate component id {cid!r}")
             seen.add(cid)
         n = len(self.components)
-        if len(self.linking) != n:
-            raise ValidationError(
-                f"linking has {len(self.linking)} rows, expected {n}"
-            )
-        for i, row in enumerate(self.linking):
+        linking = self.linking
+        if len(linking) != n:
+            raise ValidationError(f"linking has {len(linking)} rows, expected {n}")
+        for i, row in enumerate(linking):
             if len(row) != n:
                 raise ValidationError(
                     f"linking[{i}] has {len(row)} entries, expected {n}"
                 )
+            if set(map(type, row)) <= {int}:
+                continue
             for j, entry in enumerate(row):
                 if isinstance(entry, bool) or not isinstance(entry, int):
                     raise ValidationError(
                         f"linking[{i}][{j}] must be an integer, got {entry!r}"
                     )
-        for i in range(n):
-            if self.linking[i][i] != 0:
-                raise ValidationError(
-                    f"linking[{i}][{i}] = {self.linking[i][i]} must be 0 "
-                    "(framings are derived from tb + coefficient)"
-                )
-            for j in range(i):
-                if self.linking[i][j] != self.linking[j][i]:
+        if any(row[i] for i, row in enumerate(linking)) or linking != tuple(
+            zip(*linking)
+        ):
+            # Name the first entry, in row order, that breaks the zero
+            # diagonal or the symmetry.
+            for i in range(n):
+                if linking[i][i] != 0:
                     raise ValidationError(
-                        f"linking[{i}][{j}] != linking[{j}][{i}]"
+                        f"linking[{i}][{i}] = {linking[i][i]} must be 0 "
+                        "(framings are derived from tb + coefficient)"
                     )
+                for j in range(i):
+                    if linking[i][j] != linking[j][i]:
+                        raise ValidationError(
+                            f"linking[{i}][{j}] != linking[{j}][{i}]"
+                        )
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -252,13 +256,19 @@ class SurgeryDiagram:
         )
 
 
-def topological_coefficient(component: SurgeryComponent) -> Fraction:
-    """Surgery coefficient against the Seifert framing: tb + contact coefficient."""
-    if component.contact_coefficient is None:
+def topological_coefficient(component: SurgeryComponent) -> int | Fraction:
+    """Surgery coefficient against the Seifert framing: tb + contact coefficient.
+
+    An int when the contact coefficient is an integer, else a Fraction.
+    """
+    r = component.contact_coefficient
+    if r is None:
         raise MissingCoefficient(
             f"component {component.id!r} carries no contact surgery coefficient"
         )
-    return Fraction(component.knot.tb) + component.contact_coefficient
+    if r.denominator == 1:
+        return component.knot.tb + r.numerator
+    return Fraction(component.knot.tb) + r
 
 
 @dataclass(frozen=True)
@@ -320,8 +330,9 @@ def chain_diagram(
         )
         for i in range(1, spec.n + 1)
     ]
+    plus_one = Fraction(1)
     components = [
-        SurgeryComponent(knot=knot, contact_coefficient=Fraction(1)) for knot in knots
+        SurgeryComponent(knot=knot, contact_coefficient=plus_one) for knot in knots
     ]
     if dual_id is not None:
         components.append(
@@ -332,9 +343,8 @@ def chain_diagram(
             )
         )
     size = len(components)
-    linking = tuple(
-        tuple(0 if i == j else spec.tb for j in range(size)) for i in range(size)
-    )
+    row = (spec.tb,) * size
+    linking = tuple(row[:i] + (0,) + row[i + 1 :] for i in range(size))
     return SurgeryDiagram(
         ambient=AmbientStatus.UNKNOWN, components=tuple(components), linking=linking
     )
@@ -349,7 +359,7 @@ def _integral_framing(component: SurgeryComponent) -> int:
             f"{format_rational(component.contact_coefficient)}; expand the "
             "diagram into (+-1)-surgeries first"
         )
-    return int(topological)
+    return topological
 
 
 def _framed_matrix(diagram: SurgeryDiagram, indices, framing) -> SquareMatrix:
@@ -359,15 +369,12 @@ def _framed_matrix(diagram: SurgeryDiagram, indices, framing) -> SquareMatrix:
     ``topological_coefficient``: tb_i + r_i either way), linking
     numbers elsewhere.
     """
-    framings = {i: framing(diagram.components[i]) for i in indices}
+    components, linking = diagram.components, diagram.linking
     return SquareMatrix(
-        tuple(
-            tuple(
-                framings[i] if i == j else diagram.linking_number(i, j)
-                for j in indices
-            )
+        [
+            [framing(components[i]) if i == j else linking[i][j] for j in indices]
             for i in indices
-        )
+        ]
     )
 
 

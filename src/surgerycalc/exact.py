@@ -1,7 +1,7 @@
 """Exact rational arithmetic and exact dense linear algebra.
 
-Every numeric quantity in this package is an exact rational
-(`fractions.Fraction`). Floating point is never used: the downstream
+Every number in this package is exact: an int or a
+`fractions.Fraction`. Floating point is never used: the downstream
 tight-or-overtwisted verdicts flip on the exact sign of a determinant,
 so a single rounding error could silently change an answer.
 
@@ -9,16 +9,22 @@ so a single rounding error could silently change an answer.
 the package relies on (positive denominator, lowest terms, zero stored
 as 0/1) on top of arbitrary-precision integers.
 
+Integers stay integers until a result is built. The linking matrices
+of surgery diagrams are integer matrices, so `SquareMatrix` stores an
+int entry as the int it is (strings and Fractions become Fractions),
+and `solve` and `inner_product` keep int vector entries likewise.
+
 Determinants and solves share one elimination kernel. It scales each
-row (right-hand side included) by the lcm of its denominators, runs
-fraction-free Bareiss elimination (Bareiss 1968) over Python ints, and
-back-substitutes for y = d * x, where d is the last pivot (the
-determinant of the scaled system up to sign). By Cramer's rule y is
-integral, so every division is exact. Fractions are built only for the
-returned values. Linking matrices of expanded presentations are integer
-matrices with up to hundreds of rows; elimination is cubic in the
-dimension, and keeping the per-entry gcd of Fraction arithmetic out of
-the inner loop is what makes those sizes affordable.
+row that holds a Fraction (right-hand side included) by the lcm of its
+denominators, runs fraction-free Bareiss elimination (Bareiss 1968)
+over Python ints, and back-substitutes for y = d * x, where d is the
+last pivot (the determinant of the scaled system up to sign). By
+Cramer's rule y is integral, so every division is exact. Fractions are
+built only for the returned values, and `inner_product` builds one
+over a common denominator. Linking matrices of expanded presentations
+have up to hundreds of rows; elimination is cubic in the dimension,
+and keeping the per-entry gcd of Fraction arithmetic out of the inner
+loop is what makes those sizes affordable.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -48,6 +55,9 @@ Rational = Fraction
 RationalLike = Union[int, str, Fraction]
 
 _RATIONAL_FORMAT = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
+
+# Entry types stored as they are; bool (an int subclass) is not one.
+_EXACT_TYPES = frozenset((int, Fraction))
 
 
 class DimensionMismatch(ValueError):
@@ -93,18 +103,36 @@ def format_rational(value: RationalLike) -> str:
     return str(as_rational(value))
 
 
+def _entries(values: Iterable[RationalLike]) -> tuple[int | Fraction, ...]:
+    """Ints and Fractions as they are, anything else through ``as_rational``."""
+    values = tuple(values)
+    if set(map(type, values)) <= _EXACT_TYPES:
+        return values
+    return tuple(v if type(v) in _EXACT_TYPES else as_rational(v) for v in values)
+
+
+def _integers(entries: Sequence[int | Fraction]) -> tuple[Sequence[int], int]:
+    """(v, s) with entries = v / s: s is the lcm of the denominators."""
+    if set(map(type, entries)) <= {int}:
+        return entries, 1
+    s = math.lcm(*(entry.denominator for entry in entries))
+    return [entry.numerator * (s // entry.denominator) for entry in entries], s
+
+
 class SquareMatrix:
     """Immutable square matrix of exact rationals.
 
-    Rows are stored as a tuple of tuples of Fraction; every operation
-    treats the matrix as a value. Entries may be given as ints,
-    Fractions or "p/q" strings.
+    Rows are stored as a tuple of tuples; every operation treats the
+    matrix as a value. Entries may be given as ints, Fractions or "p/q"
+    strings. An int entry is stored as the int it is, the others as
+    Fractions, so an integer matrix reaches the elimination kernel
+    without conversion; results are Fractions either way.
     """
 
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]]):
-        normalized = tuple(tuple(as_rational(entry) for entry in row) for row in rows)
+        normalized = tuple(_entries(row) for row in rows)
         for index, row in enumerate(normalized):
             if len(row) != len(normalized):
                 raise DimensionMismatch(
@@ -116,7 +144,7 @@ class SquareMatrix:
     def identity(cls, dimension: int) -> "SquareMatrix":
         return cls(
             tuple(
-                tuple(Fraction(int(i == j)) for j in range(dimension))
+                tuple(int(i == j) for j in range(dimension))
                 for i in range(dimension)
             )
         )
@@ -126,10 +154,10 @@ class SquareMatrix:
         return len(self._rows)
 
     @property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+    def rows(self) -> tuple[tuple[int | Fraction, ...], ...]:
         return self._rows
 
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
+    def __getitem__(self, key: tuple[int, int]) -> int | Fraction:
         i, j = key
         return self._rows[i][j]
 
@@ -142,7 +170,7 @@ class SquareMatrix:
 
     def apply(self, vector: Sequence[RationalLike]) -> tuple[Fraction, ...]:
         """Matrix-vector product, exact."""
-        vec = tuple(as_rational(entry) for entry in vector)
+        vec = _entries(vector)
         if len(vec) != self.dimension:
             raise DimensionMismatch(
                 f"vector has {len(vec)} entries, matrix dimension is {self.dimension}"
@@ -165,45 +193,48 @@ class SquareMatrix:
 
 
 def _eliminate(
-    rows: Sequence[Sequence[Fraction]], n: int
-) -> tuple[list[list[int]], int, int] | None:
+    rows: Sequence[Sequence[int | Fraction]], n: int
+) -> tuple[list[Sequence[int]], int, int] | None:
     """Integer fraction-free (Bareiss) elimination of the first n columns.
 
-    Each row is first scaled by the lcm of its denominators, so the
-    elimination runs over Python ints and no gcd is ever taken. Rows
-    may carry extra columns (a right-hand side) that are transformed
-    along. Returns (rows, sign, scale): the upper triangular integer
-    rows, the parity of the row swaps and the product of the row
-    scales, so that det = sign * rows[n-1][n-1] / scale. Returns None
-    when a pivot column is zero, that is, when the matrix is singular.
+    A row of ints is taken as it is; a row holding a Fraction is first
+    scaled by the lcm of its denominators. So the elimination runs over
+    Python ints and no gcd is ever taken. Rows may carry extra columns
+    (a right-hand side) that are transformed along. Returns
+    (upper, sign, scale): upper[k] is row k of the upper triangular
+    integer form from column k on, the parity of the row swaps and the
+    product of the row scales, so that det = sign * upper[n-1][0] / scale.
+    Returns None when a pivot column is zero, that is, when the matrix
+    is singular.
     """
-    a = []
+    active = []
     scale = 1
     for row in rows:
-        s = math.lcm(*(entry.denominator for entry in row))
+        integers, s = _integers(row)
+        active.append(integers)
         scale *= s
-        a.append([entry.numerator * (s // entry.denominator) for entry in row])
+    upper = []
     sign = 1
     previous_pivot = 1
-    for k in range(n):
-        swap = next((i for i in range(k, n) if a[i][k]), None)
-        if swap is None:
-            return None
-        if swap != k:
-            a[k], a[swap] = a[swap], a[k]
+    for _ in range(n):
+        if not active[0][0]:
+            swap = next((i for i, row in enumerate(active) if row[0]), None)
+            if swap is None:
+                return None
+            active[0], active[swap] = active[swap], active[0]
             sign = -sign
-        pivot = a[k][k]
-        zeros = [0] * (k + 1)
-        tail = a[k][k + 1 :]
-        for i in range(k + 1, n):
-            factor = a[i][k]
-            # Bareiss step: the division by the previous pivot is exact.
-            a[i] = zeros + [
-                (x * pivot - factor * y) // previous_pivot
-                for x, y in zip(a[i][k + 1 :], tail)
-            ]
+        top = active[0]
+        pivot = top[0]
+        tail = top[1:]
+        upper.append(top)
+        # Bareiss step on the rows below, which drop the pivot column:
+        # the division by the previous pivot is exact.
+        active = [
+            [(x * pivot - row[0] * y) // previous_pivot for x, y in zip(row[1:], tail)]
+            for row in active[1:]
+        ]
         previous_pivot = pivot
-    return a, sign, scale
+    return upper, sign, scale
 
 
 def det(matrix: SquareMatrix) -> Fraction:
@@ -219,8 +250,8 @@ def det(matrix: SquareMatrix) -> Fraction:
     reduced = _eliminate(matrix.rows, n)
     if reduced is None:
         return Fraction(0)
-    a, sign, scale = reduced
-    return Fraction(sign * a[n - 1][n - 1], scale)
+    upper, sign, scale = reduced
+    return Fraction(sign * upper[-1][0], scale)
 
 
 def solve(matrix: SquareMatrix, vector: Sequence[RationalLike]) -> tuple[Fraction, ...]:
@@ -230,7 +261,7 @@ def solve(matrix: SquareMatrix, vector: Sequence[RationalLike]) -> tuple[Fractio
     be found), DimensionMismatch when the vector length is wrong.
     """
     n = matrix.dimension
-    vec = tuple(as_rational(entry) for entry in vector)
+    vec = _entries(vector)
     if len(vec) != n:
         raise DimensionMismatch(
             f"vector has {len(vec)} entries, matrix dimension is {n}"
@@ -240,30 +271,29 @@ def solve(matrix: SquareMatrix, vector: Sequence[RationalLike]) -> tuple[Fractio
     reduced = _eliminate([row + (v,) for row, v in zip(matrix.rows, vec)], n)
     if reduced is None:
         raise SingularMatrix("matrix has determinant zero")
-    a = reduced[0]
+    upper = reduced[0]
     # With d the last pivot (the determinant of the row-scaled, permuted
     # system), y = d * x is integral by Cramer's rule, so back-substitution
-    # for y divides exactly.
-    d = a[n - 1][n - 1]
+    # for y divides exactly. Row i is (pivot, entries right of it, rhs).
+    d = upper[-1][0]
     y = [0] * n
     for i in range(n - 1, -1, -1):
-        row = a[i]
-        acc = d * row[n]
-        for j in range(i + 1, n):
-            acc -= row[j] * y[j]
-        y[i] = acc // row[i]
+        row = upper[i]
+        y[i] = (d * row[-1] - sum(map(mul, row[1:-1], y[i + 1 :]))) // row[0]
     return tuple(Fraction(value, d) for value in y)
 
 
 def inner_product(
     left: Sequence[RationalLike], right: Sequence[RationalLike]
 ) -> Fraction:
-    """Exact dot product of two equal-length rational vectors."""
-    a = tuple(as_rational(entry) for entry in left)
-    b = tuple(as_rational(entry) for entry in right)
+    """Exact dot product of two equal-length rational vectors.
+
+    The terms are summed in integers over the common denominator
+    lcm(left denominators) * lcm(right denominators), and one Fraction
+    is built for the sum.
+    """
+    a, left_scale = _integers(_entries(left))
+    b, right_scale = _integers(_entries(right))
     if len(a) != len(b):
         raise DimensionMismatch(f"vector lengths differ: {len(a)} vs {len(b)}")
-    total = Fraction(0)
-    for x, y in zip(a, b):
-        total += x * y
-    return total
+    return Fraction(sum(map(mul, a, b)), left_scale * right_scale)

@@ -195,7 +195,7 @@ def dual_invariants_matrix(
     m, link_vector = dual_system(diagram, dual_index)
     solution = _solve_dual(m, link_vector)
     dual = diagram.components[dual_index].knot
-    order = math.lcm(*(value.denominator for value in solution)) if solution else 1
+    order = math.lcm(*(value.denominator for value in solution))
     others = [i for i in range(len(diagram.components)) if i != dual_index]
     rotations = tuple(diagram.components[i].knot.rot for i in others)
     tb_q = Fraction(dual.tb) - inner_product(link_vector, solution)
@@ -237,7 +237,7 @@ def dual_invariants(diagram: SurgeryDiagram, component_id: str) -> DualKnotInvar
         rot_q -= unit * weight
         order = math.lcm(order, unit.denominator)
     return DualKnotInvariants(
-        tb_q=dual.tb - inner_product(link_vector, sigma),
+        tb_q=Fraction(dual.tb) - inner_product(link_vector, sigma),
         rot_q=rot_q,
         order=order,
         euler_char=dual.euler_char,

@@ -66,16 +66,17 @@ def _cofactor_det(rows: Sequence[Sequence[exact.RationalLike]]) -> Fraction:
     elimination kernel it checks; the tests use it as their oracle too.
     The minor left after expanding the first rows depends only on the
     columns that remain, so each is expanded once (2^n minors instead
-    of n! products). Entries are ints or Fractions; the result is
-    always a Fraction.
+    of n! products). Entries are ints or Fractions; the minors of an
+    int matrix are accumulated in ints, and the result is always a
+    Fraction.
     """
     n = len(rows)
-    minors: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+    minors: dict[tuple[int, ...], int | Fraction] = {(): 1}
 
-    def minor(columns: tuple[int, ...]) -> Fraction:
+    def minor(columns: tuple[int, ...]) -> int | Fraction:
         if columns not in minors:
             row = rows[n - len(columns)]
-            total = Fraction(0)
+            total = 0
             for position, j in enumerate(columns):
                 if row[j] == 0:
                     continue
@@ -85,7 +86,7 @@ def _cofactor_det(rows: Sequence[Sequence[exact.RationalLike]]) -> Fraction:
             minors[columns] = total
         return minors[columns]
 
-    return minor(tuple(range(n)))
+    return Fraction(minor(tuple(range(n))))
 
 
 def _check_det_chain_grid() -> dict:

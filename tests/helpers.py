@@ -18,8 +18,8 @@ from surgerycalc import (
 )
 
 
-def run_cli(*argv, text=True):
-    """Run ``python -m surgerycalc`` in a child process.
+def run_python(*argv, text=True):
+    """Run ``python *argv`` in a child process that can import the package.
 
     The child gets the source root of the imported package prepended to
     its PYTHONPATH, so the suite also runs from a source checkout in
@@ -31,11 +31,13 @@ def run_cli(*argv, text=True):
     env = dict(os.environ)
     env["PYTHONPATH"] = source_root + (os.pathsep + inherited if inherited else "")
     return subprocess.run(
-        [sys.executable, "-m", "surgerycalc", *argv],
-        capture_output=True,
-        text=text,
-        env=env,
+        [sys.executable, *argv], capture_output=True, text=text, env=env
     )
+
+
+def run_cli(*argv, text=True):
+    """Run ``python -m surgerycalc`` in a child process (see ``run_python``)."""
+    return run_python("-m", "surgerycalc", *argv, text=text)
 
 
 def euclid_subtractive_steps(p: int, q: int) -> int:

@@ -357,6 +357,37 @@ def test_selftest_fault_injection_solve_path(monkeypatch):
         run_checks()
 
 
+def test_selftest_fault_injection_inner_product(monkeypatch):
+    # The matrix-path dual invariants pair the solution with lk and rot
+    # through inner_product; a perturbed pairing must be caught by the
+    # closed-form comparison grid.
+    true_inner_product = surgerycalc.invariants.inner_product
+    monkeypatch.setattr(
+        surgerycalc.invariants,
+        "inner_product",
+        lambda left, right: true_inner_product(left, right) + 1,
+    )
+    with pytest.raises(
+        SelfTestFailure, match=r"closed-form vs matrix-path dual invariants"
+    ):
+        run_checks()
+
+
+def test_selftest_grid_sizes():
+    # A faster selftest must not come from a smaller grid.
+    assert [(check["name"], check["cases"]) for check in run_checks()] == [
+        ("det(M) = n*tb+1 grid", 100),
+        ("det(M0) = -n*tb^2 grid", 100),
+        ("cofactor oracle cross-check (n <= 6)", 120),
+        ("closed-form vs matrix-path dual invariants", 1659),
+        ("Bennequin bound chain and strictness boundary", 480),
+        ("bundled counterexample reproduction (tb = -3)", 4),
+        ("negative continued fraction round trip (p, q <= 40)", 491),
+        ("degenerate dual (det M = 0)", 1),
+        ("diagram serialization round trip", 2),
+    ]
+
+
 def test_selftest_failure_exit_code(monkeypatch, capsys):
     true_det = surgerycalc.exact.det
     monkeypatch.setattr(surgerycalc.exact, "det", lambda m: -true_det(m))

@@ -108,6 +108,32 @@ def test_asymmetric_linking_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "linking, message",
+    [
+        (
+            ((0, True, 0), (True, 0, 0), (0, 0, 0)),
+            "linking[0][1] must be an integer, got True",
+        ),
+        (
+            ((0, 1, 0), (1.0, 0, 0), (0, 0, 0)),
+            "linking[1][0] must be an integer, got 1.0",
+        ),
+        (((0, 1, 0), (2, 0, 0), (0, 0, 5)), "linking[1][0] != linking[0][1]"),
+        (((0, 0, 1), (0, 3, 0), (2, 0, 0)), "linking[1][1] = 3 must be 0"),
+        (((0, 0, 1), (0, 0, 0), (2, 0, 0)), "linking[2][0] != linking[0][2]"),
+    ],
+)
+def test_linking_errors_name_the_first_bad_entry(linking, message):
+    with pytest.raises(ValidationError) as error:
+        SurgeryDiagram(
+            ambient=AmbientStatus.UNKNOWN,
+            components=tuple(SurgeryComponent(knot=unknot(i)) for i in "ABC"),
+            linking=linking,
+        )
+    assert str(error.value).startswith(message)
+
+
 def test_nonzero_diagonal_rejected():
     with pytest.raises(ValidationError, match=r"linking\[0\]\[0\]"):
         SurgeryDiagram(

@@ -286,3 +286,63 @@ def test_inner_product_rotation_pairing():
 def test_inner_product_mismatch():
     with pytest.raises(DimensionMismatch):
         inner_product((1, 2), (1,))
+
+
+# --------------------------------------------------------------------------
+# Entry types: ints stay ints inside, results are Fractions
+
+
+def _encode(rng, value, form):
+    """``value`` written as an int, a Fraction or a "p/q" string."""
+    if form == "mixed":
+        form = rng.choice(("int", "fraction", "string"))
+    if form == "int":
+        return value
+    if form == "fraction":
+        return Fraction(value)
+    scale = rng.randint(1, 5)
+    return f"{value * scale}/{scale}"
+
+
+def _kernel_results(rows, vector, other):
+    matrix = SquareMatrix(rows)
+    try:
+        solution = solve(matrix, vector)
+    except SingularMatrix:
+        solution = None
+    return det(matrix), solution, inner_product(vector, other)
+
+
+def test_kernel_results_do_not_depend_on_entry_type():
+    rng = random.Random(20261019)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        vector = [rng.randint(-9, 9) for _ in range(n)]
+        other = [rng.randint(-9, 9) for _ in range(n)]
+        expected = _kernel_results(rows, vector, other)
+        singular += expected[1] is None
+        for form in ("int", "fraction", "string", "mixed"):
+            results = _kernel_results(
+                [[_encode(rng, v, form) for v in row] for row in rows],
+                [_encode(rng, v, form) for v in vector],
+                [_encode(rng, v, form) for v in other],
+            )
+            assert results == expected
+            value, solution, pairing = results
+            assert type(value) is Fraction and type(pairing) is Fraction
+            assert solution is None or all(type(x) is Fraction for x in solution)
+    assert 0 < singular < 300
+
+
+@pytest.mark.parametrize("inexact", [0.5, 1.0, True, False])
+def test_kernel_rejects_floats_and_bools(inexact):
+    with pytest.raises(TypeError):
+        SquareMatrix([[1, 0], [0, inexact]])
+    with pytest.raises(TypeError):
+        solve(SquareMatrix([[1, 0], [0, 1]]), (1, inexact))
+    with pytest.raises(TypeError):
+        inner_product((1, inexact), (1, 1))
+    with pytest.raises(TypeError):
+        inner_product((1, 1), (inexact, 1))

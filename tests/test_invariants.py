@@ -571,3 +571,24 @@ def test_permuting_components_changes_nothing(seed, shuffler):
         ),
     )
     assert dual_invariants(permuted, dual_id) == invariants
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_zigzag_policy_changes_rot_q_only(seed):
+    # The policies place the stabilizations differently but give the same
+    # expanded linking matrix, so the dense path on each expansion agrees
+    # on tb_Q and the order (or fails the same way); rot_Q may differ.
+    diagram, dual_id = next(_dual_cases(random.Random(seed)))
+    outcomes = set()
+    for policy in ("all-negative", "all-positive", "balanced"):
+        try:
+            derived = expand_diagram(diagram, zigzag_policy=policy).derived_diagram
+            invariants = dual_invariants_matrix(
+                derived, derived.component_index(dual_id)
+            )
+        except ValueError as error:
+            outcomes.add((type(error), str(error)))
+        else:
+            outcomes.add((invariants.tb_q, invariants.order, invariants.euler_char))
+    assert len(outcomes) == 1
