@@ -4,7 +4,10 @@ Subcommands:
 
 * ``expand``: expand rational contact surgery coefficients into a
   (+-1)-surgery presentation, either for a diagram file or for a
-  single knot given by --tb/--rot/--chi and a coefficient.
+  single knot given by --tb/--rot/--chi and a coefficient. The output
+  holds the N x N linking matrix of the N derived curves, so it is
+  Theta(N^2); it is built and written one row at a time (one
+  ``repr`` per text row, one ``str.join`` per JSON row).
 * ``invariants``: rational invariants of a surgery-dual knot, from a
   diagram file plus --dual (``dual_invariants``) or from the closed
   forms (--chain --tb --rot --n, with no diagram and no --dual).
@@ -27,7 +30,6 @@ it independently, in sorted order.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,6 +55,7 @@ from .diagram import (
     ValidationError,
     _warn_even_euler_char,
     diagram_to_obj,
+    json_text,
     load_diagram,
 )
 from .exact import format_rational
@@ -109,7 +112,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_obj()) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -411,8 +414,8 @@ def _expand_lines(obj: dict) -> list[str]:
             f"euler_char={component['euler_char']} coefficient={coefficient}"
         )
     lines.append("linking:")
-    for row in obj["linking"]:
-        lines.append("  [" + ", ".join(str(entry) for entry in row) + "]")
+    # diagram_to_obj gives each row as a list of ints: its repr is the line
+    lines.extend("  " + repr(row) for row in obj["linking"])
     return lines
 
 

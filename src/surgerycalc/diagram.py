@@ -34,6 +34,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .exact import SquareMatrix, as_rational, format_rational
@@ -55,6 +56,7 @@ __all__ = [
     "diagram_from_obj",
     "diagram_to_obj",
     "dual_system",
+    "json_text",
     "load_diagram",
     "parity_lint",
     "parse_diagram",
@@ -513,9 +515,56 @@ def diagram_to_obj(diagram: SurgeryDiagram) -> dict:
     }
 
 
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    Dict keys must be strs (a report's always are; any other key raises
+    TypeError). CPython's C encoder is used only without ``indent``, so
+    this writes dicts and lists/tuples itself and joins the pieces once
+    at the end. A list of plain ints (bools excluded) is written with
+    one ``str.join``, which keeps a linking matrix at C-level work per
+    row. Plain strs and ints are written the way the encoder writes
+    them; every other scalar, and every empty container, by
+    ``json.dumps``.
+    """
+    chunks: list[str] = []
+    _json_chunks(obj, "\n", chunks)
+    return "".join(chunks)
+
+
+def _json_chunks(obj, newline: str, chunks: list[str]) -> None:
+    """Append the pieces of ``obj`` written at the indent ``newline`` ends in."""
+    inner = newline + "  "
+    if type(obj) is str:
+        chunks.append(encode_basestring_ascii(obj))
+    elif type(obj) is int:
+        chunks.append(str(obj))
+    elif isinstance(obj, dict) and obj:
+        opener = "{"
+        for key, value in sorted(obj.items()):
+            chunks += (opener, inner, encode_basestring_ascii(key), ": ")
+            _json_chunks(value, inner, chunks)
+            opener = ","
+        chunks += (newline, "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) == {int}:
+            text = {value: str(value) for value in set(obj)}
+            row = ("," + inner).join(map(text.__getitem__, obj))
+            chunks += ("[", inner, row, newline, "]")
+            return
+        opener = "["
+        for value in obj:
+            chunks += (opener, inner)
+            _json_chunks(value, inner, chunks)
+            opener = ","
+        chunks += (newline, "]")
+    else:
+        chunks.append(json.dumps(obj))
+
+
 def serialize_diagram(diagram: SurgeryDiagram) -> str:
     """Serialize to deterministic JSON (stable key order, trailing newline)."""
-    return json.dumps(diagram_to_obj(diagram), indent=2, sort_keys=True) + "\n"
+    return json_text(diagram_to_obj(diagram)) + "\n"
 
 
 def _require_int(value: object, where: str) -> int:

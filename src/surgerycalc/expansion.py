@@ -325,17 +325,27 @@ def _assemble(
     different groups inherit it verbatim. Within a group a later curve
     is a parallel copy of a push-off of an earlier one, so the two link
     by the earlier curve's contact framing: its tb.
+
+    Rows are built from per-group blocks, so ``source_linking`` is
+    called once per pair of groups. In a row of group g, group h != g
+    contributes ``source_linking(g, h)`` repeated len(h) times; group g
+    itself contributes the tbs of the earlier curves, then 0, then the
+    row curve's own tb for every later curve.
     """
     flat = [(g, curve) for g, group in enumerate(groups) for curve in group]
-    size = len(flat)
-    linking = [[0] * size for _ in range(size)]
-    for a in range(size):
-        ga, curve_a = flat[a]
-        for b in range(a + 1, size):
-            gb = flat[b][0]
-            value = curve_a.tb if ga == gb else source_linking(ga, gb)
-            linking[a][b] = value
-            linking[b][a] = value
+    linking = []
+    for g, group in enumerate(groups):
+        blocks = [
+            (source_linking(g, h),) * len(other)
+            for h, other in enumerate(groups)
+            if h != g
+        ]
+        before, after = sum(blocks[:g], ()), sum(blocks[g:], ())
+        tbs = tuple(curve.tb for curve in group)
+        for i, tb in enumerate(tbs):
+            linking.append(
+                before + tbs[:i] + (0,) + (tb,) * (len(tbs) - i - 1) + after
+            )
     components = []
     steps = []
     for g, curve in flat:
@@ -359,7 +369,7 @@ def _assemble(
     derived = SurgeryDiagram(
         ambient=ambient,
         components=tuple(components),
-        linking=tuple(tuple(row) for row in linking),
+        linking=tuple(linking),
     )
     policy_name = zigzag_policy if isinstance(zigzag_policy, str) else "explicit"
     return ExpandedPresentation(

@@ -598,3 +598,78 @@ def test_batch_entries_match_single_file_results(
         "broken.json", "figure1.json", "rational.json", "s1xs2.json"
     ]
     assert batch_code == max(codes) > 0
+
+
+# --------------------------------------------------------------------------
+# large expand output stays byte-identical
+
+
+def _large_diagram(n: int) -> dict:
+    """-(n+1)/n on K (n curves), an unsurgered L, then +5/2 on M (3 curves)."""
+
+    def component(cid, tb, rot, r):
+        return {"id": cid, "tb": tb, "rot": rot, "euler_char": -1,
+                "contact_coefficient": r}
+
+    return {
+        "ambient": "unknown",
+        "components": [
+            component("K", -2, 1, f"-{n + 1}/{n}"),
+            component("L", -1, 0, None),
+            component("M", -3, 0, "5/2"),
+        ],
+        "linking": [[0, 2, -1], [2, 0, 3], [-1, 3, 0]],
+    }
+
+
+def _old_expand_lines(results: dict) -> list[str]:
+    """The expand text rendering, linking rows as ", ".join(str(entry) ...)."""
+    lines = [f"zigzag policy: {results['zigzag_policy']}", "steps:"]
+    for index, step in enumerate(results["steps"], start=1):
+        signs = ",".join(f"{s:+d}" for s in step["stabilization_signs"])
+        lines.append(
+            f"  {index}. source={step['source_id']} "
+            f"coefficient={step['coefficient']} "
+            f"stabilizations={step['stabilizations']}"
+            + (f" signs={signs}" if signs else "")
+        )
+    lines.append(f"derived diagram ({len(results['components'])} components):")
+    for c in results["components"]:
+        coefficient = c["contact_coefficient"] or "none"
+        lines.append(
+            f"  {c['id']}: tb={c['tb']} rot={c['rot']} "
+            f"euler_char={c['euler_char']} coefficient={coefficient}"
+        )
+    lines.append("linking:")
+    for row in results["linking"]:
+        lines.append("  [" + ", ".join(str(entry) for entry in row) + "]")
+    return lines
+
+
+@pytest.mark.parametrize("policy", ["all-negative", "all-positive", "balanced"])
+def test_large_expand_output_byte_identical(tmp_path, capsys, policy):
+    # one 300-curve file, then a batch of it and a 154-curve file
+    for name, n in (("a.json", 296), ("b.json", 150)):
+        (tmp_path / name).write_text(json.dumps(_large_diagram(n)), encoding="utf-8")
+    for target in (tmp_path / "a.json", tmp_path):
+        argv = ["expand", str(target), "--zigzag-policy", policy]
+        assert main([*argv, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        # compared as lists of lines: a failing str comparison this size
+        # makes pytest's diff take minutes
+        rewritten = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        assert out.splitlines(True) == rewritten.splitlines(True)
+        results = json.loads(out)["results"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        if target != tmp_path:
+            assert len(results["linking"]) == 300
+            expected = _old_expand_lines(results)
+        else:
+            expected = []
+            for entry in results["batch"]:
+                expected.append(f"file: {entry['file']}")
+                expected += ["  " + line for line in _old_expand_lines(entry["expansion"])]
+        assert text.splitlines(True) == [
+            line + "\n" for line in ["command: expand", *expected]
+        ]

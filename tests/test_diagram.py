@@ -8,6 +8,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import surgerycalc.data as bundled
 from surgerycalc import (
@@ -34,6 +36,7 @@ from surgerycalc import (
     serialize_diagram,
     topological_coefficient,
 )
+from surgerycalc.diagram import json_text
 from surgerycalc.selftest import _cofactor_det as cofactor_det
 
 from helpers import random_diagram
@@ -376,6 +379,40 @@ def test_round_trip_randomized():
     for _ in range(60):
         diagram = random_diagram(rng)
         assert parse_diagram(serialize_diagram(diagram)) == diagram
+
+
+# --------------------------------------------------------------------------
+# The JSON writer against json.dumps(indent=2, sort_keys=True)
+
+_wide_ints = st.integers(min_value=-(2**70), max_value=2**70)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    _wide_ints,
+    st.floats(),
+    st.text(),
+    st.text(alphabet='ab"\\/\n\t\u00e9\u2603\U0001f600\x00'),
+)
+_json_values = st.recursive(
+    _scalars | st.lists(_wide_ints) | st.lists(_wide_ints | st.booleans()),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+@example({"a\u00e9\"\\": [[{"b": [1, True, -(2**65), 2**64 + 1]}], ()], "e": {}, "f": []})
+@example([[[[1, 2], [False, 0]], ({},)], None, "\u2603"])
+def test_json_text_matches_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_text_rejects_non_str_keys():
+    with pytest.raises(TypeError):
+        json_text({"a": {1: "b"}})
 
 
 def test_parse_rejects_bad_rational():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -34,7 +35,7 @@ from surgerycalc import (
 )
 from surgerycalc.expansion import ZIGZAG_POLICIES
 
-from helpers import euclid_subtractive_steps
+from helpers import euclid_subtractive_steps, random_diagram
 
 
 def knot(tb=-2, rot=1, chi=-1, cid="L"):
@@ -454,3 +455,89 @@ def test_positive_pq_checks_shared_with_lemma(p, q, error, message):
         with pytest.raises(error) as raised:
             call()
         assert str(raised.value) == message
+
+
+# --------------------------------------------------------------------------
+# Row-built linking against the entry-wise rule
+
+
+def entrywise_linking(derived, source_linking):
+    """The linking rule entry by entry: the oracle for the row-built matrix.
+
+    A derived curve belongs to the source its id names before any "#".
+    Two curves of one source link by the earlier curve's tb; curves of
+    different sources inherit ``source_linking`` of their sources.
+    """
+    sources = [component.id.split("#")[0] for component in derived.components]
+    order = list(dict.fromkeys(sources))
+    flat = [
+        (order.index(source), component.knot.tb)
+        for source, component in zip(sources, derived.components)
+    ]
+    size = len(flat)
+    linking = [[0] * size for _ in range(size)]
+    for a in range(size):
+        ga, tb_a = flat[a]
+        for b in range(a + 1, size):
+            gb = flat[b][0]
+            value = tb_a if ga == gb else source_linking(ga, gb)
+            linking[a][b] = value
+            linking[b][a] = value
+    return tuple(map(tuple, linking))
+
+
+def assert_rows_match_entrywise(diagram, policy):
+    derived = expand_diagram(diagram, zigzag_policy=policy).derived_diagram
+    assert derived.linking == entrywise_linking(derived, diagram.linking_number)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_row_built_linking_matches_entrywise_rule(seed):
+    diagram = random_diagram(random.Random(seed), max_components=6)
+    for policy in ZIGZAG_POLICIES:
+        try:
+            assert_rows_match_entrywise(diagram, policy)
+        except Unsupported:
+            return
+
+
+@pytest.mark.parametrize("policy", ZIGZAG_POLICIES)
+def test_row_built_linking_single_curve_and_interleaved_groups(policy):
+    # A -1 group of one curve, then an unsurgered component between two
+    # expanded groups.
+    components = tuple(
+        SurgeryComponent(knot=knot(tb=tb, rot=0, chi=1, cid=cid), contact_coefficient=r)
+        for cid, tb, r in (
+            ("A", -3, Fraction(-1)),
+            ("B", -2, Fraction(-7, 3)),
+            ("L", -1, None),
+            ("C", -4, Fraction(5, 2)),
+        )
+    )
+    linking = ((0, 1, -2, 3), (1, 0, 4, -1), (-2, 4, 0, 2), (3, -1, 2, 0))
+    diagram = SurgeryDiagram(AmbientStatus.UNKNOWN, components, linking)
+    assert_rows_match_entrywise(diagram, policy)
+    derived = expand_diagram(diagram, zigzag_policy=policy).derived_diagram
+    assert derived.ids[:2] == ("A", "B#1") and "L" in derived.ids[3:-3]
+
+
+@pytest.mark.parametrize("policy", ZIGZAG_POLICIES)
+@pytest.mark.parametrize(
+    "expander, args",
+    [
+        (expand_positive_unit_fraction, (1,)),
+        (expand_positive_unit_fraction, (5,)),
+        (expand_negative_rational, (Fraction(-1),)),
+        (expand_negative_rational, (Fraction(-3),)),
+        (expand_negative_rational, (Fraction(-13, 5),)),
+        (expand_negative_rational, (Fraction(-8, 7),)),
+        (expand_positive_rational, (2, 1)),
+        (expand_positive_rational, (11, 4)),
+    ],
+)
+def test_single_knot_expanders_match_entrywise_rule(policy, expander, args):
+    takes_policy = expander is not expand_positive_unit_fraction
+    kwargs = {"zigzag_policy": policy} if takes_policy else {}
+    derived = expander(knot(), *args, **kwargs).derived_diagram
+    assert derived.linking == entrywise_linking(derived, lambda a, b: 0)
