@@ -21,7 +21,9 @@ Modules:
 * ``expansion``: negative continued fractions and the expansion of
   rational coefficients into (+-1)-surgeries with stabilization
   bookkeeping; one private coefficient-shape dispatch serves the
-  diagram and single-knot expanders.
+  diagram and single-knot expanders. The derived linking matrix is
+  kept as per-group blocks and built only when ``derived_diagram`` is
+  first read.
 * ``invariants``: invariants of surgery-dual knots; ``dual_invariants``
   is the one entry point: a k x k solve over the unexpanded components
   plus an O(m) sweep per expanded curve group, never the expanded

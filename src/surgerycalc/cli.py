@@ -6,8 +6,10 @@ Subcommands:
   (+-1)-surgery presentation, either for a diagram file or for a
   single knot given by --tb/--rot/--chi and a coefficient. The output
   holds the N x N linking matrix of the N derived curves, so it is
-  Theta(N^2); it is built and written one row at a time (one
-  ``repr`` per text row, one ``str.join`` per JSON row).
+  Theta(N^2). The matrix itself is never built: each text and JSON
+  row is written from the expansion's per-group blocks by string
+  repetition (``LinkingBlocks.row_texts``), one str per block, none
+  per entry.
 * ``invariants``: rational invariants of a surgery-dual knot, from a
   diagram file plus --dual (``dual_invariants``) or from the closed
   forms (--chain --tb --rot --n, with no diagram and no --dual).
@@ -53,8 +55,8 @@ from .diagram import (
     SurgeryComponent,
     SurgeryDiagram,
     ValidationError,
+    _diagram_obj,
     _warn_even_euler_char,
-    diagram_to_obj,
     json_text,
     load_diagram,
 )
@@ -129,7 +131,9 @@ def _invariants_obj(invariants: DualKnotInvariants) -> dict:
 
 
 def _expansion_obj(presentation: ExpandedPresentation) -> dict:
-    obj = diagram_to_obj(presentation.derived_diagram)
+    obj = _diagram_obj(
+        presentation.ambient, presentation.components, presentation.linking_blocks
+    )
     obj["steps"] = [
         {
             "source_id": step.source_id,
@@ -414,8 +418,7 @@ def _expand_lines(obj: dict) -> list[str]:
             f"euler_char={component['euler_char']} coefficient={coefficient}"
         )
     lines.append("linking:")
-    # diagram_to_obj gives each row as a list of ints: its repr is the line
-    lines.extend("  " + repr(row) for row in obj["linking"])
+    lines.extend(obj["linking"].row_texts(", ", "  [", "]"))
     return lines
 
 

@@ -190,12 +190,7 @@ class SurgeryDiagram:
         object.__setattr__(self, "linking", tuple(map(tuple, self.linking)))
         if not isinstance(self.ambient, AmbientStatus):
             raise ValidationError(f"ambient must be an AmbientStatus, got {self.ambient!r}")
-        ids = [component.id for component in self.components]
-        seen: set[str] = set()
-        for cid in ids:
-            if cid in seen:
-                raise ValidationError(f"duplicate component id {cid!r}")
-            seen.add(cid)
+        _check_unique_ids(self.components)
         n = len(self.components)
         linking = self.linking
         if len(linking) != n:
@@ -255,6 +250,88 @@ class SurgeryDiagram:
             i
             for i, component in enumerate(self.components)
             if not component.is_surgered
+        )
+
+
+def _check_unique_ids(components) -> None:
+    """Raise ValidationError naming the first component id seen twice."""
+    seen: set[str] = set()
+    for component in components:
+        if component.id in seen:
+            raise ValidationError(f"duplicate component id {component.id!r}")
+        seen.add(component.id)
+
+
+@dataclass(frozen=True)
+class LinkingBlocks:
+    """A linking matrix of curves in consecutive groups, as per-group blocks.
+
+    ``tbs[g]`` holds the tbs of group g's curves in order, and
+    ``source[g][h]`` (g != h) links every curve of group g with every
+    curve of group h; within a group a later curve links an earlier one
+    by the earlier curve's tb. So the row of curve i of group g, which
+    has L curves, is ``source[g][h]`` repeated len(tbs[h]) times for
+    each h < g, the tbs of the curves before i, 0, ``tbs[g][i]``
+    repeated L - i - 1 times, and ``source[g][h]`` repeated len(tbs[h])
+    times for each h > g.
+
+    Entries are ints, and the diagonal is 0, by construction from
+    validated knots and diagrams; symmetry is checked here, once, on
+    the k x k table.
+    """
+
+    tbs: tuple[tuple[int, ...], ...]
+    source: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        for g, row in enumerate(self.source):
+            for h in range(g):
+                if row[h] != self.source[h][g]:
+                    # name the first asymmetric entry of the whole matrix
+                    i, j = (sum(map(len, self.tbs[:x])) for x in (g, h))
+                    raise ValidationError(f"linking[{i}][{j}] != linking[{j}][{i}]")
+
+    def _rows(self, before, after, zero, join, opener, closer):
+        """Each row as ``join`` of its blocks, between ``opener`` and ``closer``.
+
+        ``before(v)`` is the piece of one entry v left of the diagonal,
+        ``after(v)`` one right of it and ``zero`` the diagonal entry: a
+        block of count entries is one piece repeated count times.
+        """
+        for g, tbs in enumerate(self.tbs):
+            row = self.source[g]
+            left = join([before(row[h]) * len(self.tbs[h]) for h in range(g)])
+            right = join(
+                [after(row[h]) * len(self.tbs[h]) for h in range(g + 1, len(self.tbs))]
+            )
+            pieces = [before(tb) for tb in tbs]
+            earlier = join(pieces)
+            offset = 0
+            for i, tb in enumerate(tbs):
+                yield join(
+                    (opener, left, earlier[:offset], zero,
+                     after(tb) * (len(tbs) - i - 1), right, closer)
+                )
+                offset += len(pieces[i])
+
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The linking matrix as a tuple of int tuples."""
+        return tuple(
+            self._rows(
+                lambda value: (value,), lambda value: (value,), (0,),
+                lambda parts: sum(parts, ()), (), (),
+            )
+        )
+
+    def row_texts(self, sep: str, opener: str, closer: str):
+        """Each row's entries joined by ``sep``, between ``opener`` and ``closer``.
+
+        One str per block and per curve, and none per entry: a block is
+        one string repeated.
+        """
+        return self._rows(
+            lambda value: str(value) + sep, lambda value: sep + str(value), "0",
+            "".join, opener, closer,
         )
 
 
@@ -495,8 +572,16 @@ def parity_lint(diagram: SurgeryDiagram) -> list[str]:
 
 
 def diagram_to_obj(diagram: SurgeryDiagram) -> dict:
+    return _diagram_obj(
+        diagram.ambient, diagram.components, [list(row) for row in diagram.linking]
+    )
+
+
+def _diagram_obj(ambient: AmbientStatus, components, linking) -> dict:
+    """The JSON object of a diagram, with ``linking`` (a list of rows or
+    ``LinkingBlocks``) as given."""
     return {
-        "ambient": diagram.ambient.value,
+        "ambient": ambient.value,
         "components": [
             {
                 "id": component.id,
@@ -509,9 +594,9 @@ def diagram_to_obj(diagram: SurgeryDiagram) -> dict:
                     else format_rational(component.contact_coefficient)
                 ),
             }
-            for component in diagram.components
+            for component in components
         ],
-        "linking": [list(row) for row in diagram.linking],
+        "linking": linking,
     }
 
 
@@ -522,10 +607,11 @@ def json_text(obj) -> str:
     TypeError). CPython's C encoder is used only without ``indent``, so
     this writes dicts and lists/tuples itself and joins the pieces once
     at the end. A list of plain ints (bools excluded) is written with
-    one ``str.join``, which keeps a linking matrix at C-level work per
-    row. Plain strs and ints are written the way the encoder writes
-    them; every other scalar, and every empty container, by
-    ``json.dumps``.
+    one ``str.join``, and ``LinkingBlocks`` as the list of its rows,
+    each written from its blocks (``LinkingBlocks.row_texts``): both
+    keep a linking matrix at C-level work per row. Plain strs and ints
+    are written the way the encoder writes them; every other scalar,
+    and every empty container, by ``json.dumps``.
     """
     chunks: list[str] = []
     _json_chunks(obj, "\n", chunks)
@@ -546,6 +632,11 @@ def _json_chunks(obj, newline: str, chunks: list[str]) -> None:
             _json_chunks(value, inner, chunks)
             opener = ","
         chunks += (newline, "}")
+    elif type(obj) is LinkingBlocks:
+        deeper = inner + "  "
+        rows = obj.row_texts("," + deeper, "[" + deeper, inner + "]")
+        text = ("," + inner).join(rows)
+        chunks += ("[", inner, text, newline, "]") if text else ("[]",)
     elif isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) == {int}:
             text = {value: str(value) for value in set(obj)}
@@ -644,18 +735,30 @@ def diagram_from_obj(obj: object) -> SurgeryDiagram:
 def parse_diagram(text: str) -> SurgeryDiagram:
     """Parse a JSON diagram document.
 
-    Raises ParseError for malformed documents (bad JSON, bad rational
-    strings, wrong types) and ValidationError for structurally invalid
-    diagrams (asymmetric linking, duplicate ids, ...). Unknown fields,
-    such as a "comment", are ignored.
+    Raises ParseError for malformed documents (bad JSON, integers
+    beyond CPython's int-string digit limit, nesting too deep for the
+    decoder, bad rational strings, wrong types) and ValidationError
+    for structurally invalid diagrams (asymmetric linking, duplicate
+    ids, ...). Unknown fields, such as a "comment", are ignored.
     """
     try:
         obj = json.loads(text)
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     except json.JSONDecodeError as error:
         raise ParseError(f"invalid JSON: {error}") from None
+    except ValueError as error:
+        # an integer beyond CPython's limit on int-string conversion,
+        # which is kept: it guards against quadratic time; the message
+        # is cut before its advice to raise the limit
+        raise ParseError(f"invalid JSON: {str(error).split(';')[0]}") from None
     return diagram_from_obj(obj)
 
 
 def load_diagram(path) -> SurgeryDiagram:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_diagram(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as error:
+        raise ParseError(f"invalid UTF-8: {error}") from None
+    return parse_diagram(text)

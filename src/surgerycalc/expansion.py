@@ -41,14 +41,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .diagram import (
     AmbientStatus,
     LegendrianKnotData,
+    LinkingBlocks,
     SurgeryComponent,
     SurgeryDiagram,
     ValidationError,
+    _check_unique_ids,
 )
 from .exact import RationalLike, as_rational, format_rational
 
@@ -131,14 +134,31 @@ class ExpandedPresentation:
     ``derived_diagram`` realizes the steps as an ordinary surgery
     diagram (every surgered component carries coefficient +1 or -1);
     ``zigzag_policy`` records how stabilization signs were chosen.
+
+    The derived diagram is kept as its ambient status, its components
+    and its linking matrix as per-group blocks (``LinkingBlocks``),
+    from which the CLI writes the rows without building the matrix;
+    the expanders check unique ids and symmetry on that form before
+    they return. ``derived_diagram`` builds the N x N matrix, and
+    validates the diagram in full, on first access.
     """
 
     steps: tuple[ExpansionStep, ...]
-    derived_diagram: SurgeryDiagram
     zigzag_policy: str
+    ambient: AmbientStatus
+    components: tuple[SurgeryComponent, ...]
+    linking_blocks: LinkingBlocks
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
+
+    @cached_property
+    def derived_diagram(self) -> SurgeryDiagram:
+        return SurgeryDiagram(
+            ambient=self.ambient,
+            components=self.components,
+            linking=self.linking_blocks.matrix(),
+        )
 
 
 # --------------------------------------------------------------------------
@@ -324,28 +344,12 @@ def _assemble(
     linking number of the sources of groups a and b; curves from
     different groups inherit it verbatim. Within a group a later curve
     is a parallel copy of a push-off of an earlier one, so the two link
-    by the earlier curve's contact framing: its tb.
-
-    Rows are built from per-group blocks, so ``source_linking`` is
-    called once per pair of groups. In a row of group g, group h != g
-    contributes ``source_linking(g, h)`` repeated len(h) times; group g
-    itself contributes the tbs of the earlier curves, then 0, then the
-    row curve's own tb for every later curve.
+    by the earlier curve's contact framing: its tb. That is the rule
+    ``LinkingBlocks`` describes, so the linking matrix is kept as the
+    groups' tbs and the k x k table of ``source_linking``, read once
+    per pair of groups.
     """
     flat = [(g, curve) for g, group in enumerate(groups) for curve in group]
-    linking = []
-    for g, group in enumerate(groups):
-        blocks = [
-            (source_linking(g, h),) * len(other)
-            for h, other in enumerate(groups)
-            if h != g
-        ]
-        before, after = sum(blocks[:g], ()), sum(blocks[g:], ())
-        tbs = tuple(curve.tb for curve in group)
-        for i, tb in enumerate(tbs):
-            linking.append(
-                before + tbs[:i] + (0,) + (tb,) * (len(tbs) - i - 1) + after
-            )
     components = []
     steps = []
     for g, curve in flat:
@@ -366,14 +370,23 @@ def _assemble(
                     stabilization_signs=curve.signs,
                 )
             )
-    derived = SurgeryDiagram(
-        ambient=ambient,
-        components=tuple(components),
-        linking=tuple(linking),
+    # the checks SurgeryDiagram makes, in its order, on the block form
+    _check_unique_ids(components)
+    k = len(groups)
+    blocks = LinkingBlocks(
+        tbs=tuple(tuple(curve.tb for curve in group) for group in groups),
+        source=tuple(
+            tuple(0 if g == h else source_linking(g, h) for h in range(k))
+            for g in range(k)
+        ),
     )
     policy_name = zigzag_policy if isinstance(zigzag_policy, str) else "explicit"
     return ExpandedPresentation(
-        steps=tuple(steps), derived_diagram=derived, zigzag_policy=policy_name
+        steps=tuple(steps),
+        zigzag_policy=policy_name,
+        ambient=ambient,
+        components=tuple(components),
+        linking_blocks=blocks,
     )
 
 

@@ -90,3 +90,28 @@ def random_diagram(rng: random.Random, max_components: int = 5) -> SurgeryDiagra
         components=tuple(components),
         linking=tuple(tuple(row) for row in linking),
     )
+
+
+def entrywise_linking(derived, source_linking):
+    """The linking rule entry by entry: the oracle for expanded linking matrices.
+
+    A derived curve belongs to the source its id names before any "#".
+    Two curves of one source link by the earlier curve's tb; curves of
+    different sources inherit ``source_linking`` of their sources.
+    """
+    sources = [component.id.split("#")[0] for component in derived.components]
+    order = list(dict.fromkeys(sources))
+    flat = [
+        (order.index(source), component.knot.tb)
+        for source, component in zip(sources, derived.components)
+    ]
+    size = len(flat)
+    linking = [[0] * size for _ in range(size)]
+    for a in range(size):
+        ga, tb_a = flat[a]
+        for b in range(a + 1, size):
+            gb = flat[b][0]
+            value = tb_a if ga == gb else source_linking(ga, gb)
+            linking[a][b] = value
+            linking[b][a] = value
+    return tuple(map(tuple, linking))

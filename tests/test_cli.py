@@ -10,9 +10,11 @@ import surgerycalc.data as bundled
 import surgerycalc.exact
 import surgerycalc.invariants
 from surgerycalc.cli import main
+from surgerycalc.diagram import LinkingBlocks, load_diagram
+from surgerycalc.expansion import expand_diagram
 from surgerycalc.selftest import SelfTestFailure, run_checks
 
-from helpers import run_cli
+from helpers import entrywise_linking, run_cli
 
 
 def figure1_path(tmp_path):
@@ -673,3 +675,104 @@ def test_large_expand_output_byte_identical(tmp_path, capsys, policy):
         assert text.splitlines(True) == [
             line + "\n" for line in ["command: expand", *expected]
         ]
+
+
+@pytest.mark.parametrize("policy", ["all-negative", "all-positive", "balanced"])
+def test_large_expand_output_matches_entrywise_rule(tmp_path, capsys, policy):
+    # 296 curves of K, each but the first a push-off with tb one lower
+    # than K's, then L and the three stabilized curves of +5/2 on M
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(_large_diagram(296)), encoding="utf-8")
+    source = load_diagram(path)
+    presentation = expand_diagram(source, zigzag_policy=policy)
+    oracle = entrywise_linking(presentation, source.linking_number)
+    oracle = [list(row) for row in oracle]
+    argv = ["expand", str(path), "--zigzag-policy", policy]
+    assert main([*argv, "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [(c["id"], c["tb"]) for c in results["components"]] == [
+        (c.id, c.knot.tb) for c in presentation.components
+    ]
+    assert len(oracle) == 300
+    assert results["linking"] == oracle
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("linking:") + 1
+    assert lines[start:] == ["  [" + ", ".join(map(str, row)) + "]" for row in oracle]
+
+
+def test_expand_never_builds_the_linking_matrix(tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the CLI built the N x N linking matrix")
+
+    monkeypatch.setattr(LinkingBlocks, "matrix", refuse)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(_large_diagram(20)), encoding="utf-8")
+    for target in (path, tmp_path):
+        for fmt in ("text", "json"):
+            assert main(["expand", str(target), "--format", fmt]) == 0
+    assert main(["expand", "--tb", "-2", "--rot", "1", "--p", "-7", "--q", "3"]) == 0
+    capsys.readouterr()
+
+
+def test_expand_derived_id_collision_exit_2(tmp_path, capsys):
+    # +1/2 on K expands to K#1, K#2; K#1 is already a component
+    path = tmp_path / "collide.json"
+    path.write_text(
+        json.dumps(
+            {
+                "ambient": "unknown",
+                "components": [
+                    {"id": "K", "tb": -2, "rot": 1, "euler_char": 1,
+                     "contact_coefficient": "1/2"},
+                    {"id": "K#1", "tb": -1, "rot": 0, "euler_char": 1,
+                     "contact_coefficient": "-1"},
+                    {"id": "L", "tb": -1, "rot": 0, "euler_char": 1,
+                     "contact_coefficient": None},
+                ],
+                "linking": [[0, 1, 1], [1, 0, 0], [1, 0, 0]],
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert main(["expand", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: duplicate component id 'K#1'\n"
+
+
+# --------------------------------------------------------------------------
+# files the JSON decoder cannot read: exit 2, never a traceback
+
+BAD_FILES = {
+    # beyond CPython's int-string digit limit (4,300 digits by default)
+    "huge_int": (
+        '{"ambient": "unknown", "components": [{"id": "K", "tb": -'
+        + "9" * 5000
+        + ', "rot": 0, "euler_char": 1}], "linking": [[0]]}'
+    ).encode(),
+    "deep_nesting": b"[" * 100_000,
+    "not_utf8": b'{"ambient": "unknown", "comment": "\xff\xfe"}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_undecodable_file_exit_2_without_traceback(tmp_path, case):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(BAD_FILES[case])
+    result = run_cli("expand", str(bad))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: invalid ")
+    assert "Traceback" not in result.stderr
+    # in a batch it is one error entry, and the other file still runs
+    figure1_path(tmp_path)
+    result = run_cli("expand", str(tmp_path), "--format", "json")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    batch = json.loads(result.stdout)["results"]["batch"]
+    assert [sorted(entry) for entry in batch] == [
+        ["error", "file"], ["expansion", "file"]
+    ]
+    assert batch[0]["file"] == "bad.json"
+    assert batch[0]["error"].startswith("invalid ")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -33,9 +34,10 @@ from surgerycalc import (
     ValidationError,
     classify_lemma_tight,
 )
+from surgerycalc.diagram import LinkingBlocks, json_text
 from surgerycalc.expansion import ZIGZAG_POLICIES
 
-from helpers import euclid_subtractive_steps, random_diagram
+from helpers import entrywise_linking, euclid_subtractive_steps, random_diagram
 
 
 def knot(tb=-2, rot=1, chi=-1, cid="L"):
@@ -461,34 +463,28 @@ def test_positive_pq_checks_shared_with_lemma(p, q, error, message):
 # Row-built linking against the entry-wise rule
 
 
-def entrywise_linking(derived, source_linking):
-    """The linking rule entry by entry: the oracle for the row-built matrix.
+JSON_ROW_SEP = ",\n      "  # between the entries of a row of a top-level key
 
-    A derived curve belongs to the source its id names before any "#".
-    Two curves of one source link by the earlier curve's tb; curves of
-    different sources inherit ``source_linking`` of their sources.
-    """
-    sources = [component.id.split("#")[0] for component in derived.components]
-    order = list(dict.fromkeys(sources))
-    flat = [
-        (order.index(source), component.knot.tb)
-        for source, component in zip(sources, derived.components)
+
+def assert_writer_matches(presentation, oracle):
+    """The row writer and the lazy ``derived_diagram`` both give ``oracle``."""
+    blocks = presentation.linking_blocks
+    assert list(blocks.row_texts(", ", "", "")) == [
+        ", ".join(map(str, row)) for row in oracle
     ]
-    size = len(flat)
-    linking = [[0] * size for _ in range(size)]
-    for a in range(size):
-        ga, tb_a = flat[a]
-        for b in range(a + 1, size):
-            gb = flat[b][0]
-            value = tb_a if ga == gb else source_linking(ga, gb)
-            linking[a][b] = value
-            linking[b][a] = value
-    return tuple(map(tuple, linking))
+    assert list(blocks.row_texts(JSON_ROW_SEP, "", "")) == [
+        JSON_ROW_SEP.join(map(str, row)) for row in oracle
+    ]
+    assert json_text({"linking": blocks}) == json.dumps(
+        {"linking": oracle}, indent=2, sort_keys=True
+    )
+    assert presentation.derived_diagram.linking == oracle
 
 
 def assert_rows_match_entrywise(diagram, policy):
-    derived = expand_diagram(diagram, zigzag_policy=policy).derived_diagram
-    assert derived.linking == entrywise_linking(derived, diagram.linking_number)
+    presentation = expand_diagram(diagram, zigzag_policy=policy)
+    oracle = entrywise_linking(presentation, diagram.linking_number)
+    assert_writer_matches(presentation, oracle)
 
 
 @settings(max_examples=150, deadline=None)
@@ -539,5 +535,73 @@ def test_row_built_linking_single_curve_and_interleaved_groups(policy):
 def test_single_knot_expanders_match_entrywise_rule(policy, expander, args):
     takes_policy = expander is not expand_positive_unit_fraction
     kwargs = {"zigzag_policy": policy} if takes_policy else {}
-    derived = expander(knot(), *args, **kwargs).derived_diagram
-    assert derived.linking == entrywise_linking(derived, lambda a, b: 0)
+    presentation = expander(knot(), *args, **kwargs)
+    assert_writer_matches(presentation, entrywise_linking(presentation, lambda a, b: 0))
+
+
+@pytest.mark.parametrize("policy", ZIGZAG_POLICIES)
+def test_row_writer_prefix_offsets_on_distinct_multidigit_tbs(policy):
+    # digits -2, -3, ..., -3: every curve is stabilized once more than
+    # the one before, so the tbs run -11, -12, ..., -22
+    r = evaluate_negative_continued_fraction([-2] + [-3] * 11)
+    presentation = expand_negative_rational(knot(tb=-10), r, zigzag_policy=policy)
+    tbs = [component.knot.tb for component in presentation.components]
+    assert tbs == list(range(-11, -23, -1))
+    assert_writer_matches(presentation, entrywise_linking(presentation, lambda a, b: 0))
+
+
+@pytest.mark.parametrize("policy", ZIGZAG_POLICIES)
+def test_row_writer_single_curve_groups_and_one_component(policy):
+    components = tuple(
+        SurgeryComponent(knot=knot(tb=tb, rot=0, chi=1, cid=cid), contact_coefficient=r)
+        for cid, tb, r in (
+            ("A", -13, Fraction(-1)),
+            ("B", 7, Fraction(1)),
+            ("L", -2, None),
+        )
+    )
+    linking = ((0, -10, 4), (-10, 0, 123), (4, 123, 0))
+    for diagram in (
+        SurgeryDiagram(AmbientStatus.TIGHT, components, linking),
+        SurgeryDiagram(AmbientStatus.TIGHT, components[:1], ((0,),)),
+        SurgeryDiagram(AmbientStatus.TIGHT, components[2:], ((0,),)),
+        SurgeryDiagram(AmbientStatus.TIGHT, (), ()),
+    ):
+        assert_rows_match_entrywise(diagram, policy)
+
+
+def test_derived_diagram_is_built_once_and_validated():
+    presentation = expand_positive_rational(knot(), 11, 4)
+    derived = presentation.derived_diagram
+    assert presentation.derived_diagram is derived
+    assert derived.ids == tuple(component.id for component in presentation.components)
+    assert derived.ambient is presentation.ambient is AmbientStatus.UNKNOWN
+
+
+def test_linking_blocks_check_symmetry_like_surgery_diagram():
+    # groups of 1, 2 and 1 curves; source[1][2] = 5 but source[2][1] = 4
+    tbs = ((-1,), (-2, -2), (-3,))
+    source = ((0, 1, 2), (1, 0, 5), (2, 4, 0))
+    with pytest.raises(ValidationError) as raised:
+        LinkingBlocks(tbs=tbs, source=source)
+    matrix = ((0, 1, 1, 2), (1, 0, -2, 5), (1, -2, 0, 5), (2, 4, 4, 0))
+    components = tuple(
+        SurgeryComponent(knot=knot(cid=cid)) for cid in ("A", "B#1", "B#2", "C")
+    )
+    with pytest.raises(ValidationError) as expected:
+        SurgeryDiagram(AmbientStatus.UNKNOWN, components, matrix)
+    assert str(raised.value) == str(expected.value) == "linking[3][1] != linking[1][3]"
+    symmetric = LinkingBlocks(tbs=tbs, source=((0, 1, 2), (1, 0, 4), (2, 4, 0)))
+    assert symmetric.matrix() == (
+        (0, 1, 1, 2), (1, 0, -2, 4), (1, -2, 0, 4), (2, 4, 4, 0)
+    )
+
+
+def test_derived_id_collision_raises_at_expand_time():
+    components = (
+        SurgeryComponent(knot=knot(cid="K"), contact_coefficient=Fraction(1, 2)),
+        SurgeryComponent(knot=knot(cid="K#1"), contact_coefficient=Fraction(-1)),
+    )
+    diagram = SurgeryDiagram(AmbientStatus.UNKNOWN, components, ((0, 1), (1, 0)))
+    with pytest.raises(ValidationError, match="^duplicate component id 'K#1'$"):
+        expand_diagram(diagram)
