@@ -15,6 +15,7 @@ from surgerycalc import (
     inner_product,
     parse_rational,
     solve,
+    solve_integral,
 )
 
 # Rationals travel as "p/q" strings in files and options.
@@ -32,6 +33,11 @@ print("det M =", det(m), " (equals n*tb + 1 = -3)")
 x = solve(m, (-2, -2))
 print("M^-1 (tb, tb) =", tuple(map(str, x)))
 
+# The kernel behind solve works in integers: it returns y and d with
+# x = y / d, and solve_integral hands over that pair itself.
+y, d = solve_integral(m, (-2, -2))
+print("as integers over one denominator: y =", y, " d =", d)
+
 # Pairing it with the rotation vector (rot, rot), rot = 1:
 pairing = inner_product((1, 1), x)
 print("<(rot, rot), M^-1 (tb, tb)> =", pairing)
@@ -42,8 +48,10 @@ print("rot_Q = rot - pairing =", 1 - pairing, " (equals rot/(n*tb+1) = -1/3)")
 print("\ndet of a rational matrix:", det(SquareMatrix([["1/2", "1/3"], ["1/4", "1/5"]])))
 print("det of the 0x0 matrix:", det(SquareMatrix([])))
 
-# Sanity: an exact solve multiplies back exactly, no tolerance needed.
+# Sanity: an exact solve multiplies back exactly, no tolerance needed:
+# each row of the matrix paired with the solution gives the right-hand side.
 big = SquareMatrix([[3, -7, 2, 0], [1, 5, -4, 9], [0, 2, 8, -3], [6, -1, 1, 4]])
 v = (Fraction(1), Fraction(-2), Fraction(3), Fraction(-4))
-assert big.apply(solve(big, v)) == v
+solution = solve(big, v)
+assert tuple(inner_product(row, solution) for row in big.rows) == v
 print("\nmultiply-back check on a 4x4 solve: exact")

@@ -13,7 +13,8 @@ Modules:
 * ``exact``: exact vectors and matrices; int entries stay ints, and
   determinants and solves share one fraction-free (Bareiss)
   elimination kernel over Python ints (a row holding a Fraction is
-  scaled by the lcm of its denominators). Results are Fractions.
+  scaled by the lcm of its denominators). Results are Fractions except
+  ``solve_integral``'s: ints y and d, the solution being y / d.
 * ``diagram``: the surgery diagram data model, one framed linking
   matrix builder behind the invariants' k x k system, ``dual_system``
   (what the dense oracle runs on) and the bordered check matrices, and
@@ -27,7 +28,8 @@ Modules:
 * ``invariants``: invariants of surgery-dual knots; ``dual_invariants``
   is the one entry point: a k x k solve over the unexpanded components
   plus an O(m) sweep per expanded curve group, never the expanded
-  matrix. The closed forms and the dense matrix path stay as oracles.
+  matrix, in ints until tb_Q and rot_Q. The closed forms and the dense
+  matrix path stay as oracles.
 * ``classify``: the tight/overtwisted decision rules with
   justification traces.
 * ``cli`` / ``selftest``: the command-line tool and its built-in
@@ -77,12 +79,14 @@ from .exact import (
     Rational,
     SingularMatrix,
     SquareMatrix,
+    TooManyDigits,
     as_rational,
     det,
     format_rational,
     inner_product,
     parse_rational,
     solve,
+    solve_integral,
 )
 from .expansion import (
     ExpandedPresentation,
@@ -132,6 +136,7 @@ __all__ = [
     "SquareMatrix",
     "SurgeryComponent",
     "SurgeryDiagram",
+    "TooManyDigits",
     "UnexpandedCoefficient",
     "Unsupported",
     "ValidationError",
@@ -171,6 +176,7 @@ __all__ = [
     "run_checks",
     "serialize_diagram",
     "solve",
+    "solve_integral",
     "stabilization_counts",
     "topological_coefficient",
     "verdict_from_bennequin",

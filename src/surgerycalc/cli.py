@@ -60,7 +60,7 @@ from .diagram import (
     json_text,
     load_diagram,
 )
-from .exact import format_rational
+from .exact import TooManyDigits, format_rational
 from .expansion import (
     ExpandedPresentation,
     NotCoprime,
@@ -92,6 +92,7 @@ _INPUT_ERRORS = (
     RangeError,
     Unsupported,
     InconsistentAssumptions,
+    TooManyDigits,
     OSError,
 )
 

@@ -240,18 +240,6 @@ class SurgeryDiagram:
     def linking_number(self, i: int, j: int) -> int:
         return self.linking[i][j]
 
-    def surgered_indices(self) -> tuple[int, ...]:
-        return tuple(
-            i for i, component in enumerate(self.components) if component.is_surgered
-        )
-
-    def unsurgered_indices(self) -> tuple[int, ...]:
-        return tuple(
-            i
-            for i, component in enumerate(self.components)
-            if not component.is_surgered
-        )
-
 
 def _check_unique_ids(components) -> None:
     """Raise ValidationError naming the first component id seen twice."""

@@ -19,8 +19,9 @@ row that holds a Fraction (right-hand side included) by the lcm of its
 denominators, runs fraction-free Bareiss elimination (Bareiss 1968)
 over Python ints, and back-substitutes for y = d * x, where d is the
 last pivot (the determinant of the scaled system up to sign). By
-Cramer's rule y is integral, so every division is exact. Fractions are
-built only for the returned values, and `inner_product` builds one
+Cramer's rule y is integral, so every division is exact.
+`solve_integral` returns the pair (y, d) itself, for callers that stay
+in ints; `solve` builds a Fraction per entry, and `inner_product` one
 over a common denominator. Linking matrices of expanded presentations
 have up to hundreds of rows; elimination is cubic in the dimension,
 and keeping the per-entry gcd of Fraction arithmetic out of the inner
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -41,12 +43,14 @@ __all__ = [
     "RationalLike",
     "SingularMatrix",
     "SquareMatrix",
+    "TooManyDigits",
     "as_rational",
     "det",
     "format_rational",
     "inner_product",
     "parse_rational",
     "solve",
+    "solve_integral",
 ]
 
 #: The universal numeric type of the package.
@@ -66,6 +70,10 @@ class DimensionMismatch(ValueError):
 
 class SingularMatrix(ValueError):
     """Linear solve attempted on a matrix with determinant zero."""
+
+
+class TooManyDigits(ValueError):
+    """A number has more digits than CPython converts to a string."""
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -99,8 +107,17 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: RationalLike) -> str:
-    """Render a rational as "p/q", or plain "p" when the denominator is 1."""
-    return str(as_rational(value))
+    """Render a rational as "p/q", or plain "p" when the denominator is 1.
+
+    Raises TooManyDigits past CPython's int-string digit limit."""
+    value = as_rational(value)
+    try:
+        return str(value)
+    except ValueError:
+        raise TooManyDigits(
+            "result too large to print: more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _entries(values: Iterable[RationalLike]) -> tuple[int | Fraction, ...]:
@@ -140,15 +157,6 @@ class SquareMatrix:
                 )
         self._rows = normalized
 
-    @classmethod
-    def identity(cls, dimension: int) -> "SquareMatrix":
-        return cls(
-            tuple(
-                tuple(int(i == j) for j in range(dimension))
-                for i in range(dimension)
-            )
-        )
-
     @property
     def dimension(self) -> int:
         return len(self._rows)
@@ -160,22 +168,6 @@ class SquareMatrix:
     def __getitem__(self, key: tuple[int, int]) -> int | Fraction:
         i, j = key
         return self._rows[i][j]
-
-    def is_symmetric(self) -> bool:
-        return all(
-            self._rows[i][j] == self._rows[j][i]
-            for i in range(self.dimension)
-            for j in range(i)
-        )
-
-    def apply(self, vector: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-        """Matrix-vector product, exact."""
-        vec = _entries(vector)
-        if len(vec) != self.dimension:
-            raise DimensionMismatch(
-                f"vector has {len(vec)} entries, matrix dimension is {self.dimension}"
-            )
-        return tuple(inner_product(row, vec) for row in self._rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SquareMatrix):
@@ -254,8 +246,10 @@ def det(matrix: SquareMatrix) -> Fraction:
     return Fraction(sign * upper[-1][0], scale)
 
 
-def solve(matrix: SquareMatrix, vector: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-    """Solve matrix . x = vector exactly.
+def solve_integral(
+    matrix: SquareMatrix, vector: Sequence[RationalLike]
+) -> tuple[tuple[int, ...], int]:
+    """Integers (y, d), d != 0, with matrix . (y / d) = vector exactly.
 
     Raises SingularMatrix when the determinant vanishes (no pivot can
     be found), DimensionMismatch when the vector length is wrong.
@@ -267,7 +261,7 @@ def solve(matrix: SquareMatrix, vector: Sequence[RationalLike]) -> tuple[Fractio
             f"vector has {len(vec)} entries, matrix dimension is {n}"
         )
     if n == 0:
-        return ()
+        return (), 1
     reduced = _eliminate([row + (v,) for row, v in zip(matrix.rows, vec)], n)
     if reduced is None:
         raise SingularMatrix("matrix has determinant zero")
@@ -280,6 +274,12 @@ def solve(matrix: SquareMatrix, vector: Sequence[RationalLike]) -> tuple[Fractio
     for i in range(n - 1, -1, -1):
         row = upper[i]
         y[i] = (d * row[-1] - sum(map(mul, row[1:-1], y[i + 1 :]))) // row[0]
+    return tuple(y), d
+
+
+def solve(matrix: SquareMatrix, vector: Sequence[RationalLike]) -> tuple[Fraction, ...]:
+    """Solve matrix . x = vector exactly: ``solve_integral`` as Fractions."""
+    y, d = solve_integral(matrix, vector)
     return tuple(Fraction(value, d) for value in y)
 
 

@@ -75,6 +75,8 @@ ZIGZAG_POLICIES = ("all-negative", "all-positive", "balanced")
 
 DEFAULT_ZIGZAG_POLICY = "all-negative"
 
+_SIGNS = frozenset((-1, 1))
+
 #: A policy is either one of the named choices or, for the single-knot
 #: expanders, an explicit list of sign tuples (one per chain curve).
 ZigzagPolicy = Union[str, Sequence[Sequence[int]]]
@@ -110,7 +112,7 @@ class ExpansionStep:
             self, "stabilization_signs", tuple(self.stabilization_signs)
         )
         coefficient = as_rational(self.coefficient)
-        if coefficient not in (Fraction(1), Fraction(-1)):
+        if coefficient not in (1, -1):
             raise ValidationError(
                 f"expansion step coefficient must be +1 or -1, got "
                 f"{format_rational(coefficient)}"
@@ -123,7 +125,7 @@ class ExpansionStep:
                 f"{len(self.stabilization_signs)} stabilization signs for "
                 f"{self.stabilizations} stabilizations"
             )
-        if any(sign not in (-1, 1) for sign in self.stabilization_signs):
+        if not _SIGNS.issuperset(self.stabilization_signs):
             raise ValidationError("stabilization signs must be +1 or -1")
 
 

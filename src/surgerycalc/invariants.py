@@ -19,7 +19,9 @@ homology lattice; the denominators of tb_Q and rot_Q always divide it.
 The rational Seifert surface of L is the image of one for the original
 knot, so its Euler characteristic is carried over verbatim.
 ``dual_invariants_matrix`` evaluates these formulas densely; it is the
-oracle of the compressed path below.
+oracle of the compressed path below. Both take the solve as integers
+y / d (``exact.solve_integral``) and build only tb_Q and rot_Q as
+Fractions.
 
 Integer-coefficient convention. When every surgered coefficient is an
 integer, each surgered component is one curve with its own tb and rot
@@ -34,8 +36,9 @@ M is then (sum m_i) x (sum m_i).
 Compressed path (``dual_invariants``), which never builds that M:
 
 1. Lambda is the k x k matrix with Lambda_ii = tb_i + r_i and
-   Lambda_ij = lk_ij. One exact solve gives sigma = Lambda^-1 l, the
-   sums of the group parts of x = M^-1 lk, and tb_Q = tb - < l, sigma >.
+   Lambda_ij = lk_ij. One exact solve gives sigma = Lambda^-1 l = y / d,
+   the sums of the group parts of x = M^-1 lk, and
+   tb_Q = tb - < l, sigma > = (tb d - < l, y >) / d.
 2. In the basis c'_j = c_j - c_(j-1) a group's block G becomes the
    symmetric tridiagonal H with H_11 = t_1 + e_1,
    H_jj = t_j - t_(j-1) + e_j + e_(j-1) and H_(j,j+1) = -e_j, and the
@@ -49,10 +52,12 @@ Compressed path (``dual_invariants``), which never builds that M:
    then x_j = x'_j - x'_(j+1). One O(m) sweep in integers.
 3. < rot, x > = < P rot, x' > (P the difference map), so group i adds
    sigma_i w_i / D_2 with w_i = sum_j eps_j D_(j+1) (rot_j - rot_(j-1)),
-   rot_0 = 0; rot_Q = rot - sum_i sigma_i w_i / D_2.
+   rot_0 = 0; rot_Q = rot - sum_i y_i w_i / (d D_2), summed over the
+   common denominator d lcm_i(D_2).
 4. The order is the lcm of the denominators of x. In group i every x_j
    is an integer multiple of sigma_i / D_2 and x_m = eps_m sigma_i / D_2,
-   so group i contributes the denominator of sigma_i / D_2.
+   so group i contributes the denominator of y_i / (d D_2), that is
+   |d D_2| / gcd(y_i, d D_2).
 
 A one-curve group has an empty tail (D_2 = 1, x_1 = sigma_i), which is
 also the unexpanded integer case. Three facts make the path total:
@@ -94,6 +99,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .diagram import (
     SurgeryComponent,
@@ -104,7 +110,7 @@ from .diagram import (
     dual_system,
     topological_coefficient,
 )
-from .exact import SingularMatrix, format_rational, inner_product, solve
+from .exact import SingularMatrix, format_rational, solve_integral
 from .expansion import DEFAULT_ZIGZAG_POLICY, _Curve, _knot_group
 
 __all__ = [
@@ -189,20 +195,13 @@ def dual_invariants_matrix(
     coefficient (expand the diagram first if necessary). One exact
     solve x = M^-1 lk gives tb_Q = tb - <lk, x>,
     rot_Q = rot - <(rot_1, ..., rot_k), x> and the order as the lcm of
-    the denominators of x. Raises
-    NonNullhomologousDual when det(M) = 0.
+    the denominators of x, each curve a one-curve group of the
+    compressed path. Raises NonNullhomologousDual when det(M) = 0.
     """
     m, link_vector = dual_system(diagram, dual_index)
-    solution = _solve_dual(m, link_vector)
-    dual = diagram.components[dual_index].knot
-    order = math.lcm(*(value.denominator for value in solution))
-    others = [i for i in range(len(diagram.components)) if i != dual_index]
-    rotations = tuple(diagram.components[i].knot.rot for i in others)
-    tb_q = Fraction(dual.tb) - inner_product(link_vector, solution)
-    rot_q = Fraction(dual.rot) - inner_product(rotations, solution)
-    return DualKnotInvariants(
-        tb_q=tb_q, rot_q=rot_q, order=order, euler_char=dual.euler_char
-    )
+    surgered = [c for i, c in enumerate(diagram.components) if i != dual_index]
+    sweeps = [(1, c.knot.rot) for c in surgered]
+    return _solve_dual(diagram.components[dual_index].knot, m, link_vector, sweeps)
 
 
 def dual_invariants(diagram: SurgeryDiagram, component_id: str) -> DualKnotInvariants:
@@ -225,34 +224,35 @@ def dual_invariants(diagram: SurgeryDiagram, component_id: str) -> DualKnotInvar
     dual_index = diagram.component_index(component_id)
     others, link_vector = _dual_links(diagram, dual_index)
     groups = _curve_groups([diagram.components[i] for i in others])
-    sigma = _solve_dual(
-        _framed_matrix(diagram, others, topological_coefficient), link_vector
-    )
-    dual = diagram.components[dual_index].knot
-    rot_q = Fraction(dual.rot)
-    order = 1
-    for sigma_i, curves in zip(sigma, groups):
-        tail_det, weight = _group_sweep(curves)
-        unit = sigma_i / tail_det
-        rot_q -= unit * weight
-        order = math.lcm(order, unit.denominator)
-    return DualKnotInvariants(
-        tb_q=Fraction(dual.tb) - inner_product(link_vector, sigma),
-        rot_q=rot_q,
-        order=order,
-        euler_char=dual.euler_char,
-    )
+    matrix = _framed_matrix(diagram, others, topological_coefficient)
+    sweeps = [_group_sweep(curves) for curves in groups]
+    return _solve_dual(diagram.components[dual_index].knot, matrix, link_vector, sweeps)
 
 
-def _solve_dual(matrix, link_vector) -> tuple[Fraction, ...]:
-    """``matrix^-1 link_vector``; NonNullhomologousDual when it is singular."""
+def _solve_dual(dual, matrix, link_vector, sweeps) -> DualKnotInvariants:
+    """The invariants of knot ``dual`` from sigma = y / d = matrix^-1
+    link_vector and each group's (D_2, w), in ints (module docstring,
+    steps 1, 3 and 4). NonNullhomologousDual when the matrix is singular.
+    """
     try:
-        return solve(matrix, link_vector)
+        y, d = solve_integral(matrix, link_vector)
     except SingularMatrix:
         raise NonNullhomologousDual(
             "det(M) = 0: the dual knot is not rationally nullhomologous and "
             "its rational invariants are undefined"
         ) from None
+    scale = math.lcm(*(tail for tail, _ in sweeps))
+    pairs = list(zip(y, sweeps))
+    rotation = sum(y_i * weight * (scale // tail) for y_i, (tail, weight) in pairs)
+    order = math.lcm(
+        *(abs(d * tail) // math.gcd(y_i, d * tail) for y_i, (tail, _) in pairs)
+    )
+    return DualKnotInvariants(
+        tb_q=Fraction(dual.tb * d - sum(map(mul, link_vector, y)), d),
+        rot_q=Fraction(dual.rot * d * scale - rotation, d * scale),
+        order=order,
+        euler_char=dual.euler_char,
+    )
 
 
 def _curve_groups(components: list[SurgeryComponent]) -> list[list[_Curve]]:

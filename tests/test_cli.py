@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -344,31 +345,31 @@ def test_selftest_fault_injection(monkeypatch):
 
 def test_selftest_fault_injection_solve_path(monkeypatch):
     # The matrix-path dual invariants reach the elimination kernel only
-    # through solve; a perturbed solution must be caught by the
+    # through solve_integral; a perturbed numerator must be caught by the
     # closed-form comparison grid.
-    true_solve = surgerycalc.invariants.solve
+    true_solve = surgerycalc.invariants.solve_integral
 
     def perturbed(matrix, vector):
-        solution = true_solve(matrix, vector)
-        return (solution[0] + 1,) + solution[1:]
+        y, d = true_solve(matrix, vector)
+        return (y[0] + 1,) + y[1:], d
 
-    monkeypatch.setattr(surgerycalc.invariants, "solve", perturbed)
+    monkeypatch.setattr(surgerycalc.invariants, "solve_integral", perturbed)
     with pytest.raises(
         SelfTestFailure, match=r"closed-form vs matrix-path dual invariants"
     ):
         run_checks()
 
 
-def test_selftest_fault_injection_inner_product(monkeypatch):
-    # The matrix-path dual invariants pair the solution with lk and rot
-    # through inner_product; a perturbed pairing must be caught by the
-    # closed-form comparison grid.
-    true_inner_product = surgerycalc.invariants.inner_product
-    monkeypatch.setattr(
-        surgerycalc.invariants,
-        "inner_product",
-        lambda left, right: true_inner_product(left, right) + 1,
-    )
+def test_selftest_fault_injection_solve_denominator(monkeypatch):
+    # tb_Q, rot_Q and the order all divide by the kernel's d; a doubled
+    # d must be caught by the closed-form comparison grid.
+    true_solve = surgerycalc.invariants.solve_integral
+
+    def perturbed(matrix, vector):
+        y, d = true_solve(matrix, vector)
+        return y, 2 * d
+
+    monkeypatch.setattr(surgerycalc.invariants, "solve_integral", perturbed)
     with pytest.raises(
         SelfTestFailure, match=r"closed-form vs matrix-path dual invariants"
     ):
@@ -776,3 +777,50 @@ def test_undecodable_file_exit_2_without_traceback(tmp_path, case):
     ]
     assert batch[0]["file"] == "bad.json"
     assert batch[0]["error"].startswith("invalid ")
+
+
+# --------------------------------------------------------------------------
+# results beyond the int-string digit limit: exit 2, never a traceback
+
+
+TOO_LARGE = (
+    f"result too large to print: more than {sys.get_int_max_str_digits()} digits"
+)
+
+
+def huge_result_path(tmp_path):
+    # K (tb -1, coefficient -1) links L by a 4,001-digit number, a valid
+    # input; tb_Q of L has about 8,000 digits, beyond CPython's limit.
+    lk = "7" * 4001
+    target = tmp_path / "huge.json"
+    target.write_text(
+        '{"ambient": "unknown", "components": ['
+        '{"id": "K", "tb": -1, "rot": 0, "euler_char": 1, '
+        '"contact_coefficient": "-1"}, '
+        '{"id": "L", "tb": -1, "rot": 0, "euler_char": 1, '
+        f'"contact_coefficient": null}}], "linking": [[0, {lk}], [{lk}, 0]]}}',
+        encoding="utf-8",
+    )
+    return target
+
+
+def test_result_too_large_to_print_exit_2(tmp_path):
+    result = run_cli("invariants", str(huge_result_path(tmp_path)), "--dual", "L")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {TOO_LARGE}\n"
+
+
+def test_result_too_large_to_print_is_one_batch_entry(tmp_path, capsys):
+    huge_result_path(tmp_path)
+    figure1_path(tmp_path)
+    code = main(["invariants", str(tmp_path), "--dual", "L", "--format", "json"])
+    assert code == 2
+    batch = json.loads(capsys.readouterr().out)["results"]["batch"]
+    assert [sorted(entry) for entry in batch] == [
+        ["file", "invariants"], ["error", "file"]
+    ]
+    assert batch[1] == {
+        "file": "huge.json",
+        "error": TOO_LARGE,
+    }

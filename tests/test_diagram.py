@@ -201,7 +201,7 @@ def test_determinant_identities_on_grid():
             spec = PlusOneChainSpec(tb=tb, rot=0, euler_char=1, n=n)
             m = build_linking_matrix(spec)
             m0 = build_extended_matrix(spec)
-            assert m.is_symmetric() and m0.is_symmetric()
+            assert m.rows == tuple(zip(*m.rows)) and m0.rows == tuple(zip(*m0.rows))
             assert det(m) == n * tb + 1
             assert det(m0) == -n * tb * tb
 

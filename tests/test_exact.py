@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,12 +14,14 @@ from surgerycalc import (
     DimensionMismatch,
     SingularMatrix,
     SquareMatrix,
+    TooManyDigits,
     as_rational,
     det,
     format_rational,
     inner_product,
     parse_rational,
     solve,
+    solve_integral,
 )
 from surgerycalc.selftest import _cofactor_det as cofactor_det
 
@@ -27,6 +30,13 @@ from helpers import random_rational
 fractions_st = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
 )
+
+IDENTITY_2 = SquareMatrix([[1, 0], [0, 1]])
+
+
+def apply(matrix, vector):
+    """matrix . vector, one exact inner product per row."""
+    return tuple(inner_product(row, vector) for row in matrix.rows)
 
 
 # --------------------------------------------------------------------------
@@ -58,6 +68,17 @@ def test_format_round_trip():
         assert format_rational(parse_rational(text)) == text
 
 
+def test_format_beyond_the_digit_limit_raises_too_many_digits():
+    limit = sys.get_int_max_str_digits()
+    for value in (10**limit, Fraction(1, 10**limit), -(10**limit)):
+        with pytest.raises(TooManyDigits, match=f"more than {limit} digits"):
+            format_rational(value)
+    assert format_rational(10**limit - 1) == "9" * limit
+    with pytest.raises(ValueError) as error:
+        format_rational("1.5")
+    assert type(error.value) is ValueError
+
+
 @settings(deadline=None)
 @given(fractions_st, fractions_st, fractions_st)
 def test_canonical_form_after_arithmetic(x, y, z):
@@ -77,7 +98,7 @@ def test_canonical_form_after_arithmetic(x, y, z):
 
 
 def test_det_identity_2x2():
-    assert det(SquareMatrix.identity(2)) == 1
+    assert det(IDENTITY_2) == 1
 
 
 def test_det_counterexample_matrices():
@@ -148,8 +169,14 @@ def test_det_and_solve_rational_entries_randomized():
             singular += 1
             with pytest.raises(SingularMatrix):
                 solve(matrix, vector)
+            with pytest.raises(SingularMatrix):
+                solve_integral(matrix, vector)
         else:
-            assert matrix.apply(solve(matrix, vector)) == vector
+            solution = solve(matrix, vector)
+            assert apply(matrix, solution) == vector
+            y, d = solve_integral(matrix, vector)
+            assert {type(v) for v in y} <= {int} and type(d) is int and d != 0
+            assert tuple(Fraction(v, d) for v in y) == solution
     assert singular > 0
 
 
@@ -174,7 +201,7 @@ def test_zero_first_pivot_needs_row_swap(rows):
     assert matrix[0, 0] == 0
     assert det(matrix) == cofactor_det(matrix.rows) != 0
     vector = tuple(Fraction(k + 1, 3) for k in range(matrix.dimension))
-    assert matrix.apply(solve(matrix, vector)) == vector
+    assert apply(matrix, solve(matrix, vector)) == vector
 
 
 @pytest.mark.parametrize("rows", ZERO_LAST_PIVOT)
@@ -200,7 +227,7 @@ def test_matrix_shape_validation():
 
 
 def test_solve_identity():
-    assert solve(SquareMatrix.identity(2), (3, 5)) == (3, 5)
+    assert solve(IDENTITY_2, (3, 5)) == (3, 5)
 
 
 def test_solve_pushoff_matrix():
@@ -210,7 +237,7 @@ def test_solve_pushoff_matrix():
     matrix = SquareMatrix([[-1, -2], [-2, -1]])
     solution = solve(matrix, (-2, -2))
     assert solution == (Fraction(2, 3), Fraction(2, 3))
-    assert matrix.apply(solution) == (Fraction(-2), Fraction(-2))
+    assert apply(matrix, solution) == (Fraction(-2), Fraction(-2))
 
 
 def test_solve_multiply_back_randomized():
@@ -222,7 +249,7 @@ def test_solve_multiply_back_randomized():
         if det(matrix) == 0:
             continue
         vector = tuple(rng.randint(-9, 9) for _ in range(4))
-        assert matrix.apply(solve(matrix, vector)) == tuple(
+        assert apply(matrix, solve(matrix, vector)) == tuple(
             Fraction(v) for v in vector
         )
         done += 1
@@ -235,7 +262,9 @@ def test_solve_singular_raises():
 
 def test_solve_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        solve(SquareMatrix.identity(2), (1, 2, 3))
+        solve(IDENTITY_2, (1, 2, 3))
+    with pytest.raises(DimensionMismatch):
+        solve_integral(IDENTITY_2, (1, 2, 3))
 
 
 def test_solve_dimension_zero():
@@ -259,7 +288,7 @@ def test_solve_multiply_back_hypothesis(rows, vector):
         with pytest.raises(SingularMatrix):
             solve(matrix, vector)
         return
-    assert matrix.apply(solve(matrix, vector)) == tuple(Fraction(v) for v in vector)
+    assert apply(matrix, solve(matrix, vector)) == tuple(Fraction(v) for v in vector)
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import surgerycalc.data as bundled
 from surgerycalc import (
     AmbientStatus,
+    ExpansionStep,
     LegendrianKnotData,
     NotCoprime,
     RangeError,
@@ -32,6 +33,7 @@ from surgerycalc import (
     SurgeryComponent,
     SurgeryDiagram,
     ValidationError,
+    as_rational,
     classify_lemma_tight,
 )
 from surgerycalc.diagram import LinkingBlocks, json_text
@@ -267,6 +269,33 @@ def test_policy_explicit():
     assert presentation.zigzag_policy == "explicit"
     rots = [c.knot.rot for c in presentation.derived_diagram.components]
     assert rots == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "coefficient, stabilizations, signs, message",
+    [
+        (2, 0, (), "expansion step coefficient must be +1 or -1, got 2"),
+        (Fraction(1, 2), 0, (), "expansion step coefficient must be +1 or -1, got 1/2"),
+        ("-1/2", 0, (), "expansion step coefficient must be +1 or -1, got -1/2"),
+        (-1, -1, (), "stabilization count must be non-negative"),
+        (-1, 2, (1,), "1 stabilization signs for 2 stabilizations"),
+        (-1, 1, (1, -1), "2 stabilization signs for 1 stabilizations"),
+        (1, 2, (1, 0), "stabilization signs must be +1 or -1"),
+        (1, 1, (2,), "stabilization signs must be +1 or -1"),
+    ],
+)
+def test_expansion_step_rejects(coefficient, stabilizations, signs, message):
+    with pytest.raises(ValidationError) as raised:
+        ExpansionStep("K", coefficient, stabilizations, signs)
+    assert str(raised.value) == message
+
+
+def test_expansion_step_normalizes_its_fields():
+    for coefficient in (1, -1, "1", "-1", Fraction(-1)):
+        step = ExpansionStep("K", coefficient, 2, [1, -1])
+        assert type(step.coefficient) is Fraction
+        assert step.coefficient == as_rational(coefficient)
+        assert step.stabilization_signs == (1, -1)
 
 
 def test_policy_explicit_wrong_length():
