@@ -27,9 +27,9 @@ Modules:
   first read.
 * ``invariants``: invariants of surgery-dual knots; ``dual_invariants``
   is the one entry point: a k x k solve over the unexpanded components
-  plus an O(m) sweep per expanded curve group, never the expanded
-  matrix, in ints until tb_Q and rot_Q. The closed forms and the dense
-  matrix path stay as oracles.
+  plus a closed form per expanded curve group, never the curves or the
+  expanded matrix, in ints until tb_Q and rot_Q. The (+1/n) closed
+  forms and the dense matrix path stay as oracles.
 * ``classify``: the tight/overtwisted decision rules with
   justification traces.
 * ``cli`` / ``selftest``: the command-line tool and its built-in

@@ -123,6 +123,9 @@ class Report:
 
 
 def _invariants_obj(invariants: DualKnotInvariants) -> dict:
+    # the order stays an int; an unprintable one is an input error here,
+    # not a ValueError in the renderer
+    format_rational(invariants.order)
     return {
         "tb_q": format_rational(invariants.tb_q),
         "rot_q": format_rational(invariants.rot_q),

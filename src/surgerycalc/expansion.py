@@ -28,7 +28,8 @@ the shapes the expansion rules above certify and raise Unsupported.
 One private dispatch picks the shape for every caller: ``expand_diagram``
 runs it on each surgered component (so +1 and -1 pass through as the
 knot itself), and the single-knot expanders run it after checking that
-their argument has the shape they are named for.
+their argument has the shape they are named for. Its shape test is one
+predicate, ``_check_expandable``, which ``invariants`` shares.
 
 Stabilization sign choices ("zigzags") are not canonical and genuinely
 change the resulting contact structure. They are fixed by a policy
@@ -258,10 +259,10 @@ class _Curve(NamedTuple):
     """Internal: one derived curve of a group, before it becomes a component.
 
     ``coefficient`` is +1 or -1 for an expanded curve and None for an
-    unsurgered component passing through (``invariants`` also keeps an
-    unexpanded integer-surgered component as one curve with its own
-    coefficient); ``signs`` are the zigzags applied to reach this curve
-    from its predecessor.
+    unsurgered component passing through; ``signs`` are the zigzags
+    applied to reach this curve from its predecessor. ``invariants``
+    never builds curves: it reads each group's contribution off the
+    coefficient in closed form.
     """
 
     id: str
@@ -300,6 +301,18 @@ def _negative_chain(
     return curves
 
 
+def _check_expandable(knot: LegendrianKnotData, r: Fraction) -> None:
+    """Raise Unsupported unless contact (r)-surgery along ``knot`` has an
+    expandable shape: +1/n, +p/q with p > q >= 1, or negative."""
+    if r < 0 or r.numerator == 1 or r.numerator > r.denominator:
+        return
+    raise Unsupported(
+        f"contact coefficient {format_rational(r)} on component "
+        f"{knot.id!r} is not of an expandable shape "
+        "(+-1, +1/n, +p/q with p > q >= 1, or negative)"
+    )
+
+
 def _knot_group(
     knot: LegendrianKnotData, r: Fraction, zigzag_policy: ZigzagPolicy
 ) -> list[_Curve]:
@@ -309,27 +322,21 @@ def _knot_group(
     expansion; +1 and -1 expand to the knot itself. Every curve is a
     (+1)-surgery along an unstabilized push-off or a (-1)-surgery.
     """
-    if r > 0 and r.numerator == 1:
-        n = r.denominator
-        return [
-            _Curve(
-                knot.id if n == 1 else f"{knot.id}#{position}", knot.tb, knot.rot, 1, ()
-            )
-            for position in range(1, n + 1)
-        ]
-    if r > 0 and r.numerator > r.denominator:
-        p, q = r.numerator, r.denominator
-        tail = _negative_chain(
-            knot, Fraction(-p, p - q), zigzag_policy, first_is_pushoff=True
-        )
-        return [_Curve(knot.id, knot.tb, knot.rot, 1, ())] + tail
+    _check_expandable(knot, r)
     if r < 0:
         return _negative_chain(knot, r, zigzag_policy, first_is_pushoff=False)
-    raise Unsupported(
-        f"contact coefficient {format_rational(r)} on component "
-        f"{knot.id!r} is not of an expandable shape "
-        "(+-1, +1/n, +p/q with p > q >= 1, or negative)"
+    p, q = r.numerator, r.denominator
+    if p == 1:
+        return [
+            _Curve(
+                knot.id if q == 1 else f"{knot.id}#{position}", knot.tb, knot.rot, 1, ()
+            )
+            for position in range(1, q + 1)
+        ]
+    tail = _negative_chain(
+        knot, Fraction(-p, p - q), zigzag_policy, first_is_pushoff=True
     )
+    return [_Curve(knot.id, knot.tb, knot.rot, 1, ())] + tail
 
 
 def _assemble(

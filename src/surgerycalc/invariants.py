@@ -45,43 +45,61 @@ Compressed path (``dual_invariants``), which never builds that M:
    all-ones vector becomes e_1: the group couples to L and to other
    groups only through its first curve. The tail T = H[2..m] has
    continuants D_j = det H[j..m], D_(m+1) = 1, D_(m+2) = 0,
-   D_j = H_jj D_(j+1) - D_(j+2), and pivots p_j = D_j / D_(j+1).
-   The tail rows give the suffix sums x'_j = x_j + ... + x_m as
-   x' = sigma_i (1, rho_2, rho_2 rho_3, ...) with rho_j = e_(j-1)/p_j,
-   i.e. x'_j = sigma_i eps_j D_(j+1) / D_2 with eps_j = e_1 ... e_(j-1);
-   then x_j = x'_j - x'_(j+1). One O(m) sweep in integers.
-3. < rot, x > = < P rot, x' > (P the difference map), so group i adds
-   sigma_i w_i / D_2 with w_i = sum_j eps_j D_(j+1) (rot_j - rot_(j-1)),
-   rot_0 = 0; rot_Q = rot - sum_i y_i w_i / (d D_2), summed over the
-   common denominator d lcm_i(D_2).
+   D_j = H_jj D_(j+1) - D_(j+2). The tail rows give the suffix sums
+   x'_j = x_j + ... + x_m = sigma_i eps_j D_(j+1) / D_2 with
+   eps_j = e_1 ... e_(j-1), and < rot, x > = < P rot, x' > (P the
+   difference map) = sigma_i w / D_2 with
+   w = sum_j eps_j D_(j+1) (rot_j - rot_(j-1)), rot_0 = 0.
+3. The pair (D_2, w) has a closed form. For coefficient r = p/q in
+   lowest terms (q > 0) and all-negative zigzags it is
+   (D_2, w) = +-(q, q rot_K + p - sgn p) with rot_K the rot of K_i and
+   one sign for both entries; an unexpanded component
+   (integer-coefficient convention) is (1, rot_K).
+   Proof. Let s_j be the stabilizations of c_j, so
+   rot_j - rot_(j-1) = -s_j for j >= 2 and rot_1 = rot_K - s_1, and
+   w = D_2 rot_K - sum_j eps_j D_(j+1) s_j. For Hirzebruch-Jung
+   continuants F_j = b_j F_(j+1) - F_(j+2) (F_(m+1) = 1,
+   F_(m+2) = 0) of a chain [b_1, ..., b_m] the sum telescopes:
+       F_2 (b_1 - 1) + sum_(j>=2) F_(j+1) (b_j - 2) = F_1 - 1,
+   since b_j F_(j+1) = F_j + F_(j+2).
+   * r < 0 with negative continued fraction digits (a_1, ..., a_m):
+     e_j = -1, s_1 = -a_1 - 1, s_j = -a_j - 2, so H_jj = a_j for
+     j >= 2. F_j = (-1)^(m+1-j) D_j are the continuants of b_j = -a_j,
+     which give -r = F_1 / F_2 in lowest terms: F_1 = -p, F_2 = q.
+     Then D_2 = (-1)^(m-1) q and eps_j D_(j+1) = (-1)^(m-1) F_(j+1),
+     so sum_j eps_j D_(j+1) s_j = (-1)^(m-1) (-p - 1) by the identity.
+   * r = +1/n: e_j = +1 and s_j = 0, so H_jj = 2 for j >= 2,
+     D_j = m - j + 2, D_2 = n = q and w = q rot_K (p - sgn p = 0).
+   * r = +p/q with p > q: c_1 is the knot itself (e_1 = +1, s_1 = 0),
+     and c_2, ..., c_m is the chain of -p/(p-q) = [a'_1, ..., a'_(m-1)]
+     pushed off it, so H_22 = a'_1 + 1 and H_jj = a'_(j-1) for j >= 3.
+     With F'_i the continuants of b'_i = -a'_i (F'_1 = p,
+     F'_2 = p - q), D_(j+1) = (-1)^(m-j) F'_j for j >= 2, and
+     D_2 = (a'_1 + 1) D_3 - D_4 = (-1)^m (F'_2 - F'_1) = (-1)^(m-1) q.
+     eps_j D_(j+1) = (-1)^m F'_j for j >= 2, and the identity gives
+     sum_j eps_j D_(j+1) s_j = (-1)^m (p - 1).
+   rot_Q = rot - sum_i y_i w_i / (d D_2), summed over the common
+   denominator d lcm_i(D_2); the common sign of a pair cancels there.
 4. The order is the lcm of the denominators of x. In group i every x_j
    is an integer multiple of sigma_i / D_2 and x_m = eps_m sigma_i / D_2,
    so group i contributes the denominator of y_i / (d D_2), that is
-   |d D_2| / gcd(y_i, d D_2).
+   |d D_2| / gcd(y_i, d D_2), in which the sign cancels too.
 
-A one-curve group has an empty tail (D_2 = 1, x_1 = sigma_i), which is
-also the unexpanded integer case. Three facts make the path total:
+Each group costs O(1) integer operations whatever its curve count m.
+Two facts make the path total:
 
-* The tail pivots never vanish. +1/n: t_j = tb and e_j = +1, so
-  H_jj = 2 for j >= 2, D_j = m - j + 2 and p_j > 1. Negative r with
-  continued fraction digits (a_1, ..., a_m): e_j = -1 and
-  t_j - t_(j-1) = a_j + 2, so H_jj = a_j <= -2 for j >= 2, p_m <= -2
-  and p_j = a_j - 1/p_(j+1) < a_j + 1 <= -1 by induction. +p/q with
-  p > q: c_1 is K_i with e_1 = +1 and c_2, ... is the chain of
-  -p/(p-q) = [a'_1, ...]; H_jj = a'_(j-1) for j >= 3 as before and
-  H_22 = a'_1 + 1, so p_2 = -p/(p-q) + 1 = -q/(p-q) < 0.
 * det M = det Lambda * prod_i D_2^(i). The change of basis is
   unimodular. Eliminating the tails (a Schur complement on the
-  block-diagonal T_i) leaves the first curves with diagonal
-  H_11 - 1/p_2 = p_1 and off-diagonal lk_ij, and p_1 = tb_i + r_i in
-  every shape: tb + 1 - (m-1)/m = tb + 1/n; tb + a_1 - 1/p_2 = tb + r;
+  block-diagonal T_i, det T_i = D_2 = +-q, never 0) leaves the first
+  curves with diagonal p_1 = H_11 - D_3 / D_2 and off-diagonal lk_ij,
+  and p_1 = tb_i + r_i in every shape: tb + 1 - (m-1)/m = tb + 1/n;
+  tb + a_1 - (a_1 - r) = tb + r, as F_3 / F_2 = b_1 - F_1 / F_2;
   tb + 1 + (p-q)/q = tb + p/q. That matrix is Lambda. Hence M is
   singular exactly when Lambda is, and a SingularMatrix from the
   k x k solve is the dense path's NonNullhomologousDual.
 * A group with tb_i + r_i = 0 needs no special case: that is a zero
   diagonal entry of Lambda, which the exact solve pivots around, and
-  the sweep divides only by the tail continuants, never by
-  p_1 = tb_i + r_i. Such a G is singular by itself
+  the closed form divides by nothing. Such a G is singular by itself
   (det G = p_1 D_2 = 0), but neither path ever inverts G.
 
 For the (+1)-push-off chain presentation of contact (+1/n)-surgery the
@@ -111,7 +129,7 @@ from .diagram import (
     topological_coefficient,
 )
 from .exact import SingularMatrix, format_rational, solve_integral
-from .expansion import DEFAULT_ZIGZAG_POLICY, _Curve, _knot_group
+from .expansion import _check_expandable
 
 __all__ = [
     "DualKnotInvariants",
@@ -208,14 +226,15 @@ def dual_invariants(diagram: SurgeryDiagram, component_id: str) -> DualKnotInvar
     """Invariants of component ``component_id`` after surgering the others.
 
     The compressed path of the module docstring: one k x k solve over
-    the unexpanded components and one O(m) sweep per curve group; the
-    expanded diagram is never built. Under the integer-coefficient
-    convention a diagram whose surgered coefficients are all integers
-    is not expanded: an integer coefficient other than +-1 keeps its
-    knot's unstabilized rot, so rot_Q can differ from the one of the
-    expansion that ``expand`` prints, while tb_Q and the order agree.
-    Otherwise each surgered component is taken as its group of curves
-    under the default zigzag policy. Raises ValidationError for an
+    the unexpanded components and each curve group's (D_2, w) in
+    closed form; the expanded diagram is never built. Under the
+    integer-coefficient convention a diagram whose surgered
+    coefficients are all integers is not expanded: an integer
+    coefficient other than +-1 keeps its knot's unstabilized rot, so
+    rot_Q can differ from the one of the expansion that ``expand``
+    prints, while tb_Q and the order agree. Otherwise each surgered
+    component is taken as its group of curves under the default zigzag
+    policy. Raises ValidationError for an
     unknown or surgered dual, Unsupported for a coefficient outside
     the expandable shapes, MissingCoefficient for a second unsurgered
     component and NonNullhomologousDual when Lambda is singular, with
@@ -223,10 +242,9 @@ def dual_invariants(diagram: SurgeryDiagram, component_id: str) -> DualKnotInvar
     """
     dual_index = diagram.component_index(component_id)
     others, link_vector = _dual_links(diagram, dual_index)
-    groups = _curve_groups([diagram.components[i] for i in others])
+    pairs = _group_pairs([diagram.components[i] for i in others])
     matrix = _framed_matrix(diagram, others, topological_coefficient)
-    sweeps = [_group_sweep(curves) for curves in groups]
-    return _solve_dual(diagram.components[dual_index].knot, matrix, link_vector, sweeps)
+    return _solve_dual(diagram.components[dual_index].knot, matrix, link_vector, pairs)
 
 
 def _solve_dual(dual, matrix, link_vector, sweeps) -> DualKnotInvariants:
@@ -255,15 +273,16 @@ def _solve_dual(dual, matrix, link_vector, sweeps) -> DualKnotInvariants:
     )
 
 
-def _curve_groups(components: list[SurgeryComponent]) -> list[list[_Curve]]:
-    """The curve group of each component other than the dual.
+def _group_pairs(components: list[SurgeryComponent]) -> list[tuple[int, int]]:
+    """(D_2, w) of each component other than the dual, up to one sign per
+    pair (module docstring, step 3).
 
     The dense path expands the diagram when it meets a non-integer
     coefficient before any unsurgered component, so exactly then every
-    surgered component becomes its ``_knot_group`` (and Unsupported
-    comes first); otherwise each is one curve carrying its own integer
-    coefficient. An unsurgered component gets no curves: building
-    Lambda raises MissingCoefficient for the first one.
+    surgered component p/q is its curve group, (q, q rot + p - sgn p),
+    and Unsupported comes first; otherwise each is one curve, (1, rot).
+    An unsurgered component's pair is never read: building Lambda
+    raises MissingCoefficient for the first one.
     """
     first = next(
         (
@@ -274,45 +293,13 @@ def _curve_groups(components: list[SurgeryComponent]) -> list[list[_Curve]]:
         None,
     )
     expand = first is not None and first.is_surgered
-    groups = []
+    pairs = []
     for c in components:
-        if not c.is_surgered:
-            groups.append([])
-        elif expand:
-            groups.append(
-                _knot_group(c.knot, c.contact_coefficient, DEFAULT_ZIGZAG_POLICY)
-            )
+        if expand and c.is_surgered:
+            r = c.contact_coefficient
+            _check_expandable(c.knot, r)
+            p, q = r.numerator, r.denominator
+            pairs.append((q, q * c.knot.rot + p - (1 if p > 0 else -1)))
         else:
-            r = int(c.contact_coefficient)
-            groups.append([_Curve(c.id, c.knot.tb, c.knot.rot, r, ())])
-    return groups
-
-
-def _tail_continuants(curves: list[_Curve]) -> list[int]:
-    """D_2, ..., D_(m+1), D_(m+2) of a group (module docstring, step 2).
-
-    Entry j - 2 is det H[j..m] of the group's tridiagonal block; the
-    tail pivots are the ratios of consecutive entries.
-    """
-    m = len(curves)
-    below = [0] * (m + 1)
-    below[m - 1] = 1
-    for j in range(m - 2, -1, -1):
-        upper, lower = curves[j], curves[j + 1]
-        diagonal = lower.tb - upper.tb + lower.coefficient + upper.coefficient
-        below[j] = diagonal * below[j + 1] - below[j + 2]
-    return below
-
-
-def _group_sweep(curves: list[_Curve]) -> tuple[int, int]:
-    """(D_2, w) of a group: x'_j = sigma eps_j D_(j+1) / D_2, and
-    < rot, x > = sigma * w / D_2 (module docstring, steps 2 and 3)."""
-    below = _tail_continuants(curves)
-    weight = 0
-    sign = 1
-    previous_rot = 0
-    for curve, minor in zip(curves, below):
-        weight += sign * minor * (curve.rot - previous_rot)
-        sign *= curve.coefficient
-        previous_rot = curve.rot
-    return below[0], weight
+            pairs.append((1, c.knot.rot))
+    return pairs

@@ -18,26 +18,31 @@ from surgerycalc import (
 )
 
 
-def run_python(*argv, text=True):
+def run_python(*argv, text=True, timeout=None):
     """Run ``python *argv`` in a child process that can import the package.
 
     The child gets the source root of the imported package prepended to
     its PYTHONPATH, so the suite also runs from a source checkout in
     which the package is not installed.  With ``text=False`` stdout and
-    stderr are the raw bytes the child wrote.
+    stderr are the raw bytes the child wrote.  A child still running
+    after ``timeout`` seconds is killed and raises TimeoutExpired.
     """
     source_root = str(Path(surgerycalc.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ)
     env["PYTHONPATH"] = source_root + (os.pathsep + inherited if inherited else "")
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=text, env=env
+        [sys.executable, *argv],
+        capture_output=True,
+        text=text,
+        env=env,
+        timeout=timeout,
     )
 
 
-def run_cli(*argv, text=True):
+def run_cli(*argv, text=True, timeout=None):
     """Run ``python -m surgerycalc`` in a child process (see ``run_python``)."""
-    return run_python("-m", "surgerycalc", *argv, text=text)
+    return run_python("-m", "surgerycalc", *argv, text=text, timeout=timeout)
 
 
 def euclid_subtractive_steps(p: int, q: int) -> int:
@@ -115,3 +120,39 @@ def entrywise_linking(derived, source_linking):
             linking[a][b] = value
             linking[b][a] = value
     return tuple(map(tuple, linking))
+
+
+def tail_continuants(curves):
+    """D_2, ..., D_(m+1), D_(m+2) of a curve group, curve by curve.
+
+    Entry j - 2 is det H[j..m] of the group's tridiagonal block in the
+    basis of differences of consecutive curves (``invariants`` module
+    docstring, step 2); the tail pivots are the ratios of consecutive
+    entries.
+    """
+    m = len(curves)
+    below = [0] * (m + 1)
+    below[m - 1] = 1
+    for j in range(m - 2, -1, -1):
+        upper, lower = curves[j], curves[j + 1]
+        diagonal = lower.tb - upper.tb + lower.coefficient + upper.coefficient
+        below[j] = diagonal * below[j + 1] - below[j + 2]
+    return below
+
+
+def group_sweep(curves):
+    """(D_2, w) of a curve group by the O(m) sweep over its curves: the
+    layer oracle of the closed form in ``invariants``.
+
+    x'_j = sigma eps_j D_(j+1) / D_2 and < rot, x > = sigma w / D_2
+    with w = sum_j eps_j D_(j+1) (rot_j - rot_(j-1)).
+    """
+    below = tail_continuants(curves)
+    weight = 0
+    sign = 1
+    previous_rot = 0
+    for curve, minor in zip(curves, below):
+        weight += sign * minor * (curve.rot - previous_rot)
+        sign *= curve.coefficient
+        previous_rot = curve.rot
+    return below[0], weight

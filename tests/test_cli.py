@@ -51,6 +51,31 @@ def test_invariants_matrix_path(tmp_path, capsys):
     assert "tb_q = -3" in out
 
 
+def test_invariants_astronomical_curve_count_finishes(tmp_path):
+    # The expansion of -1000000000001/999999999993 has about 1.25 * 10^11
+    # curves; the dual's invariants need none of them.
+    target = tmp_path / "long.json"
+    target.write_text(
+        '{"ambient": "unknown", "components": ['
+        '{"id": "K", "tb": -2, "rot": 0, "euler_char": 1, '
+        '"contact_coefficient": "-1000000000001/999999999993"}, '
+        '{"id": "L", "tb": -1, "rot": 0, "euler_char": 1, '
+        '"contact_coefficient": null}], "linking": [[0, 1], [1, 0]]}',
+        encoding="utf-8",
+    )
+    result = run_cli("invariants", str(target), "--dual", "L", timeout=30)
+    assert result.returncode == 0
+    assert result.stderr == ""
+    # tb_Q = tb_L - 1/(tb_K + r) with tb_K + r = -2999999999987/999999999993
+    assert result.stdout == (
+        "command: invariants\n"
+        "tb_q = -1999999999994/2999999999987\n"
+        "rot_q = -1000000000000/2999999999987\n"
+        "order = 2999999999987\n"
+        "euler_char = 1\n"
+    )
+
+
 def test_invariants_degenerate_exit_3(tmp_path):
     path = s1xs2_path(tmp_path)
     result = run_cli("invariants", str(path), "--dual", "U")
@@ -788,31 +813,60 @@ TOO_LARGE = (
 )
 
 
-def huge_result_path(tmp_path):
+def _huge_tb_q_diagram():
     # K (tb -1, coefficient -1) links L by a 4,001-digit number, a valid
     # input; tb_Q of L has about 8,000 digits, beyond CPython's limit.
     lk = "7" * 4001
-    target = tmp_path / "huge.json"
-    target.write_text(
+    return (
         '{"ambient": "unknown", "components": ['
         '{"id": "K", "tb": -1, "rot": 0, "euler_char": 1, '
         '"contact_coefficient": "-1"}, '
         '{"id": "L", "tb": -1, "rot": 0, "euler_char": 1, '
-        f'"contact_coefficient": null}}], "linking": [[0, {lk}], [{lk}, 0]]}}',
-        encoding="utf-8",
+        f'"contact_coefficient": null}}], "linking": [[0, {lk}], [{lk}, 0]]}}'
     )
+
+
+def _huge_order_diagram():
+    # Two pairs of (-1)-surgered knots with tb t + 1 and -t + 1, each
+    # knot linking L once: Lambda = diag(t, -t, u, -u), so tb_Q and rot_Q
+    # of L are its own while the order lcm(t, u) has about 8,400 digits.
+    knots = []
+    for index, t in enumerate((10**4200 + 1, 10**4200 + 3)):
+        for sign in (1, -1):
+            knots.append(
+                f'{{"id": "K{index}{sign:+d}", "tb": {sign * t + 1}, "rot": 0, '
+                '"euler_char": 1, "contact_coefficient": "-1"}, '
+            )
+    rows = [[0, 0, 0, 0, 1] for _ in range(4)] + [[1, 1, 1, 1, 0]]
+    return (
+        '{"ambient": "unknown", "components": [' + "".join(knots)
+        + '{"id": "L", "tb": -1, "rot": 0, "euler_char": 1, '
+        f'"contact_coefficient": null}}], "linking": {rows}}}'
+    )
+
+
+HUGE_RESULTS = {"tb_q": _huge_tb_q_diagram, "order": _huge_order_diagram}
+
+
+def huge_result_path(tmp_path, case):
+    target = tmp_path / "huge.json"
+    target.write_text(HUGE_RESULTS[case](), encoding="utf-8")
     return target
 
 
-def test_result_too_large_to_print_exit_2(tmp_path):
-    result = run_cli("invariants", str(huge_result_path(tmp_path)), "--dual", "L")
+@pytest.mark.parametrize("case", sorted(HUGE_RESULTS))
+def test_result_too_large_to_print_exit_2(tmp_path, case):
+    result = run_cli(
+        "invariants", str(huge_result_path(tmp_path, case)), "--dual", "L"
+    )
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == f"error: {TOO_LARGE}\n"
 
 
-def test_result_too_large_to_print_is_one_batch_entry(tmp_path, capsys):
-    huge_result_path(tmp_path)
+@pytest.mark.parametrize("case", sorted(HUGE_RESULTS))
+def test_result_too_large_to_print_is_one_batch_entry(tmp_path, capsys, case):
+    huge_result_path(tmp_path, case)
     figure1_path(tmp_path)
     code = main(["invariants", str(tmp_path), "--dual", "L", "--format", "json"])
     assert code == 2

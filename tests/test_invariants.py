@@ -34,10 +34,10 @@ from surgerycalc import (
     reverse_orientation,
 )
 from surgerycalc.expansion import _knot_group
-from surgerycalc.invariants import _tail_continuants
+from surgerycalc.invariants import _group_pairs
 from surgerycalc.selftest import _cofactor_det as cofactor_det
 
-from helpers import random_diagram
+from helpers import group_sweep, random_diagram, tail_continuants
 
 
 def test_homological_order_values():
@@ -409,25 +409,41 @@ def test_long_chain_shapes_match_dense_oracle(kinds, sizes):
     assert dual_invariants(diagram, "L") == _dense_oracle(diagram, "L")
 
 
-def test_tail_pivots_nonzero_and_first_pivot_is_framing():
-    # Every expandable coefficient p/q with |p|, |q| <= 40: the tail
-    # continuants D_2, ..., D_(m+1) (products of the tail pivots) are
-    # nonzero, and the first pivot H_11 - D_3/D_2 is tb + r, so the
-    # group's block has det G = (tb + r) * D_2.
-    knot = LegendrianKnotData(id="K", tb=-3, rot=2, euler_char=1)
+def test_group_pairs_closed_form_matches_sweep():
+    # Every expandable coefficient p/q with |p|, |q| <= 40 under the
+    # default zigzags: the curve-by-curve sweep gives |D_2| = q and
+    # w / D_2 = rot + (p - sgn p) / q, the pair `_group_pairs` reads off
+    # the coefficient (up to one common sign). The tail continuants
+    # D_2, ..., D_(m+1) are nonzero, and the first pivot H_11 - D_3/D_2
+    # is tb + r, so the group's block has det G = (tb + r) * D_2.
+    # A 1/2-surgered component first keeps the diagram out of the
+    # integer-coefficient convention, so integer p/q is expanded too.
+    half = SurgeryComponent(
+        knot=LegendrianKnotData(id="H", tb=-1, rot=0, euler_char=1),
+        contact_coefficient=Fraction(1, 2),
+    )
     shapes = 0
-    for p in range(-40, 41):
-        for q in range(1, 41):
-            r = Fraction(p, q)
-            if p == 0 or math.gcd(p, q) != 1 or 1 < p < q:
-                continue
-            curves = _knot_group(knot, r, "all-negative")
-            below = _tail_continuants(curves)
-            assert all(below[: len(curves)]), (r, below)
-            first = curves[0].tb + curves[0].coefficient
-            assert first * below[0] - below[1] == (knot.tb + r) * below[0]
-            shapes += 1
-    assert shapes > 1000
+    for tb, rot in ((-5, -3), (-3, 2), (-1, 0), (0, -3), (3, 2)):
+        knot = LegendrianKnotData(id="K", tb=tb, rot=rot, euler_char=1)
+        for p in range(-40, 41):
+            for q in range(1, 41):
+                r = Fraction(p, q)
+                if p == 0 or math.gcd(p, q) != 1 or 1 < p < q:
+                    continue
+                curves = _knot_group(knot, r, "all-negative")
+                below = tail_continuants(curves)
+                assert all(below[: len(curves)]), (r, below)
+                first = curves[0].tb + curves[0].coefficient
+                assert first * below[0] - below[1] == (tb + r) * below[0]
+                tail, weight = group_sweep(curves)
+                sign = 1 if p > 0 else -1
+                assert abs(tail) == q
+                assert Fraction(weight, tail) == rot + Fraction(p - sign, q)
+                component = SurgeryComponent(knot=knot, contact_coefficient=r)
+                pair = _group_pairs([half, component])[1]
+                assert pair in ((tail, weight), (-tail, -weight)), (r, pair)
+                shapes += 1
+    assert shapes > 5000
 
 
 def _push_off_diagram(coefficient, tb_k, rot_k, tb_l, rot_l, link):
@@ -446,9 +462,9 @@ def _push_off_diagram(coefficient, tb_k, rot_k, tb_l, rot_l, link):
     )
 
 
-def test_plus_one_over_n_at_scale_matches_closed_form():
-    # L a push-off of K: contact (+1/N)-surgery, N = 10^4 curves.
-    n = 10**4
+@pytest.mark.parametrize("n", [10**4, 10**30])
+def test_plus_one_over_n_at_scale_matches_closed_form(n):
+    # L a push-off of K: contact (+1/N)-surgery, N curves.
     for tb, rot in ((-2, 1), (-5, -3), (3, 2)):
         diagram = _push_off_diagram(Fraction(1, n), tb, rot, tb, rot, tb)
         assert dual_invariants(diagram, "L") == dual_invariants_closed_form(
@@ -456,14 +472,28 @@ def test_plus_one_over_n_at_scale_matches_closed_form():
         )
 
 
-def test_minus_n1_over_n_at_scale():
-    # Contact (-(N+1)/N)-surgery, N = 10^4 curves: tb_Q = tb_L - l^2/(tb_K + r).
-    n = 10**4
-    r = Fraction(-(n + 1), n)
+@pytest.mark.parametrize(
+    "r",
+    [
+        Fraction(-(10**4 + 1), 10**4),
+        # a negative continued fraction of about 1.25 * 10^11 digits
+        Fraction(-1000000000001, 999999999993),
+        # 4,000 digits in q: about 10^3999 curves
+        Fraction(-(7 * 10**3999 + 2), 3 * 10**3999 + 1),
+    ],
+)
+def test_minus_n1_over_n_at_scale(r):
+    # Contact (r)-surgery along K with an astronomical curve count:
+    # sigma = l/(tb_K + r), tb_Q = tb_L - l^2/(tb_K + r) and
+    # rot_Q = rot_L - sigma (rot_K + (p + 1)/q).
+    assert r.denominator >= 10**4
     for tb_k, tb_l, link in ((-3, -2, 5), (-1, -4, 1), (2, 0, -3)):
         diagram = _push_off_diagram(r, tb_k, 1, tb_l, 0, link)
         invariants = dual_invariants(diagram, "L")
-        assert invariants.tb_q == tb_l - Fraction(link * link) / (tb_k + r)
+        sigma = link / (tb_k + r)
+        assert invariants.tb_q == tb_l - link * sigma
+        weight = 1 + Fraction(r.numerator + 1, r.denominator)  # w / D_2
+        assert invariants.rot_q == -sigma * weight
         assert invariants.order % invariants.tb_q.denominator == 0
 
 
