@@ -9,21 +9,22 @@ Framings are always derived as tb + coefficient.
 import surgerycalc.data as bundled
 from surgerycalc import (
     PlusOneChainSpec,
-    build_extended_matrix,
     build_general_matrices,
-    build_linking_matrix,
+    chain_diagram,
     det,
     parse_diagram,
+    presentation_matrix,
     serialize_diagram,
     topological_coefficient,
 )
 
 # The (+1)-push-off chain of contact (+1/n)-surgery: n curves, framing
 # tb + 1 each, pairwise linking tb. Two closed-form determinants drive
-# every invariant formula downstream.
+# every invariant formula downstream. M frames the chain without its
+# dual push-off; M0 borders M with the dual's linking numbers.
 spec = PlusOneChainSpec(tb=-2, rot=1, euler_char=-1, n=3)
-m = build_linking_matrix(spec)
-m0 = build_extended_matrix(spec)
+m = presentation_matrix(chain_diagram(spec, dual_id=None))
+m0 = build_general_matrices(chain_diagram(spec), spec.n)[1]
 print("chain matrix M =", m)
 print("det M =", det(m), " (n*tb + 1)")
 print("extended matrix M0 =", m0)
@@ -33,8 +34,9 @@ print("\nidentity check over a small grid:")
 for tb in range(-4, 0):
     for n in range(1, 5):
         s = PlusOneChainSpec(tb=tb, rot=0, euler_char=1, n=n)
-        assert det(build_linking_matrix(s)) == n * tb + 1
-        assert det(build_extended_matrix(s)) == -n * tb * tb
+        m, m0, _ = build_general_matrices(chain_diagram(s), n)
+        assert det(m) == n * tb + 1
+        assert det(m0) == -n * tb * tb
 print("  det(M) = n*tb+1 and det(M0) = -n*tb^2 hold for tb in [-4,-1], n in [1,4]")
 
 # A bundled diagram: the counterexample configuration. The knot L is

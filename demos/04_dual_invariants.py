@@ -1,9 +1,10 @@
 """Rational invariants of surgery-dual knots.
 
 Two independent routes compute tb_Q and rot_Q of the knot an
-unsurgered component becomes in the surgered manifold: the general
+unsurgered component becomes in the surgered manifold:
+``dual_invariants``, which every command runs and which evaluates the
 linking-matrix formulas (tb_Q = tb + det M0 / det M, rot_Q through
-M^-1) and, for (+1/n)-chains, the closed forms tb/(n*tb+1) and
+M^-1), and, for (+1/n)-chains, the closed forms tb/(n*tb+1) and
 rot/(n*tb+1) with homological order |n*tb+1|. They must agree exactly.
 """
 
@@ -11,8 +12,8 @@ from surgerycalc import (
     NonNullhomologousDual,
     PlusOneChainSpec,
     chain_diagram,
+    dual_invariants,
     dual_invariants_closed_form,
-    dual_invariants_matrix,
     format_rational,
     homological_order,
 )
@@ -28,7 +29,7 @@ print(f"  order = {invariants.order}")
 # The matrix path on the generated chain diagram agrees entrywise.
 spec = PlusOneChainSpec(tb=-2, rot=1, euler_char=-1, n=3)
 diagram = chain_diagram(spec)
-via_matrix = dual_invariants_matrix(diagram, diagram.component_index("dual"))
+via_matrix = dual_invariants(diagram, "dual")
 assert via_matrix == invariants
 print("matrix path on the generated chain: identical")
 
@@ -40,8 +41,7 @@ for tb in range(-5, 0):
             continue
         for rot in range(-3, 4):
             s = PlusOneChainSpec(tb=tb, rot=rot, euler_char=1, n=n)
-            d = chain_diagram(s)
-            assert dual_invariants_matrix(d, d.component_index("dual")) == (
+            assert dual_invariants(chain_diagram(s), "dual") == (
                 dual_invariants_closed_form(tb, rot, 1, n)
             )
             cases += 1
@@ -50,7 +50,7 @@ print(f"  {cases} cases, exact equality on both fields and the order")
 # The counterexample diagram: the knot L has tb = -1 before surgery and
 # tb = -1 + det(M0)/det(M) = -1 + 2/(-1) = -3 afterwards.
 figure = bundled.load("figure1.json")
-invariants = dual_invariants_matrix(figure, figure.component_index("L"))
+invariants = dual_invariants(figure, "L")
 print(f"\ncounterexample diagram: tb of L in the surgered manifold = "
       f"{format_rational(invariants.tb_q)}")
 
@@ -60,6 +60,6 @@ print(f"\ncounterexample diagram: tb of L in the surgered manifold = "
 print("\nhomological order for tb=-1, n=1:", homological_order(-1, 1))
 s1xs2 = bundled.load("s1xs2.json")
 try:
-    dual_invariants_matrix(s1xs2, s1xs2.component_index("U"))
+    dual_invariants(s1xs2, "U")
 except NonNullhomologousDual as error:
     print("degenerate push-off dual rejected:", error)

@@ -16,9 +16,9 @@ Modules:
   scaled by the lcm of its denominators). Results are Fractions except
   ``solve_integral``'s: ints y and d, the solution being y / d.
 * ``diagram``: the surgery diagram data model, one framed linking
-  matrix builder behind the invariants' k x k system, ``dual_system``
-  (what the dense oracle runs on) and the bordered check matrices, and
-  the JSON file format.
+  matrix builder (tb_i + r_i on the diagonal) behind the invariants'
+  k x k system and the bordered check matrices, the (+1)-push-off
+  chain diagrams, and the JSON file format.
 * ``expansion``: negative continued fractions and the expansion of
   rational coefficients into (+-1)-surgeries with stabilization
   bookkeeping; one private coefficient-shape dispatch serves the
@@ -28,8 +28,9 @@ Modules:
 * ``invariants``: invariants of surgery-dual knots; ``dual_invariants``
   is the one entry point: a k x k solve over the unexpanded components
   plus a closed form per expanded curve group, never the curves or the
-  expanded matrix, in ints until tb_Q and rot_Q. The (+1/n) closed
-  forms and the dense matrix path stay as oracles.
+  expanded matrix, in ints until tb_Q and rot_Q. On an expanded
+  diagram it evaluates the dense linking-matrix formulas. The (+1/n)
+  closed forms stay as an oracle.
 * ``classify``: the tight/overtwisted decision rules with
   justification traces.
 * ``cli`` / ``selftest``: the command-line tool and its built-in
@@ -57,15 +58,11 @@ from .diagram import (
     PlusOneChainSpec,
     SurgeryComponent,
     SurgeryDiagram,
-    UnexpandedCoefficient,
     ValidationError,
-    build_extended_matrix,
     build_general_matrices,
-    build_linking_matrix,
     chain_diagram,
     diagram_from_obj,
     diagram_to_obj,
-    dual_system,
     load_diagram,
     parity_lint,
     parse_diagram,
@@ -107,7 +104,6 @@ from .invariants import (
     NonNullhomologousDual,
     dual_invariants,
     dual_invariants_closed_form,
-    dual_invariants_matrix,
     homological_order,
 )
 from .selftest import SelfTestFailure, run_checks
@@ -137,15 +133,12 @@ __all__ = [
     "SurgeryComponent",
     "SurgeryDiagram",
     "TooManyDigits",
-    "UnexpandedCoefficient",
     "Unsupported",
     "ValidationError",
     "Verdict",
     "as_rational",
     "bennequin_check",
-    "build_extended_matrix",
     "build_general_matrices",
-    "build_linking_matrix",
     "chain_diagram",
     "classify_diagram",
     "classify_lemma_tight",
@@ -156,8 +149,6 @@ __all__ = [
     "diagram_to_obj",
     "dual_invariants",
     "dual_invariants_closed_form",
-    "dual_invariants_matrix",
-    "dual_system",
     "evaluate_negative_continued_fraction",
     "expand_diagram",
     "expand_negative_rational",

@@ -283,9 +283,9 @@ def _cmd_invariants(args, parser) -> tuple[Report, int]:
 def _cmd_classify(args, parser) -> tuple[Report, int]:
     if args.diagram is None:
         parser.error("classify needs a diagram file or directory")
-    if args.n is not None and args.p is not None:
+    if args.n is not None and (args.p is not None or args.q is not None):
         parser.error("give either --n or --p/--q, not both")
-    if args.q is not None and args.n is None and args.p is None:
+    if args.q is not None and args.p is None:
         parser.error("--q needs --p")
     p = args.n if args.n is not None else args.p
     q = 1 if args.q is None else args.q

@@ -13,14 +13,16 @@ the diagonal of the stored linking matrix is unused and must be zero.
 This avoids carrying redundant, possibly inconsistent data.
 
 The module also builds the linking matrices. One private builder
-writes every framed matrix (framings tb_i + r_i on the diagonal,
-linking numbers elsewhere). With rational framings it gives the
-k x k matrix of unexpanded components that ``invariants`` solves.
-``dual_system`` gives what the dense oracle path runs on: the integer
-matrix ``M`` of the surgered components and the unsurgered
-component's linking vector. The bordered extension ``M0`` (corner 0,
-border that vector) is built only for checks, by
-``build_general_matrices`` and the chain builders.
+writes every framed matrix: framings tb_i + r_i on the diagonal (ints
+for integer coefficients, Fractions otherwise), linking numbers
+elsewhere. It gives the k x k matrix Lambda of the components other
+than an unsurgered dual that ``invariants`` solves; on an expanded
+diagram that is the integer linking matrix ``M``.
+``presentation_matrix`` frames every component, and
+``build_general_matrices`` also gives the bordered extension ``M0``
+(corner 0, border the dual's linking vector), which only checks read.
+``chain_diagram`` realizes the (+1)-push-off chain of contact
+(+1/n)-surgery, whose M and M0 the selftest checks.
 
 Diagrams serialize to a small JSON document; rationals travel as
 "p/q" strings, never floats. ``parse_diagram(serialize_diagram(d))``
@@ -47,15 +49,11 @@ __all__ = [
     "PlusOneChainSpec",
     "SurgeryComponent",
     "SurgeryDiagram",
-    "UnexpandedCoefficient",
     "ValidationError",
-    "build_extended_matrix",
     "build_general_matrices",
-    "build_linking_matrix",
     "chain_diagram",
     "diagram_from_obj",
     "diagram_to_obj",
-    "dual_system",
     "json_text",
     "load_diagram",
     "parity_lint",
@@ -77,13 +75,6 @@ class ParseError(ValueError):
 
 class MissingCoefficient(ValueError):
     """An operation required a contact surgery coefficient that is absent."""
-
-
-class UnexpandedCoefficient(ValueError):
-    """A matrix construction met a non-integer contact coefficient.
-
-    Rational coefficients must be expanded into (+-1)-surgeries first.
-    """
 
 
 class AmbientStatus(Enum):
@@ -360,27 +351,6 @@ class PlusOneChainSpec:
             raise ValidationError(f"n must be a positive integer, got {self.n}")
 
 
-def build_linking_matrix(spec: PlusOneChainSpec) -> SquareMatrix:
-    """The n x n linking matrix of the (+1)-push-off chain.
-
-    Diagonal entries are the topological framings tb + 1 of the
-    surgered push-offs; off-diagonal entries are pairwise linking
-    numbers, all equal to tb for push-offs along the contact framing.
-    Its determinant is n*tb + 1.
-    """
-    return presentation_matrix(chain_diagram(spec, dual_id=None))
-
-
-def build_extended_matrix(spec: PlusOneChainSpec) -> SquareMatrix:
-    """The (n+1) x (n+1) bordered chain matrix.
-
-    Corner entry 0, border entries tb (the linking of an extra
-    push-off with each surgered one), lower-right block the chain
-    linking matrix. Its determinant is -n*tb^2.
-    """
-    return build_general_matrices(chain_diagram(spec), spec.n)[1]
-
-
 def chain_diagram(
     spec: PlusOneChainSpec, *, dual_id: Optional[str] = "dual"
 ) -> SurgeryDiagram:
@@ -389,7 +359,9 @@ def chain_diagram(
     The diagram has ``n`` surgered push-offs L#1, ..., L#n and, when
     ``dual_id`` is given, one extra unsurgered push-off, last, whose
     surgery-dual invariants can then be computed. All pairwise linking
-    numbers equal tb.
+    numbers equal tb. Without the dual, ``presentation_matrix`` gives
+    the chain's M (framings tb + 1, det n*tb + 1); with it,
+    ``build_general_matrices`` borders M into M0 (det -n*tb^2).
     """
     knots = [
         LegendrianKnotData(
@@ -417,43 +389,27 @@ def chain_diagram(
     )
 
 
-def _integral_framing(component: SurgeryComponent) -> int:
-    """Topological framing tb + r of an integer-surgered component."""
-    topological = topological_coefficient(component)
-    if topological.denominator != 1:
-        raise UnexpandedCoefficient(
-            f"component {component.id!r} has non-integer contact coefficient "
-            f"{format_rational(component.contact_coefficient)}; expand the "
-            "diagram into (+-1)-surgeries first"
-        )
-    return topological
-
-
-def _framed_matrix(diagram: SurgeryDiagram, indices, framing) -> SquareMatrix:
+def _framed_matrix(diagram: SurgeryDiagram, indices) -> SquareMatrix:
     """Framed linking matrix of the components at ``indices``.
 
-    ``framing(component)`` on the diagonal (``_integral_framing`` or
-    ``topological_coefficient``: tb_i + r_i either way), linking
-    numbers elsewhere.
+    ``topological_coefficient`` tb_i + r_i on the diagonal, linking
+    numbers elsewhere; MissingCoefficient for the first unsurgered one.
     """
     components, linking = diagram.components, diagram.linking
     return SquareMatrix(
         [
-            [framing(components[i]) if i == j else linking[i][j] for j in indices]
+            [
+                topological_coefficient(components[i]) if i == j else linking[i][j]
+                for j in indices
+            ]
             for i in indices
         ]
     )
 
 
 def presentation_matrix(diagram: SurgeryDiagram) -> SquareMatrix:
-    """Linking matrix of a fully integer-surgered diagram.
-
-    Topological framings tb_i + r_i on the diagonal, linking numbers
-    elsewhere. Every component must be surgered.
-    """
-    return _framed_matrix(
-        diagram, range(len(diagram.components)), _integral_framing
-    )
+    """Framed linking matrix of a diagram whose components are all surgered."""
+    return _framed_matrix(diagram, range(len(diagram.components)))
 
 
 def _dual_links(
@@ -475,30 +431,19 @@ def _dual_links(
     return others, tuple(diagram.linking_number(dual_index, i) for i in others)
 
 
-def dual_system(
-    diagram: SurgeryDiagram, dual_index: int
-) -> tuple[SquareMatrix, tuple[int, ...]]:
-    """``M`` and the dual linking vector ``lk`` of a diagram.
-
-    ``dual_index`` names the single unsurgered component; every other
-    component must carry an integer contact coefficient. ``M`` is the
-    framed linking matrix of those other components and ``lk`` holds
-    their linking numbers with the dual component, in the same order.
-    """
-    others, link_vector = _dual_links(diagram, dual_index)
-    return _framed_matrix(diagram, others, _integral_framing), link_vector
-
-
 def build_general_matrices(
     diagram: SurgeryDiagram, dual_index: int
 ) -> tuple[SquareMatrix, SquareMatrix, tuple[int, ...]]:
     """``M``, bordered ``M0`` and the dual linking vector of a diagram.
 
-    ``M`` and the vector are those of ``dual_system``; ``M0`` borders
-    ``M`` with corner 0 and the vector. Only checks need ``M0``: the
-    dual invariants themselves are computed from ``dual_system``.
+    ``dual_index`` names the single unsurgered component. ``M`` is the
+    framed linking matrix of the other components (Lambda when a
+    coefficient is not an integer) and the vector holds their linking
+    numbers with the dual, in the same order; ``M0`` borders ``M`` with
+    corner 0 and the vector. Only checks need ``M0``.
     """
-    m, link_vector = dual_system(diagram, dual_index)
+    others, link_vector = _dual_links(diagram, dual_index)
+    m = _framed_matrix(diagram, others)
     m0 = SquareMatrix(
         [(0,) + link_vector]
         + [(entry,) + row for entry, row in zip(link_vector, m.rows)]

@@ -18,10 +18,12 @@ r * M^-1 lk integral, i.e. the order of L's class in the surgery
 homology lattice; the denominators of tb_Q and rot_Q always divide it.
 The rational Seifert surface of L is the image of one for the original
 knot, so its Euler characteristic is carried over verbatim.
-``dual_invariants_matrix`` evaluates these formulas densely; it is the
-oracle of the compressed path below. Both take the solve as integers
-y / d (``exact.solve_integral``) and build only tb_Q and rot_Q as
-Fractions.
+``dual_invariants`` is the one entry point. On an expanded diagram,
+where every surgered coefficient is +-1, each surgered curve is a
+one-curve group with pair (1, rot) (step 3 below), so it evaluates
+exactly these formulas with M the matrix it solves. It takes the solve
+as integers y / d (``exact.solve_integral``) and builds only tb_Q and
+rot_Q as Fractions.
 
 Integer-coefficient convention. When every surgered coefficient is an
 integer, each surgered component is one curve with its own tb and rot
@@ -33,7 +35,7 @@ Within a group c_a and c_b (a < b) link by t_a; curves of different
 groups link as their sources do, and each links L by l_i = lk(L, K_i).
 M is then (sum m_i) x (sum m_i).
 
-Compressed path (``dual_invariants``), which never builds that M:
+``dual_invariants`` never builds that M:
 
 1. Lambda is the k x k matrix with Lambda_ii = tb_i + r_i and
    Lambda_ij = lk_ij. One exact solve gives sigma = Lambda^-1 l = y / d,
@@ -86,7 +88,7 @@ Compressed path (``dual_invariants``), which never builds that M:
    |d D_2| / gcd(y_i, d D_2), in which the sign cancels too.
 
 Each group costs O(1) integer operations whatever its curve count m.
-Two facts make the path total:
+Two facts make ``dual_invariants`` total:
 
 * det M = det Lambda * prod_i D_2^(i). The change of basis is
   unimodular. Eliminating the tails (a Schur complement on the
@@ -96,11 +98,11 @@ Two facts make the path total:
   tb + a_1 - (a_1 - r) = tb + r, as F_3 / F_2 = b_1 - F_1 / F_2;
   tb + 1 + (p-q)/q = tb + p/q. That matrix is Lambda. Hence M is
   singular exactly when Lambda is, and a SingularMatrix from the
-  k x k solve is the dense path's NonNullhomologousDual.
+  k x k solve is exactly the case det M = 0 (NonNullhomologousDual).
 * A group with tb_i + r_i = 0 needs no special case: that is a zero
   diagonal entry of Lambda, which the exact solve pivots around, and
   the closed form divides by nothing. Such a G is singular by itself
-  (det G = p_1 D_2 = 0), but neither path ever inverts G.
+  (det G = p_1 D_2 = 0), but nothing here ever inverts G.
 
 For the (+1)-push-off chain presentation of contact (+1/n)-surgery the
 formulas collapse to closed forms:
@@ -125,8 +127,6 @@ from .diagram import (
     ValidationError,
     _dual_links,
     _framed_matrix,
-    dual_system,
-    topological_coefficient,
 )
 from .exact import SingularMatrix, format_rational, solve_integral
 from .expansion import _check_expandable
@@ -136,7 +136,6 @@ __all__ = [
     "NonNullhomologousDual",
     "dual_invariants",
     "dual_invariants_closed_form",
-    "dual_invariants_matrix",
     "homological_order",
 ]
 
@@ -204,67 +203,43 @@ def dual_invariants_closed_form(
     )
 
 
-def dual_invariants_matrix(
-    diagram: SurgeryDiagram, dual_index: int
-) -> DualKnotInvariants:
-    """Dual invariants via the dense linking-matrix formulas (the oracle).
-
-    Every component except ``dual_index`` must carry an integer contact
-    coefficient (expand the diagram first if necessary). One exact
-    solve x = M^-1 lk gives tb_Q = tb - <lk, x>,
-    rot_Q = rot - <(rot_1, ..., rot_k), x> and the order as the lcm of
-    the denominators of x, each curve a one-curve group of the
-    compressed path. Raises NonNullhomologousDual when det(M) = 0.
-    """
-    m, link_vector = dual_system(diagram, dual_index)
-    surgered = [c for i, c in enumerate(diagram.components) if i != dual_index]
-    sweeps = [(1, c.knot.rot) for c in surgered]
-    return _solve_dual(diagram.components[dual_index].knot, m, link_vector, sweeps)
-
-
 def dual_invariants(diagram: SurgeryDiagram, component_id: str) -> DualKnotInvariants:
     """Invariants of component ``component_id`` after surgering the others.
 
-    The compressed path of the module docstring: one k x k solve over
-    the unexpanded components and each curve group's (D_2, w) in
-    closed form; the expanded diagram is never built. Under the
-    integer-coefficient convention a diagram whose surgered
-    coefficients are all integers is not expanded: an integer
-    coefficient other than +-1 keeps its knot's unstabilized rot, so
-    rot_Q can differ from the one of the expansion that ``expand``
-    prints, while tb_Q and the order agree. Otherwise each surgered
-    component is taken as its group of curves under the default zigzag
-    policy. Raises ValidationError for an
-    unknown or surgered dual, Unsupported for a coefficient outside
-    the expandable shapes, MissingCoefficient for a second unsurgered
-    component and NonNullhomologousDual when Lambda is singular, with
-    the precedence and messages of the dense path on the expansion.
+    One k x k solve sigma = Lambda^-1 l = y / d over the unexpanded
+    components and each curve group's (D_2, w) in closed form, all in
+    ints until tb_Q and rot_Q (module docstring, steps 1, 3 and 4); the
+    expanded diagram is never built. Under the integer-coefficient
+    convention a diagram whose surgered coefficients are all integers
+    is not expanded: an integer coefficient other than +-1 keeps its
+    knot's unstabilized rot, so rot_Q can differ from the one of the
+    expansion that ``expand`` prints, while tb_Q and the order agree.
+    Otherwise each surgered component is taken as its group of curves
+    under the default zigzag policy (``_group_pairs``).
+
+    Errors, first to last: ValidationError for an unknown or surgered
+    dual; Unsupported for the first surgered coefficient outside the
+    expandable shapes, when the diagram is expanded; MissingCoefficient
+    for the first other unsurgered component; NonNullhomologousDual
+    when Lambda, and with it M, is singular.
     """
     dual_index = diagram.component_index(component_id)
     others, link_vector = _dual_links(diagram, dual_index)
     pairs = _group_pairs([diagram.components[i] for i in others])
-    matrix = _framed_matrix(diagram, others, topological_coefficient)
-    return _solve_dual(diagram.components[dual_index].knot, matrix, link_vector, pairs)
-
-
-def _solve_dual(dual, matrix, link_vector, sweeps) -> DualKnotInvariants:
-    """The invariants of knot ``dual`` from sigma = y / d = matrix^-1
-    link_vector and each group's (D_2, w), in ints (module docstring,
-    steps 1, 3 and 4). NonNullhomologousDual when the matrix is singular.
-    """
     try:
-        y, d = solve_integral(matrix, link_vector)
+        y, d = solve_integral(_framed_matrix(diagram, others), link_vector)
     except SingularMatrix:
         raise NonNullhomologousDual(
             "det(M) = 0: the dual knot is not rationally nullhomologous and "
             "its rational invariants are undefined"
         ) from None
-    scale = math.lcm(*(tail for tail, _ in sweeps))
-    pairs = list(zip(y, sweeps))
-    rotation = sum(y_i * weight * (scale // tail) for y_i, (tail, weight) in pairs)
+    scale = math.lcm(*(tail for tail, _ in pairs))
+    groups = list(zip(y, pairs))
+    rotation = sum(y_i * weight * (scale // tail) for y_i, (tail, weight) in groups)
     order = math.lcm(
-        *(abs(d * tail) // math.gcd(y_i, d * tail) for y_i, (tail, _) in pairs)
+        *(abs(d * tail) // math.gcd(y_i, d * tail) for y_i, (tail, _) in groups)
     )
+    dual = diagram.components[dual_index].knot
     return DualKnotInvariants(
         tb_q=Fraction(dual.tb * d - sum(map(mul, link_vector, y)), d),
         rot_q=Fraction(dual.rot * d * scale - rotation, d * scale),
@@ -277,12 +252,14 @@ def _group_pairs(components: list[SurgeryComponent]) -> list[tuple[int, int]]:
     """(D_2, w) of each component other than the dual, up to one sign per
     pair (module docstring, step 3).
 
-    The dense path expands the diagram when it meets a non-integer
-    coefficient before any unsurgered component, so exactly then every
-    surgered component p/q is its curve group, (q, q rot + p - sgn p),
-    and Unsupported comes first; otherwise each is one curve, (1, rot).
-    An unsurgered component's pair is never read: building Lambda
-    raises MissingCoefficient for the first one.
+    The integer-coefficient convention: the diagram is expanded exactly
+    when, in diagram order, a non-integer coefficient comes before any
+    unsurgered component. Then every surgered component p/q is its
+    curve group, (q, q rot + p - sgn p), and the first coefficient
+    outside the expandable shapes raises Unsupported here, before
+    Lambda is built. Otherwise each is one curve, (1, rot), and no
+    shape is checked. An unsurgered component's pair is never read:
+    building Lambda raises MissingCoefficient for the first one.
     """
     first = next(
         (

@@ -2,7 +2,8 @@
 
 Runs the package's core identities end to end on exact arithmetic:
 determinant closed forms for the push-off chain matrices, agreement of
-the closed-form and matrix-path dual invariants, the Bennequin bound
+the (+1/n) closed forms with ``dual_invariants`` (the path every
+command runs) on the chain diagrams, the Bennequin bound
 chain with its strictness boundary, the bundled counterexample
 reproduction, continued-fraction round trips and the degenerate
 non-nullhomologous case. Any mismatch raises SelfTestFailure naming
@@ -29,11 +30,10 @@ from .diagram import (
     AmbientStatus,
     LegendrianKnotData,
     PlusOneChainSpec,
-    build_extended_matrix,
     build_general_matrices,
-    build_linking_matrix,
     chain_diagram,
     parse_diagram,
+    presentation_matrix,
     serialize_diagram,
 )
 from .expansion import (
@@ -44,8 +44,8 @@ from .expansion import (
 )
 from .invariants import (
     NonNullhomologousDual,
+    dual_invariants,
     dual_invariants_closed_form,
-    dual_invariants_matrix,
 )
 
 __all__ = ["SelfTestFailure", "run_checks"]
@@ -95,7 +95,7 @@ def _check_det_chain_grid() -> dict:
     for tb in range(-10, 0):
         for n in range(1, 11):
             spec = PlusOneChainSpec(tb=tb, rot=0, euler_char=1, n=n)
-            value = exact.det(build_linking_matrix(spec))
+            value = exact.det(presentation_matrix(chain_diagram(spec, dual_id=None)))
             if value != n * tb + 1:
                 _fail(name, f"tb={tb}, n={n}: det={value}, expected {n * tb + 1}")
             cases += 1
@@ -108,7 +108,7 @@ def _check_det_extended_grid() -> dict:
     for tb in range(-10, 0):
         for n in range(1, 11):
             spec = PlusOneChainSpec(tb=tb, rot=0, euler_char=1, n=n)
-            value = exact.det(build_extended_matrix(spec))
+            value = exact.det(build_general_matrices(chain_diagram(spec), n)[1])
             if value != -n * tb * tb:
                 _fail(name, f"tb={tb}, n={n}: det={value}, expected {-n * tb * tb}")
             cases += 1
@@ -121,7 +121,10 @@ def _check_cofactor_cross() -> dict:
     for tb in range(-10, 0):
         for n in range(1, 7):
             spec = PlusOneChainSpec(tb=tb, rot=0, euler_char=1, n=n)
-            for matrix in (build_linking_matrix(spec), build_extended_matrix(spec)):
+            for matrix in (
+                presentation_matrix(chain_diagram(spec, dual_id=None)),
+                build_general_matrices(chain_diagram(spec), n)[1],
+            ):
                 bareiss = exact.det(matrix)
                 oracle = _cofactor_det(matrix.rows)
                 if bareiss != oracle:
@@ -143,10 +146,7 @@ def _check_closed_matrix_agreement() -> dict:
                 continue
             for rot in range(-10, 11):
                 spec = PlusOneChainSpec(tb=tb, rot=rot, euler_char=1, n=n)
-                diagram = chain_diagram(spec)
-                via_matrix = dual_invariants_matrix(
-                    diagram, diagram.component_index("dual")
-                )
+                via_matrix = dual_invariants(chain_diagram(spec), "dual")
                 closed = dual_invariants_closed_form(tb, rot, 1, n)
                 if via_matrix != closed:
                     _fail(
@@ -220,7 +220,7 @@ def _check_counterexample_diagram() -> dict:
     det_m0 = exact.det(m0)
     if det_m != -1 or det_m0 != 2:
         _fail(name, f"det(M)={det_m} (expected -1), det(M0)={det_m0} (expected 2)")
-    invariants = dual_invariants_matrix(diagram, dual_index)
+    invariants = dual_invariants(diagram, "L")
     if invariants.tb_q != -3:
         _fail(name, f"tb_q={invariants.tb_q}, expected -3")
     verdicts = classify_diagram(diagram, {"L": True}, p=2, q=1)
@@ -267,7 +267,7 @@ def _check_degenerate_dual() -> dict:
     name = "degenerate dual (det M = 0)"
     diagram = load_bundled("s1xs2.json")
     try:
-        dual_invariants_matrix(diagram, diagram.component_index("U"))
+        dual_invariants(diagram, "U")
     except NonNullhomologousDual:
         return {"name": name, "cases": 1}
     _fail(name, "expected NonNullhomologousDual")

@@ -21,19 +21,18 @@ from surgerycalc import (
     NonNullhomologousDual,
     PlusOneChainSpec,
     bennequin_check,
-    build_extended_matrix,
     build_general_matrices,
-    build_linking_matrix,
     chain_diagram,
     classify_diagram,
     classify_thm1,
     det,
+    dual_invariants,
     dual_invariants_closed_form,
-    dual_invariants_matrix,
     evaluate_negative_continued_fraction,
     expand_positive_rational,
     negative_continued_fraction,
     parse_diagram,
+    presentation_matrix,
     serialize_diagram,
 )
 from surgerycalc.classify import CONWAY_FLAG
@@ -57,7 +56,7 @@ def test_criterion_1_counterexample_tb():
     tb0 = diagram.components[dual_index].knot.tb
     assert tb0 == -1
     assert tb0 + det(m0) / det(m) == -3
-    invariants = dual_invariants_matrix(diagram, dual_index)
+    invariants = dual_invariants(diagram, "L")
     assert invariants.tb_q == Fraction(-3)
     _report("1 (counterexample diagram: tb = -1 + 2/(-1) = -3)")
 
@@ -67,8 +66,8 @@ def test_criterion_2_determinant_identities():
     for tb in range(-10, 0):
         for n in range(1, 11):
             spec = PlusOneChainSpec(tb=tb, rot=0, euler_char=1, n=n)
-            m = build_linking_matrix(spec)
-            m0 = build_extended_matrix(spec)
+            m = presentation_matrix(chain_diagram(spec, dual_id=None))
+            m0 = build_general_matrices(chain_diagram(spec), n)[1]
             assert det(m) == n * tb + 1
             assert det(m0) == -n * tb * tb
             if n <= 6:
@@ -86,10 +85,7 @@ def test_criterion_3_closed_form_vs_matrix_path():
                 continue
             for rot in range(-10, 11):
                 spec = PlusOneChainSpec(tb=tb, rot=rot, euler_char=1, n=n)
-                diagram = chain_diagram(spec)
-                via_matrix = dual_invariants_matrix(
-                    diagram, diagram.component_index("dual")
-                )
+                via_matrix = dual_invariants(chain_diagram(spec), "dual")
                 closed = dual_invariants_closed_form(tb, rot, 1, n)
                 assert via_matrix.tb_q == closed.tb_q == Fraction(tb, n * tb + 1)
                 assert via_matrix.rot_q == closed.rot_q == Fraction(rot, n * tb + 1)
@@ -145,7 +141,7 @@ def test_criterion_6_degenerate_dual(tmp_path):
     """The S1 x S2 configuration is rejected as non-nullhomologous, exit 3."""
     diagram = bundled.load("s1xs2.json")
     with pytest.raises(NonNullhomologousDual):
-        dual_invariants_matrix(diagram, diagram.component_index("U"))
+        dual_invariants(diagram, "U")
     path = tmp_path / "s1xs2.json"
     path.write_text(bundled.read_text("s1xs2.json"), encoding="utf-8")
     result = run_cli("invariants", str(path), "--dual", "U")

@@ -401,6 +401,21 @@ def test_selftest_fault_injection_solve_denominator(monkeypatch):
         run_checks()
 
 
+def test_selftest_fault_injection_group_pairs(monkeypatch):
+    # The closed-form grid runs dual_invariants, so a perturbed rotation
+    # weight w of a curve group must be caught there.
+    true_pairs = surgerycalc.invariants._group_pairs
+
+    def perturbed(components):
+        return [(tail, weight + 1) for tail, weight in true_pairs(components)]
+
+    monkeypatch.setattr(surgerycalc.invariants, "_group_pairs", perturbed)
+    with pytest.raises(
+        SelfTestFailure, match=r"closed-form vs matrix-path dual invariants"
+    ):
+        run_checks()
+
+
 def test_selftest_grid_sizes():
     # A faster selftest must not come from a smaller grid.
     assert [(check["name"], check["cases"]) for check in run_checks()] == [
@@ -433,6 +448,18 @@ def test_conflicting_coefficient_flags_exit_2():
     result = run_cli("expand", "--tb", "-2", "--rot", "0", "--n", "2",
                      "--p", "5", "--q", "2")
     assert result.returncode == 2
+
+
+def test_classify_n_with_q_exit_2(tmp_path, capsys):
+    # --q belongs to --p; next to --n it would silently query +N/Q.
+    path = figure1_path(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["classify", str(path), "--n", "2", "--q", "3",
+              "--assume-plus-one-tight", "L"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "give either --n or --p/--q, not both" in captured.err
 
 
 def test_missing_dual_exit_2(tmp_path):

@@ -21,14 +21,10 @@ from surgerycalc import (
     SquareMatrix,
     SurgeryComponent,
     SurgeryDiagram,
-    UnexpandedCoefficient,
     ValidationError,
-    build_extended_matrix,
     build_general_matrices,
-    build_linking_matrix,
     chain_diagram,
     det,
-    dual_system,
     parity_lint,
     parse_diagram,
     presentation_matrix,
@@ -171,26 +167,34 @@ def test_topological_coefficient_missing():
 # Chain matrices
 
 
+def chain_m(spec):
+    """The chain's n x n linking matrix M."""
+    return presentation_matrix(chain_diagram(spec, dual_id=None))
+
+
+def chain_m0(spec):
+    """The chain's (n+1) x (n+1) bordered matrix M0."""
+    return build_general_matrices(chain_diagram(spec), spec.n)[1]
+
+
 def test_linking_matrix_single_pushoff():
     spec = PlusOneChainSpec(tb=-2, rot=0, euler_char=1, n=1)
-    assert build_linking_matrix(spec) == SquareMatrix([[-1]])
+    assert chain_m(spec) == SquareMatrix([[-1]])
 
 
 def test_linking_matrix_three_pushoffs():
     spec = PlusOneChainSpec(tb=-2, rot=0, euler_char=1, n=3)
-    assert build_linking_matrix(spec) == SquareMatrix(
-        [[-1, -2, -2], [-2, -1, -2], [-2, -2, -1]]
-    )
+    assert chain_m(spec) == SquareMatrix([[-1, -2, -2], [-2, -1, -2], [-2, -2, -1]])
 
 
 def test_extended_matrix_single_pushoff():
     spec = PlusOneChainSpec(tb=-2, rot=0, euler_char=1, n=1)
-    assert build_extended_matrix(spec) == SquareMatrix([[0, -2], [-2, -1]])
+    assert chain_m0(spec) == SquareMatrix([[0, -2], [-2, -1]])
 
 
 def test_extended_matrix_small_case():
     spec = PlusOneChainSpec(tb=-1, rot=0, euler_char=1, n=2)
-    matrix = build_extended_matrix(spec)
+    matrix = chain_m0(spec)
     assert matrix == SquareMatrix([[0, -1, -1], [-1, 0, -1], [-1, -1, 0]])
     assert det(matrix) == -2 == cofactor_det(matrix.rows)
 
@@ -199,8 +203,8 @@ def test_determinant_identities_on_grid():
     for tb in range(-10, 0):
         for n in range(1, 11):
             spec = PlusOneChainSpec(tb=tb, rot=0, euler_char=1, n=n)
-            m = build_linking_matrix(spec)
-            m0 = build_extended_matrix(spec)
+            m = chain_m(spec)
+            m0 = chain_m0(spec)
             assert m.rows == tuple(zip(*m.rows)) and m0.rows == tuple(zip(*m0.rows))
             assert det(m) == n * tb + 1
             assert det(m0) == -n * tb * tb
@@ -238,8 +242,8 @@ def test_general_matrices_match_chain_builders():
             m, m0, link_vector = build_general_matrices(
                 diagram, diagram.component_index("dual")
             )
-            assert m == build_linking_matrix(spec) == SquareMatrix(m_rows)
-            assert m0 == build_extended_matrix(spec) == SquareMatrix(m0_rows)
+            assert m == chain_m(spec) == SquareMatrix(m_rows)
+            assert m0 == chain_m0(spec) == SquareMatrix(m0_rows)
             assert link_vector == (tb,) * n
             assert diagram.ids == tuple(f"L#{i}" for i in range(1, n + 1)) + ("dual",)
 
@@ -256,7 +260,13 @@ def test_dual_system_table():
     for diagram, dual_id in ((figure1, "L"), (s1xs2, "U"), (lone, "L"), (chain, "dual")):
         index = diagram.component_index(dual_id)
         m, m0, link_vector = build_general_matrices(diagram, index)
-        assert dual_system(diagram, index) == (m, link_vector)
+        assert m0.rows == ((0,) + link_vector,) + tuple(
+            (entry,) + row for entry, row in zip(link_vector, m.rows)
+        )
+        others = [c for c in diagram.components if c.id != dual_id]
+        assert [m.rows[i][i] for i in range(len(others))] == [
+            topological_coefficient(c) for c in others
+        ]
     for diagram, index, message in (
         (figure1, 3, "out of range"),
         (figure1, -1, "out of range"),
@@ -264,7 +274,7 @@ def test_dual_system_table():
         (s1xs2, s1xs2.component_index("K"), "must not carry a surgery"),
     ):
         with pytest.raises(ValidationError, match=message):
-            dual_system(diagram, index)
+            build_general_matrices(diagram, index)
 
 
 def test_general_matrices_no_surgered_components():
@@ -287,17 +297,32 @@ def test_general_matrices_rejects_surgered_dual():
         build_general_matrices(diagram, diagram.component_index("K"))
 
 
-def test_general_matrices_rejects_rational_coefficient():
+def test_rational_coefficients_give_lambda():
+    # Unexpanded rational coefficients frame by tb + p/q: the matrices are
+    # Lambda, with Fractions only on those diagonal entries.
+    a = SurgeryComponent(knot=unknot("A", tb=-2), contact_coefficient=Fraction(1, 2))
+    b = SurgeryComponent(knot=unknot("B", tb=-3), contact_coefficient=Fraction(-7, 3))
+    c = SurgeryComponent(knot=unknot("C", tb=-1), contact_coefficient=Fraction(-2))
+    lam = [[Fraction(-3, 2), 2, 1], [2, Fraction(-16, 3), -1], [1, -1, -3]]
+    assert presentation_matrix(
+        SurgeryDiagram(
+            ambient=AmbientStatus.UNKNOWN,
+            components=(a, b, c),
+            linking=((0, 2, 1), (2, 0, -1), (1, -1, 0)),
+        )
+    ) == SquareMatrix(lam)
     diagram = SurgeryDiagram(
         ambient=AmbientStatus.UNKNOWN,
-        components=(
-            SurgeryComponent(knot=unknot("A", tb=-2), contact_coefficient=Fraction(1, 2)),
-            SurgeryComponent(knot=unknot("L")),
-        ),
-        linking=((0, 1), (1, 0)),
+        components=(a, b, c, SurgeryComponent(knot=unknot("L"))),
+        linking=((0, 2, 1, 1), (2, 0, -1, 0), (1, -1, 0, 3), (1, 0, 3, 0)),
     )
-    with pytest.raises(UnexpandedCoefficient):
-        build_general_matrices(diagram, 1)
+    m, m0, link_vector = build_general_matrices(diagram, 3)
+    assert m == SquareMatrix(lam)
+    assert [type(entry) for entry in m.rows[2]] == [int, int, int]
+    assert m0 == SquareMatrix(
+        [[0, 1, 0, 3]] + [[v] + row for v, row in zip((1, 0, 3), lam)]
+    )
+    assert link_vector == (1, 0, 3)
 
 
 def test_general_matrices_rejects_second_unsurgered():

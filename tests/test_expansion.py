@@ -19,8 +19,8 @@ from surgerycalc import (
     NotCoprime,
     RangeError,
     Unsupported,
-    build_linking_matrix,
     PlusOneChainSpec,
+    chain_diagram,
     det,
     evaluate_negative_continued_fraction,
     expand_diagram,
@@ -113,7 +113,9 @@ def test_unit_fraction_three_pushoffs():
     presentation = expand_positive_unit_fraction(knot(tb=-2), 3)
     assert [step.coefficient for step in presentation.steps] == [1, 1, 1]
     matrix = presentation_matrix(presentation.derived_diagram)
-    assert matrix == build_linking_matrix(PlusOneChainSpec(-2, 1, -1, 3))
+    assert matrix == presentation_matrix(
+        chain_diagram(PlusOneChainSpec(-2, 1, -1, 3), dual_id=None)
+    )
     assert det(matrix) == -5
 
 

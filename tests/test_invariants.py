@@ -20,14 +20,13 @@ from surgerycalc import (
     PlusOneChainSpec,
     SurgeryComponent,
     SurgeryDiagram,
-    UnexpandedCoefficient,
     Unsupported,
     ValidationError,
     build_general_matrices,
     chain_diagram,
+    det,
     dual_invariants,
     dual_invariants_closed_form,
-    dual_invariants_matrix,
     evaluate_negative_continued_fraction,
     expand_diagram,
     homological_order,
@@ -66,7 +65,7 @@ def test_closed_form_degenerate():
 
 def test_matrix_path_counterexample():
     diagram = bundled.load("figure1.json")
-    invariants = dual_invariants_matrix(diagram, diagram.component_index("L"))
+    invariants = dual_invariants(diagram, "L")
     # tb in the surgered manifold: tb0 + det(M0)/det(M) = -1 + 2/(-1) = -3
     assert invariants.tb_q == -3
     assert invariants.rot_q == 0
@@ -77,7 +76,7 @@ def test_matrix_path_counterexample():
 def test_matrix_path_single_pushoff_dual():
     spec = PlusOneChainSpec(tb=-2, rot=0, euler_char=1, n=1)
     diagram = chain_diagram(spec)
-    invariants = dual_invariants_matrix(diagram, diagram.component_index("dual"))
+    invariants = dual_invariants(diagram, "dual")
     # tb_q = tb + det(M0)/det(M) = -2 + (-4)/(-1) = 2, matching the
     # closed form -2/(1*(-2)+1) = 2.
     assert invariants.tb_q == 2
@@ -87,7 +86,7 @@ def test_matrix_path_single_pushoff_dual():
 def test_matrix_path_degenerate():
     diagram = bundled.load("s1xs2.json")
     with pytest.raises(NonNullhomologousDual):
-        dual_invariants_matrix(diagram, diagram.component_index("U"))
+        dual_invariants(diagram, "U")
 
 
 def test_closed_form_matches_matrix_path_on_grid():
@@ -98,9 +97,7 @@ def test_closed_form_matches_matrix_path_on_grid():
             for rot in range(-6, 7):
                 spec = PlusOneChainSpec(tb=tb, rot=rot, euler_char=1, n=n)
                 diagram = chain_diagram(spec)
-                via_matrix = dual_invariants_matrix(
-                    diagram, diagram.component_index("dual")
-                )
+                via_matrix = dual_invariants(diagram, "dual")
                 closed = dual_invariants_closed_form(tb, rot, 1, n)
                 assert via_matrix == closed
                 assert via_matrix.order % via_matrix.tb_q.denominator == 0
@@ -118,7 +115,7 @@ def test_unlinked_dual_keeps_classical_invariants():
         ),
         linking=((0, 0), (0, 0)),
     )
-    invariants = dual_invariants_matrix(diagram, 1)
+    invariants = dual_invariants(diagram, "L")
     assert invariants.tb_q == -4
     assert invariants.rot_q == 1
     assert invariants.order == 1
@@ -139,7 +136,7 @@ def test_order_is_lattice_order_not_determinant():
         ),
         linking=((0, 0, 2), (0, 0, 0), (2, 0, 0)),
     )
-    invariants = dual_invariants_matrix(diagram, 2)
+    invariants = dual_invariants(diagram, "D")
     assert invariants.order == 1
     assert invariants.tb_q.denominator == 1
 
@@ -259,13 +256,14 @@ def test_dual_invariants_errors(diagram, component_id, error):
 
 
 def test_dual_invariants_keeps_integer_coefficients_unexpanded():
-    # Contact (-3)-surgery along K: the matrix path runs on the diagram as
-    # given, with K's unstabilized rot = 0. The expansion that `expand`
-    # prints stabilizes K twice (rot = -2 under all-negative zigzags), so
-    # rot_Q differs there, while tb_Q and the order agree.
+    # Contact (-3)-surgery along K: the diagram is taken as given, with
+    # K's unstabilized rot = 0 and M = [tb + r] = [-4]. The expansion that
+    # `expand` prints stabilizes K twice (rot = -2 under all-negative
+    # zigzags), so rot_Q differs there, while tb_Q and the order agree.
     diagram = _one_surgery_and_dual(Fraction(-3))
     invariants = dual_invariants(diagram, "L")
-    assert invariants == dual_invariants_matrix(diagram, 1)
+    m, m0, _ = build_general_matrices(diagram, 1)
+    assert (m.rows, invariants.tb_q) == (((-4,),), -1 + det(m0) / det(m))
     assert invariants == DualKnotInvariants(
         tb_q=Fraction(-3, 4), rot_q=Fraction(0), order=4, euler_char=1
     )
@@ -281,13 +279,30 @@ def test_dual_invariants_keeps_integer_coefficients_unexpanded():
 
 
 def _dense_oracle(diagram, component_id):
-    """The dense path: the matrix formulas on the diagram as given, or on
-    its expansion (default zigzags) when a coefficient is not an integer."""
-    try:
-        return dual_invariants_matrix(diagram, diagram.component_index(component_id))
-    except UnexpandedCoefficient:
+    """The dense formulas: ``dual_invariants`` on the diagram's expansion
+    (default zigzags, every curve a (1, rot) group) when the
+    integer-coefficient convention expands it, else on the diagram as
+    given."""
+    if _convention_expands(diagram, component_id):
         derived = expand_diagram(diagram).derived_diagram
-        return dual_invariants_matrix(derived, derived.component_index(component_id))
+        return dual_invariants(derived, component_id)
+    return dual_invariants(diagram, component_id)
+
+
+def _convention_expands(diagram, component_id):
+    """Whether ``component_id`` names an unsurgered component and, among
+    the others in diagram order, a non-integer coefficient comes before
+    any unsurgered component."""
+    if component_id not in diagram.ids or diagram.component(component_id).is_surgered:
+        return False
+    for c in diagram.components:
+        if c.id == component_id:
+            continue
+        if not c.is_surgered:
+            return False
+        if c.contact_coefficient.denominator != 1:
+            return True
+    return False
 
 
 def _outcome(function, diagram, component_id):
@@ -339,7 +354,8 @@ def test_compressed_path_matches_dense_oracle_randomized():
 def test_errors_keep_dense_precedence():
     # Any component may be the one asked about (a surgered one is a
     # ValidationError), and a second unsurgered component competes with an
-    # unexpandable coefficient by position, as on the dense path.
+    # unexpandable coefficient by position, as the integer-coefficient
+    # convention orders them.
     rng = random.Random(7)
     kinds = set()
     for _ in range(1500):
@@ -582,9 +598,7 @@ def test_reversing_a_surgered_component(seed):
         elif len(diagram.components) == 2:
             derived = expand_diagram(diagram, zigzag_policy="all-positive")
             derived = derived.derived_diagram
-            assert flipped == dual_invariants_matrix(
-                derived, derived.component_index(dual_id)
-            )
+            assert flipped == dual_invariants(derived, dual_id)
 
 
 @settings(max_examples=150, deadline=None)
@@ -607,16 +621,14 @@ def test_permuting_components_changes_nothing(seed, shuffler):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_zigzag_policy_changes_rot_q_only(seed):
     # The policies place the stabilizations differently but give the same
-    # expanded linking matrix, so the dense path on each expansion agrees
+    # expanded linking matrix, so dual_invariants on each expansion agrees
     # on tb_Q and the order (or fails the same way); rot_Q may differ.
     diagram, dual_id = next(_dual_cases(random.Random(seed)))
     outcomes = set()
     for policy in ("all-negative", "all-positive", "balanced"):
         try:
             derived = expand_diagram(diagram, zigzag_policy=policy).derived_diagram
-            invariants = dual_invariants_matrix(
-                derived, derived.component_index(dual_id)
-            )
+            invariants = dual_invariants(derived, dual_id)
         except ValueError as error:
             outcomes.add((type(error), str(error)))
         else:
