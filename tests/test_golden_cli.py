@@ -3,8 +3,11 @@
 ``tests/data/golden_cli.json`` maps each argv (joined with spaces) to
 the exit code and the exact stdout of ``surgerycalc.cli.main``, run in
 a directory that holds copies of the bundled diagrams under
-``diagrams/``. A change meant to keep stdout byte-identical must leave
-this file as it is. A change meant to alter output regenerates it with
+``diagrams/`` and one large diagram under ``large/``. Outputs of the
+large ``expand`` requests (600 to 801 curves, megabytes of linking
+rows) are kept as the SHA-256 and byte length of stdout instead of the
+text. A change meant to keep stdout byte-identical must leave this
+file as it is. A change meant to alter output regenerates it with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
@@ -14,6 +17,7 @@ and records the output change.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -31,6 +35,22 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden_cli.json"
 # (+1)-tight
 DIAGRAMS = {"figure1.json": "L", "s1xs2.json": "U"}
 POLICIES = ("all-negative", "all-positive", "balanced")
+
+# Three groups of 200 curves: +1/200, a negative chain whose digits are
+# runs of -2 broken by -3, -4 and -5, and +p/q whose tail breaks its -2
+# runs by -3 and -6; every pair of groups links.
+LARGE_DIAGRAM = {
+    "ambient": "tight",
+    "components": [
+        {"id": "A", "tb": -2, "rot": 1, "euler_char": -1,
+         "contact_coefficient": "1/200"},
+        {"id": "B", "tb": -3, "rot": 0, "euler_char": 1,
+         "contact_coefficient": "-3651719/1811134"},
+        {"id": "C", "tb": -4, "rot": 1, "euler_char": -1,
+         "contact_coefficient": "1164219/22394"},
+    ],
+    "linking": [[0, 2, -1], [2, 0, 3], [-1, 3, 0]],
+}
 
 
 def golden_argvs() -> list[list[str]]:
@@ -59,6 +79,27 @@ def golden_argvs() -> list[list[str]]:
     return [argv + ["--format", fmt] for argv in argvs for fmt in ("text", "json")]
 
 
+def large_argvs() -> list[list[str]]:
+    """``expand`` requests of 600 and 801 curves, under every policy."""
+    argvs = []
+    for source in (
+        ["large/three_groups.json"],
+        ["--tb", "-2", "--rot", "1", "--p", "-801", "--q", "800"],
+    ):
+        argvs += [["expand", *source, "--zigzag-policy", p] for p in POLICIES]
+    return [argv + ["--format", fmt] for argv in argvs for fmt in ("text", "json")]
+
+
+def digest(output: dict) -> dict:
+    """Exit code, SHA-256 and UTF-8 byte length of an output's stdout."""
+    data = output["stdout"].encode("utf-8")
+    return {
+        "exit": output["exit"],
+        "sha256": hashlib.sha256(data).hexdigest(),
+        "bytes": len(data),
+    }
+
+
 def run_in(directory: Path, argv: list[str]) -> dict:
     """Exit code and stdout of ``main(argv)`` run with ``directory`` as cwd."""
     stdout = io.StringIO()
@@ -80,11 +121,18 @@ def write_bundled(directory: Path) -> None:
         (directory / "diagrams" / name).write_text(
             bundled.read_text(name), encoding="utf-8"
         )
+    (directory / "large").mkdir()
+    (directory / "large" / "three_groups.json").write_text(
+        json.dumps(LARGE_DIAGRAM), encoding="utf-8"
+    )
 
 
 def golden_outputs(directory: Path) -> dict:
     write_bundled(directory)
-    return {" ".join(argv): run_in(directory, argv) for argv in golden_argvs()}
+    outputs = {" ".join(argv): run_in(directory, argv) for argv in golden_argvs()}
+    for argv in large_argvs():
+        outputs[" ".join(argv)] = digest(run_in(directory, argv))
+    return outputs
 
 
 @pytest.fixture(scope="module")
@@ -93,13 +141,21 @@ def golden() -> dict:
 
 
 def test_golden_covers_every_argv(golden):
-    assert list(golden) == [" ".join(argv) for argv in golden_argvs()]
+    assert list(golden) == [
+        " ".join(argv) for argv in golden_argvs() + large_argvs()
+    ]
 
 
 @pytest.mark.parametrize("argv", golden_argvs(), ids=" ".join)
 def test_cli_output_matches_golden(tmp_path, golden, argv):
     write_bundled(tmp_path)
     assert run_in(tmp_path, argv) == golden[" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", large_argvs(), ids=" ".join)
+def test_large_expand_output_matches_golden_digest(tmp_path, golden, argv):
+    write_bundled(tmp_path)
+    assert digest(run_in(tmp_path, argv)) == golden[" ".join(argv)]
 
 
 if __name__ == "__main__":
