@@ -22,9 +22,10 @@ Modules:
 * ``expansion``: negative continued fractions and the expansion of
   rational coefficients into (+-1)-surgeries with stabilization
   bookkeeping; one private coefficient-shape dispatch serves the
-  diagram and single-knot expanders. The derived linking matrix is
-  kept as per-group blocks and built only when ``derived_diagram`` is
-  first read.
+  diagram and single-knot expanders. An expansion is kept as one
+  record per derived curve and its linking matrix as per-group blocks;
+  the per-curve components and steps, and the matrix, are built only
+  when ``components``, ``steps`` or ``derived_diagram`` is first read.
 * ``invariants``: invariants of surgery-dual knots; ``dual_invariants``
   is the one entry point: a k x k solve over the unexpanded components
   plus a closed form per expanded curve group, never the curves or the

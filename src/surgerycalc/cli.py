@@ -9,7 +9,10 @@ Subcommands:
   Theta(N^2). The matrix itself is never built: each text and JSON
   row is written from the expansion's per-group blocks by string
   repetition (``LinkingBlocks.row_texts``), one str per block, none
-  per entry.
+  per entry. The component and step entries are written from the
+  expansion's curve records, with no per-curve knot, component or
+  step object, and ``json_text`` writes each list of them from one
+  template.
 * ``invariants``: rational invariants of a surgery-dual knot, from a
   diagram file plus --dual (``dual_invariants``) or from the closed
   forms (--chain --tb --rot --n, with no diagram and no --dual).
@@ -22,7 +25,8 @@ Subcommands:
 
 Reports go to standard output (deterministic text by default,
 ``--format json`` for machine consumption with stable key order);
-diagnostics go to standard error. Exit codes: 0 success, 1 selftest
+diagnostics go to standard error, and a usage error names the
+subcommand's usage line. Exit codes: 0 success, 1 selftest
 failure, 2 malformed or invalid input, 3 mathematically undefined
 request (a non-nullhomologous dual). Commands that read a diagram
 accept a directory instead of a file and process every *.json inside
@@ -115,7 +119,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json_text(self.to_obj()) + "\n"
+        return json_text(self.to_obj())
 
 
 # --------------------------------------------------------------------------
@@ -135,17 +139,26 @@ def _invariants_obj(invariants: DualKnotInvariants) -> dict:
 
 
 def _expansion_obj(presentation: ExpandedPresentation) -> dict:
+    """The expansion payload, written from the presentation's records."""
+    texts = {None: None, 1: format_rational(1), -1: format_rational(-1)}
+    records = presentation.records
     obj = _diagram_obj(
-        presentation.ambient, presentation.components, presentation.linking_blocks
+        presentation.ambient,
+        (
+            (curve.id, curve.tb, curve.rot, euler_char, texts[curve.coefficient])
+            for _, euler_char, curve in records
+        ),
+        presentation.linking_blocks,
     )
     obj["steps"] = [
         {
-            "source_id": step.source_id,
-            "coefficient": format_rational(step.coefficient),
-            "stabilizations": step.stabilizations,
-            "stabilization_signs": list(step.stabilization_signs),
+            "source_id": source_id,
+            "coefficient": texts[curve.coefficient],
+            "stabilizations": len(curve.signs),
+            "stabilization_signs": list(curve.signs),
         }
-        for step in presentation.steps
+        for source_id, _, curve in records
+        if curve.coefficient is not None
     ]
     obj["zigzag_policy"] = presentation.zigzag_policy
     return obj
@@ -222,7 +235,8 @@ def _coefficient_from_args(
 
 
 # --------------------------------------------------------------------------
-# Command handlers (each returns (Report, exit_code))
+# Command handlers: each takes the parsed options and its subcommand's
+# parser, which reports usage errors, and returns (Report, exit_code)
 
 
 def _cmd_expand(args, parser) -> tuple[Report, int]:
@@ -388,7 +402,8 @@ def _render_text(report: Report) -> str:
         lines.append("all checks passed")
     if report.citations:
         lines.append("rules fired: " + ", ".join(sorted(set(report.citations))))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the text once more
+    return "\n".join(lines)
 
 
 def _invariants_lines(obj: dict) -> list[str]:
@@ -478,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stabilization sign policy (default: all-negative)",
     )
     _add_format(expand)
-    expand.set_defaults(handler=_cmd_expand)
+    expand.set_defaults(handler=_cmd_expand, command_parser=expand)
 
     invariants = subparsers.add_parser(
         "invariants", help="rational invariants of a surgery-dual knot"
@@ -492,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_knot_options(invariants)
     invariants.add_argument("--n", type=int, help="chain length n (with --chain)")
     _add_format(invariants)
-    invariants.set_defaults(handler=_cmd_invariants)
+    invariants.set_defaults(handler=_cmd_invariants, command_parser=invariants)
 
     classify = subparsers.add_parser(
         "classify", help="run tight/overtwisted rules on a diagram"
@@ -514,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: on)",
     )
     _add_format(classify)
-    classify.set_defaults(handler=_cmd_classify)
+    classify.set_defaults(handler=_cmd_classify, command_parser=classify)
 
     bennequin = subparsers.add_parser(
         "bennequin", help="evaluate the rational Bennequin bound for a dual knot"
@@ -528,13 +543,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_knot_options(bennequin)
     bennequin.add_argument("--n", type=int, help="chain length n (with --chain)")
     _add_format(bennequin)
-    bennequin.set_defaults(handler=_cmd_bennequin)
+    bennequin.set_defaults(handler=_cmd_bennequin, command_parser=bennequin)
 
     selftest = subparsers.add_parser(
         "selftest", help="run the built-in verification grids"
     )
     _add_format(selftest)
-    selftest.set_defaults(handler=_cmd_selftest)
+    selftest.set_defaults(handler=_cmd_selftest, command_parser=selftest)
 
     return parser
 
@@ -543,7 +558,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report, code = args.handler(args, parser)
+        # usage errors name the subcommand's usage line, not the root's
+        report, code = args.handler(args, args.command_parser)
     except NonNullhomologousDual as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_UNDEFINED

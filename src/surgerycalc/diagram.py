@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Optional
 
 from .exact import SquareMatrix, as_rational, format_rational
@@ -116,16 +117,18 @@ class LegendrianKnotData:
         if not isinstance(self.id, str) or not self.id:
             raise ValidationError("knot id must be a non-empty string")
         for name in ("tb", "rot", "euler_char"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(
-                    f"{self.id}.{name} must be an integer, got {value!r}"
-                )
+            _check_knot_int(self.id, name, getattr(self, name))
         if self.euler_char > 1:
             raise ValidationError(
                 f"{self.id}.euler_char = {self.euler_char} exceeds 1, impossible "
                 "for a surface with boundary"
             )
+
+
+def _check_knot_int(knot_id: str, name: str, value: object) -> None:
+    """Raise unless ``value``, the field ``name`` of knot ``knot_id``, is an int."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{knot_id}.{name} must be an integer, got {value!r}")
 
 
 def _warn_even_euler_char(knot: LegendrianKnotData) -> None:
@@ -506,59 +509,95 @@ def parity_lint(diagram: SurgeryDiagram) -> list[str]:
 
 def diagram_to_obj(diagram: SurgeryDiagram) -> dict:
     return _diagram_obj(
-        diagram.ambient, diagram.components, [list(row) for row in diagram.linking]
+        diagram.ambient,
+        (
+            (
+                component.id,
+                component.knot.tb,
+                component.knot.rot,
+                component.knot.euler_char,
+                None
+                if component.contact_coefficient is None
+                else format_rational(component.contact_coefficient),
+            )
+            for component in diagram.components
+        ),
+        [list(row) for row in diagram.linking],
     )
 
 
-def _diagram_obj(ambient: AmbientStatus, components, linking) -> dict:
-    """The JSON object of a diagram, with ``linking`` (a list of rows or
-    ``LinkingBlocks``) as given."""
+def _diagram_obj(ambient: AmbientStatus, rows, linking) -> dict:
+    """The JSON object of a diagram.
+
+    ``rows`` gives each component as (id, tb, rot, euler_char,
+    coefficient), the coefficient already formatted or None;
+    ``linking`` (a list of rows or ``LinkingBlocks``) is kept as given.
+    """
     return {
         "ambient": ambient.value,
         "components": [
             {
-                "id": component.id,
-                "tb": component.knot.tb,
-                "rot": component.knot.rot,
-                "euler_char": component.knot.euler_char,
-                "contact_coefficient": (
-                    None
-                    if component.contact_coefficient is None
-                    else format_rational(component.contact_coefficient)
-                ),
+                "id": component_id,
+                "tb": tb,
+                "rot": rot,
+                "euler_char": euler_char,
+                "contact_coefficient": coefficient,
             }
-            for component in components
+            for component_id, tb, rot, euler_char, coefficient in rows
         ],
         "linking": linking,
     }
 
 
 def json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
     Dict keys must be strs (a report's always are; any other key raises
     TypeError). CPython's C encoder is used only without ``indent``, so
-    this writes dicts and lists/tuples itself and joins the pieces once
-    at the end. A list of plain ints (bools excluded) is written with
-    one ``str.join``, and ``LinkingBlocks`` as the list of its rows,
-    each written from its blocks (``LinkingBlocks.row_texts``): both
-    keep a linking matrix at C-level work per row. Plain strs and ints
-    are written the way the encoder writes them; every other scalar,
-    and every empty container, by ``json.dumps``.
+    this writes dicts and lists/tuples itself and joins the pieces, and
+    the trailing newline, once at the end: an expansion's text is
+    megabytes, and every further copy of it costs. Three shapes keep
+    their work at C level:
+
+    * a list of plain ints (bools excluded), written with one
+      ``str.join``;
+    * ``LinkingBlocks``, written as the list of its rows, one piece per
+      row, each from its blocks (``LinkingBlocks.row_texts``);
+    * a list of records, that is of dicts sharing one non-empty key
+      set: one %-template for the whole list, filled once per record
+      with its values' texts, a column at a time.
+
+    Plain strs and ints, None and bools are written the way the encoder
+    writes them, and empty containers as ``[]`` and ``{}``; every other
+    scalar goes through ``json.dumps``.
     """
     chunks: list[str] = []
     _json_chunks(obj, "\n", chunks)
+    chunks.append("\n")
     return "".join(chunks)
+
+
+#: The scalars written the way the encoder writes them, by exact type
+#: (an int or str subclass goes through ``json.dumps``).
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: str,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
 def _json_chunks(obj, newline: str, chunks: list[str]) -> None:
     """Append the pieces of ``obj`` written at the indent ``newline`` ends in."""
+    write = _SCALAR_TEXT.get(type(obj))
+    if write is not None:
+        chunks.append(write(obj))
+        return
     inner = newline + "  "
-    if type(obj) is str:
-        chunks.append(encode_basestring_ascii(obj))
-    elif type(obj) is int:
-        chunks.append(str(obj))
-    elif isinstance(obj, dict) and obj:
+    if isinstance(obj, dict):
+        if not obj:
+            chunks.append("{}")
+            return
         opener = "{"
         for key, value in sorted(obj.items()):
             chunks += (opener, inner, encode_basestring_ascii(key), ": ")
@@ -566,16 +605,33 @@ def _json_chunks(obj, newline: str, chunks: list[str]) -> None:
             opener = ","
         chunks += (newline, "}")
     elif type(obj) is LinkingBlocks:
+        # each row is one chunk, its list separator in front; the first
+        # row's separator becomes the list's "[", so the rows are never
+        # joined into one text of their own
         deeper = inner + "  "
-        rows = obj.row_texts("," + deeper, "[" + deeper, inner + "]")
-        text = ("," + inner).join(rows)
-        chunks += ("[", inner, text, newline, "]") if text else ("[]",)
-    elif isinstance(obj, (list, tuple)) and obj:
-        if set(map(type, obj)) == {int}:
+        start = len(chunks)
+        chunks += obj.row_texts("," + deeper, "," + inner + "[" + deeper, inner + "]")
+        if len(chunks) == start:
+            chunks.append("[]")
+        else:
+            chunks[start] = "[" + chunks[start][1:]
+            chunks += (newline, "]")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            chunks.append("[]")
+            return
+        kinds = set(map(type, obj))
+        if kinds == {int}:
             text = {value: str(value) for value in set(obj)}
             row = ("," + inner).join(map(text.__getitem__, obj))
             chunks += ("[", inner, row, newline, "]")
             return
+        if kinds == {dict} and obj[0]:
+            keys = obj[0].keys()
+            if all(map(keys.__eq__, map(dict.keys, obj))):
+                chunks += ("[", inner, _records_text(obj, sorted(keys), inner))
+                chunks += (newline, "]")
+                return
         opener = "["
         for value in obj:
             chunks += (opener, inner)
@@ -586,9 +642,44 @@ def _json_chunks(obj, newline: str, chunks: list[str]) -> None:
         chunks.append(json.dumps(obj))
 
 
+def _records_text(records, names: list[str], newline: str) -> str:
+    """Dicts with the keys ``names`` (sorted), each written at the indent
+    ``newline`` ends in, joined by the list separator."""
+    inner = newline + "  "
+    template = (
+        "{"
+        + inner
+        + ("," + inner).join(
+            encode_basestring_ascii(name).replace("%", "%%") + ": %s"
+            for name in names
+        )
+        + newline
+        + "}"
+    )
+    columns = [
+        _column_texts(list(map(itemgetter(name), records)), inner) for name in names
+    ]
+    return ("," + newline).join([template % row for row in zip(*columns)])
+
+
+def _column_texts(values: list, newline: str) -> list[str]:
+    """The text of each value, written at the indent ``newline`` ends in:
+    a column of one scalar type at C speed, any other one value by value."""
+    kinds = set(map(type, values))
+    write = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    if write is not None:
+        return list(map(write, values))
+    texts = []
+    for value in values:
+        chunks: list[str] = []
+        _json_chunks(value, newline, chunks)
+        texts.append("".join(chunks))
+    return texts
+
+
 def serialize_diagram(diagram: SurgeryDiagram) -> str:
     """Serialize to deterministic JSON (stable key order, trailing newline)."""
-    return json_text(diagram_to_obj(diagram)) + "\n"
+    return json_text(diagram_to_obj(diagram))
 
 
 def _require_int(value: object, where: str) -> int:

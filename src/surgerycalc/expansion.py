@@ -43,6 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .diagram import (
@@ -52,6 +53,7 @@ from .diagram import (
     SurgeryComponent,
     SurgeryDiagram,
     ValidationError,
+    _check_knot_int,
     _check_unique_ids,
 )
 from .exact import RationalLike, as_rational, format_rational
@@ -126,34 +128,64 @@ class ExpansionStep:
                 f"{len(self.stabilization_signs)} stabilization signs for "
                 f"{self.stabilizations} stabilizations"
             )
-        if not _SIGNS.issuperset(self.stabilization_signs):
-            raise ValidationError("stabilization signs must be +1 or -1")
+        _check_signs(self.stabilization_signs)
 
 
 @dataclass(frozen=True)
 class ExpandedPresentation:
     """The result of expanding rational coefficients into (+-1)-surgeries.
 
-    ``derived_diagram`` realizes the steps as an ordinary surgery
-    diagram (every surgered component carries coefficient +1 or -1);
-    ``zigzag_policy`` records how stabilization signs were chosen.
+    The expansion is kept as the expanders derive it, one record per
+    derived curve in order. ``records[i]`` holds the id and the Euler
+    characteristic of the curve's source knot and the curve itself: its
+    id, tb and rot, its coefficient (+1 or -1, or None for an unsurgered
+    component passing through) and the zigzag signs that reached it.
+    ``linking_blocks`` holds the linking matrix as per-group blocks
+    (``LinkingBlocks``), from which the CLI writes the rows without
+    building the matrix; ``zigzag_policy`` records how stabilization
+    signs were chosen. The CLI writes its report from these fields
+    alone.
 
-    The derived diagram is kept as its ambient status, its components
-    and its linking matrix as per-group blocks (``LinkingBlocks``),
-    from which the CLI writes the rows without building the matrix;
-    the expanders check unique ids and symmetry on that form before
-    they return. ``derived_diagram`` builds the N x N matrix, and
-    validates the diagram in full, on first access.
+    ``components`` (one SurgeryComponent per record), ``steps`` (one
+    ExpansionStep per surgered record) and ``derived_diagram`` (which
+    realizes them, with the N x N matrix, as an ordinary surgery
+    diagram whose surgered components all carry +1 or -1) are views,
+    built and validated on first access. Every check that can fail on
+    input has run in the expander before it returned, so building them
+    cannot fail (see ``_assemble``).
     """
 
-    steps: tuple[ExpansionStep, ...]
+    records: tuple[_Record, ...]
     zigzag_policy: str
     ambient: AmbientStatus
-    components: tuple[SurgeryComponent, ...]
     linking_blocks: LinkingBlocks
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
+    @cached_property
+    def components(self) -> tuple[SurgeryComponent, ...]:
+        return tuple(
+            SurgeryComponent(
+                knot=LegendrianKnotData(
+                    id=curve.id, tb=curve.tb, rot=curve.rot, euler_char=euler_char
+                ),
+                contact_coefficient=(
+                    None if curve.coefficient is None else Fraction(curve.coefficient)
+                ),
+            )
+            for _, euler_char, curve in self.records
+        )
+
+    @cached_property
+    def steps(self) -> tuple[ExpansionStep, ...]:
+        return tuple(
+            ExpansionStep(
+                source_id=source_id,
+                coefficient=Fraction(curve.coefficient),
+                stabilizations=len(curve.signs),
+                stabilization_signs=curve.signs,
+            )
+            for source_id, _, curve in self.records
+            if curve.coefficient is not None
+        )
 
     @cached_property
     def derived_diagram(self) -> SurgeryDiagram:
@@ -272,6 +304,12 @@ class _Curve(NamedTuple):
     signs: tuple[int, ...]
 
 
+#: One derived curve with the id and the Euler characteristic of its
+#: source knot, as ``ExpandedPresentation`` keeps it: a plain tuple, built
+#: at C speed.
+_Record = tuple[str, int, _Curve]
+
+
 def _negative_chain(
     source: LegendrianKnotData,
     r: Fraction,
@@ -298,7 +336,28 @@ def _negative_chain(
         rot += sum(sign_list)
         curve_id = source.id if identity else f"{source.id}#{position}"
         curves.append(_Curve(curve_id, tb, rot, -1, sign_list))
+    if not isinstance(zigzag_policy, str):
+        _check_explicit_curves(curves)
     return curves
+
+
+def _check_explicit_curves(curves: Sequence[_Curve]) -> None:
+    """The checks a curve reached by explicit signs can fail, curve by curve.
+
+    They are the checks of ``LegendrianKnotData`` and ``ExpansionStep``
+    that depend on the signs, with their messages and in their order:
+    rot must be an integer (a sign such as 1.0 equals 1, passes the
+    value check and makes rot a float), and every sign +1 or -1. Named
+    policies pass both by construction.
+    """
+    for curve in curves:
+        _check_knot_int(curve.id, "rot", curve.rot)
+        _check_signs(curve.signs)
+
+
+def _check_signs(signs: tuple[int, ...]) -> None:
+    if not _SIGNS.issuperset(signs):
+        raise ValidationError("stabilization signs must be +1 or -1")
 
 
 def _check_expandable(knot: LegendrianKnotData, r: Fraction) -> None:
@@ -346,41 +405,39 @@ def _assemble(
     ambient: AmbientStatus,
     zigzag_policy: ZigzagPolicy,
 ) -> ExpandedPresentation:
-    """Glue per-component curve groups into one derived diagram.
+    """Glue per-component curve groups into one expanded presentation.
 
-    Group a holds the curves derived from ``sources[a]``, whose Euler
-    characteristic they share. ``source_linking(a, b)`` gives the
-    linking number of the sources of groups a and b; curves from
-    different groups inherit it verbatim. Within a group a later curve
-    is a parallel copy of a push-off of an earlier one, so the two link
-    by the earlier curve's contact framing: its tb. That is the rule
-    ``LinkingBlocks`` describes, so the linking matrix is kept as the
-    groups' tbs and the k x k table of ``source_linking``, read once
-    per pair of groups.
+    Group a holds the curves derived from ``sources[a]``; each curve
+    becomes one record with that source's id and Euler characteristic.
+    ``source_linking(a, b)`` gives the linking number of the sources of
+    groups a and b; curves from different groups inherit it verbatim.
+    Within a group a later curve is a parallel copy of a push-off of an
+    earlier one, so the two link by the earlier curve's contact
+    framing: its tb. That is the rule ``LinkingBlocks`` describes, so
+    the linking matrix is kept as the groups' tbs and the k x k table of
+    ``source_linking``, read once per pair of groups.
+
+    No per-curve object is built. The checks that can fail on input
+    run in the expander, in the order the objects' constructors and
+    ``SurgeryDiagram`` would make them: the coefficient shape
+    (``_check_expandable``) and the lengths of an explicit sign list
+    (``_resolve_policy``) while the groups are built, then each curve's
+    rot and sign values when they come from explicit signs
+    (``_check_explicit_curves``), then, here, unique ids on the curves
+    and symmetry on the k x k table. Every other check those
+    constructors make holds by construction, since the curves come
+    from knots that were already validated: ids are non-empty strs; tb
+    drops by int counts and rot moves by checked signs, so both stay
+    ints; euler_char is the source's; coefficients are +1 or -1 and
+    each stabilization count is the length of its sign tuple.
     """
-    flat = [(g, curve) for g, group in enumerate(groups) for curve in group]
-    components = []
-    steps = []
-    for g, curve in flat:
-        source = sources[g]
-        coefficient = None if curve.coefficient is None else Fraction(curve.coefficient)
-        knot = LegendrianKnotData(
-            id=curve.id, tb=curve.tb, rot=curve.rot, euler_char=source.euler_char
+    _check_unique_ids(chain.from_iterable(groups))
+    records = tuple(
+        chain.from_iterable(
+            zip(repeat(source.id), repeat(source.euler_char), group)
+            for source, group in zip(sources, groups)
         )
-        components.append(
-            SurgeryComponent(knot=knot, contact_coefficient=coefficient)
-        )
-        if coefficient is not None:
-            steps.append(
-                ExpansionStep(
-                    source_id=source.id,
-                    coefficient=coefficient,
-                    stabilizations=len(curve.signs),
-                    stabilization_signs=curve.signs,
-                )
-            )
-    # the checks SurgeryDiagram makes, in its order, on the block form
-    _check_unique_ids(components)
+    )
     k = len(groups)
     blocks = LinkingBlocks(
         tbs=tuple(tuple(curve.tb for curve in group) for group in groups),
@@ -391,10 +448,9 @@ def _assemble(
     )
     policy_name = zigzag_policy if isinstance(zigzag_policy, str) else "explicit"
     return ExpandedPresentation(
-        steps=tuple(steps),
+        records=records,
         zigzag_policy=policy_name,
         ambient=ambient,
-        components=tuple(components),
         linking_blocks=blocks,
     )
 

@@ -462,6 +462,31 @@ def test_classify_n_with_q_exit_2(tmp_path, capsys):
     assert "give either --n or --p/--q, not both" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "FIG", "--n", "2", "--q", "3"],
+         "give either --n or --p/--q, not both"),
+        (["classify", "FIG", "--q", "3"], "--q needs --p"),
+        (["expand", "--n", "2", "--p", "5", "--q", "2"],
+         "single-knot mode needs --tb and --rot"),
+        (["expand", "--tb", "-2", "--rot", "1", "--n", "2", "--p", "5", "--q", "2"],
+         "give either --n or --p/--q, not both"),
+        (["invariants", "--chain", "--tb", "-2"], "--chain mode needs --tb, --rot and --n"),
+        (["bennequin", "FIG"], "bennequin needs a diagram file with --dual ID, or --chain"),
+    ],
+)
+def test_usage_error_in_handler_prints_subcommand_usage(tmp_path, capsys, argv, message):
+    path = str(figure1_path(tmp_path))
+    with pytest.raises(SystemExit) as exit_info:
+        main([path if arg == "FIG" else arg for arg in argv])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: surgerycalc {argv[0]} [-h]")
+    assert captured.err.endswith(f"surgerycalc {argv[0]}: error: {message}\n")
+
+
 def test_missing_dual_exit_2(tmp_path):
     path = figure1_path(tmp_path)
     result = run_cli("invariants", str(path))

@@ -431,8 +431,31 @@ _json_values = st.recursive(
 @given(_json_values)
 @example({"a\u00e9\"\\": [[{"b": [1, True, -(2**65), 2**64 + 1]}], ()], "e": {}, "f": []})
 @example([[[[1, 2], [False, 0]], ({},)], None, "\u2603"])
+# lists and tuples of records: dicts sharing one key set, with every kind
+# of value in their columns
+@example(
+    [
+        {"id": "K\u00e9", "n": None, "b": True, "x": 1.5, "e": [], "s": [1, -1],
+         "d": {"z": None, "a": [2]}},
+        {"id": "\u2603\"", "n": 3, "b": False, "x": -0.0, "e": [], "s": [],
+         "d": {}},
+    ]
+)
+@example(
+    (
+        {"a%s": 1, "%d": "%", "c": [True, None]},
+        {"a%s": -(2**70), "%d": "%(x)s", "c": ()},
+    )
+)
+@example({"k": [{"v": [{"w": 1}, {"w": [{"u": None}]}]}, {"v": ({"w": 2},)}]})
+@example([{"a": 1}, {"b": 1}])  # key sets differ
+@example([{"a": 1, "b": 2}, {"a": 1}])  # one key set contains the other
+@example([{}, {}])  # empty dicts
+@example([{}, {"a": 1}])
+@example([{"only": [1, {"x": "y"}]}])  # a one-record list
+@example(({"a": float("nan")}, {"a": float("inf")}))
 def test_json_text_matches_json_dumps(value):
-    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 def test_json_text_rejects_non_str_keys():

@@ -6,6 +6,7 @@ import json
 import random
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -36,8 +37,10 @@ from surgerycalc import (
     as_rational,
     classify_lemma_tight,
 )
+from surgerycalc.cli import _expansion_obj
 from surgerycalc.diagram import LinkingBlocks, json_text
-from surgerycalc.expansion import ZIGZAG_POLICIES
+from surgerycalc.exact import format_rational
+from surgerycalc.expansion import ZIGZAG_POLICIES, _Curve, _knot_group
 
 from helpers import entrywise_linking, euclid_subtractive_steps, random_diagram
 
@@ -309,6 +312,38 @@ def test_policy_explicit_wrong_length():
         )
 
 
+def _expand_minus_five_thirds(source, policy):
+    return expand_negative_rational(source, Fraction(-5, 3), zigzag_policy=policy)
+
+
+def _expand_plus_five_halves(source, policy):
+    # one (+1) curve, then the chain of -5/3: the same two stabilized curves
+    return expand_positive_rational(source, 5, 2, zigzag_policy=policy)
+
+
+@pytest.mark.parametrize(
+    "expander", [_expand_minus_five_thirds, _expand_plus_five_halves]
+)
+@pytest.mark.parametrize(
+    "signs, message",
+    [
+        ([(-1,), (2,)], "stabilization signs must be +1 or -1"),
+        ([(0,), (-1,)], "stabilization signs must be +1 or -1"),
+        # a wrong length anywhere is named before any bad sign value
+        ([(2,), (1, 1)], "curve 2 needs 1 stabilization signs, got 2"),
+        # a sign equal to 1 but not an int makes rot a non-int; the
+        # checks run curve by curve, rot before the sign values
+        ([(1.0,), (2,)], "L#1.rot must be an integer, got 2.0"),
+        ([(2,), (1.0,)], "stabilization signs must be +1 or -1"),
+        ([(-1,), (1.0,)], "L#2.rot must be an integer, got 1.0"),
+    ],
+)
+def test_explicit_signs_checked_at_the_call(expander, signs, message):
+    with pytest.raises(ValidationError) as raised:
+        expander(knot(), signs)
+    assert str(raised.value) == message
+
+
 def test_stabilization_bookkeeping_cumulative():
     presentation = expand_negative_rational(knot(tb=-1, rot=0, chi=1), Fraction(-17, 5))
     # digits [-4, -2, -3], counts (3, 0, 1)
@@ -431,6 +466,137 @@ def test_expand_diagram_all_coefficients_unit():
 
 
 # --------------------------------------------------------------------------
+# Lazy views against the eager assembly
+
+
+def eager_views(sources, groups, source_linking, ambient, policy):
+    """The oracle: components, steps, derived diagram and CLI payload as
+    the expanders built them eagerly, one validated knot, component and
+    step per curve, with the linking matrix entry by entry."""
+    components, steps = [], []
+    for source, group in zip(sources, groups):
+        for curve in group:
+            coefficient = (
+                None if curve.coefficient is None else Fraction(curve.coefficient)
+            )
+            derived = LegendrianKnotData(
+                id=curve.id, tb=curve.tb, rot=curve.rot, euler_char=source.euler_char
+            )
+            components.append(
+                SurgeryComponent(knot=derived, contact_coefficient=coefficient)
+            )
+            if coefficient is not None:
+                steps.append(
+                    ExpansionStep(
+                        source_id=source.id,
+                        coefficient=coefficient,
+                        stabilizations=len(curve.signs),
+                        stabilization_signs=curve.signs,
+                    )
+                )
+    components, steps = tuple(components), tuple(steps)
+    linking = entrywise_linking(SimpleNamespace(components=components), source_linking)
+    derived = SurgeryDiagram(ambient=ambient, components=components, linking=linking)
+    payload = {
+        "ambient": ambient.value,
+        "components": [
+            {
+                "id": component.id,
+                "tb": component.knot.tb,
+                "rot": component.knot.rot,
+                "euler_char": component.knot.euler_char,
+                "contact_coefficient": (
+                    None
+                    if component.contact_coefficient is None
+                    else format_rational(component.contact_coefficient)
+                ),
+            }
+            for component in components
+        ],
+        "linking": [list(row) for row in linking],
+        "steps": [
+            {
+                "source_id": step.source_id,
+                "coefficient": format_rational(step.coefficient),
+                "stabilizations": step.stabilizations,
+                "stabilization_signs": list(step.stabilization_signs),
+            }
+            for step in steps
+        ],
+        "zigzag_policy": policy if isinstance(policy, str) else "explicit",
+    }
+    return components, steps, derived, payload
+
+
+def assert_views_match_eager(presentation, sources, groups, source_linking, ambient, policy):
+    components, steps, derived, payload = eager_views(
+        sources, groups, source_linking, ambient, policy
+    )
+    obj = _expansion_obj(presentation)
+    assert obj["linking"] is presentation.linking_blocks
+    assert {**obj, "linking": payload["linking"]} == payload
+    assert json_text(obj) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # the CLI payload reads the records alone and builds no view
+    assert not {"components", "steps", "derived_diagram"} & vars(presentation).keys()
+    assert presentation.components == components
+    assert presentation.steps == steps
+    assert presentation.derived_diagram == derived
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_lazy_views_match_eager_assembly(seed):
+    diagram = random_diagram(random.Random(seed), max_components=5)
+    knots = [component.knot for component in diagram.components]
+    for policy in ZIGZAG_POLICIES:
+        try:
+            presentation = expand_diagram(diagram, zigzag_policy=policy)
+        except Unsupported:
+            return
+        groups = [
+            [_Curve(k.id, k.tb, k.rot, None, ())]
+            if component.contact_coefficient is None
+            else _knot_group(k, component.contact_coefficient, policy)
+            for k, component in zip(knots, diagram.components)
+        ]
+        assert_views_match_eager(
+            presentation, knots, groups, diagram.linking_number, diagram.ambient, policy
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(-6, 6),
+    st.integers(-4, 4),
+    st.sampled_from((1, -1, -3)),
+    st.integers(1, 30),
+    st.integers(1, 30),
+    st.booleans(),
+    st.data(),
+)
+def test_lazy_views_match_eager_assembly_explicit_signs(tb, rot, chi, a, b, negative, data):
+    source = knot(tb=tb, rot=rot, chi=chi)
+    if gcd(a, b) != 1 or (not negative and a <= b):
+        return
+    tail = Fraction(-a, b) if negative else Fraction(-a, a - b)
+    counts = stabilization_counts(negative_continued_fraction(tail))
+    signs = [
+        tuple(data.draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n)))
+        for n in counts
+    ]
+    if negative:
+        presentation = expand_negative_rational(source, tail, zigzag_policy=signs)
+        coefficient = tail
+    else:
+        presentation = expand_positive_rational(source, a, b, zigzag_policy=signs)
+        coefficient = Fraction(a, b)
+    group = _knot_group(source, coefficient, signs)
+    assert_views_match_eager(
+        presentation, [source], [group], lambda g, h: 0, AmbientStatus.UNKNOWN, signs
+    )
+
+
+# --------------------------------------------------------------------------
 # One coefficient-shape dispatch
 
 
@@ -506,8 +672,8 @@ def assert_writer_matches(presentation, oracle):
     assert list(blocks.row_texts(JSON_ROW_SEP, "", "")) == [
         JSON_ROW_SEP.join(map(str, row)) for row in oracle
     ]
-    assert json_text({"linking": blocks}) == json.dumps(
-        {"linking": oracle}, indent=2, sort_keys=True
+    assert json_text({"linking": blocks}) == (
+        json.dumps({"linking": oracle}, indent=2, sort_keys=True) + "\n"
     )
     assert presentation.derived_diagram.linking == oracle
 
