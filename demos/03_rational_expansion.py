@@ -4,21 +4,24 @@ Three coefficient shapes are expandable: +1/n (n successive push-offs,
 each (+1)-surgered), negative r (a chain of stabilized push-offs, each
 (-1)-surgered, driven by the negative continued fraction of r), and
 +p/q with p > q >= 1 (one (+1)-surgery, then a negative chain on a
-push-off). The expansion is checked here against first homology: for a
-surgery with topological coefficient a/b on a knot in the 3-sphere,
-|H1| = |a| must equal |det| of the derived presentation matrix.
+push-off). ``expand_diagram`` expands every surgered component of a
+diagram, so a single knot is expanded as a one-component diagram. The
+expansion is checked here against first homology: for a surgery with
+topological coefficient a/b on a knot in the 3-sphere, |H1| = |a| must
+equal |det| of the derived presentation matrix.
 """
 
 from fractions import Fraction
 from math import gcd
 
 from surgerycalc import (
+    AmbientStatus,
     LegendrianKnotData,
+    SurgeryComponent,
+    SurgeryDiagram,
     det,
     evaluate_negative_continued_fraction,
-    expand_negative_rational,
-    expand_positive_rational,
-    expand_positive_unit_fraction,
+    expand_diagram,
     negative_continued_fraction,
     presentation_matrix,
 )
@@ -31,24 +34,35 @@ for r in (Fraction(-1), Fraction(-5, 3), Fraction(-1, 2), Fraction(-17, 5)):
 
 unknot = LegendrianKnotData(id="L", tb=-1, rot=0, euler_char=1)
 
+def expand(knot, r, policy="all-negative"):
+    """Contact (r)-surgery along one knot, as a one-component diagram."""
+    diagram = SurgeryDiagram(
+        ambient=AmbientStatus.UNKNOWN,
+        components=(SurgeryComponent(knot, contact_coefficient=r),),
+        linking=((0,),),
+    )
+    return expand_diagram(diagram, zigzag_policy=policy)
+
+
 def signed(value):
     return f"+{value}" if value > 0 else str(value)
 
 
 # Contact (+1/3)-surgery: three (+1)-surgered push-offs, no zigzags.
-presentation = expand_positive_unit_fraction(unknot, 3)
+# Each record holds the source's id and Euler characteristic and the curve.
+presentation = expand(unknot, Fraction(1, 3))
 print("\n+1/3 on the tb=-1 unknot:")
-for step in presentation.steps:
-    print(f"  ({signed(step.coefficient)}) on a push-off of {step.source_id}, "
-          f"{step.stabilizations} stabilizations")
+for source_id, _, curve in presentation.records:
+    print(f"  ({signed(curve.coefficient)}) on a push-off of {source_id}, "
+          f"{len(curve.signs)} stabilizations")
 
 # Contact (+5/2)-surgery: (+1) on L, then the expansion of -5/3 = [-2, -3]
 # along push-offs, one stabilization each.
-presentation = expand_positive_rational(unknot, 5, 2)
+presentation = expand(unknot, Fraction(5, 2))
 print("\n+5/2 on the tb=-1 unknot:")
-for component, step in zip(presentation.derived_diagram.components, presentation.steps):
-    print(f"  {component.id}: coefficient {signed(step.coefficient)}, "
-          f"{step.stabilizations} stabilizations, tb={component.knot.tb}")
+for _, _, curve in presentation.records:
+    print(f"  {curve.id}: coefficient {signed(curve.coefficient)}, "
+          f"{len(curve.signs)} stabilizations, tb={curve.tb}")
 value = det(presentation_matrix(presentation.derived_diagram))
 print(f"  |det| of the derived presentation = {abs(value)}  "
       f"(topological coefficient tb + 5/2 = 3/2, so |H1| = 3)")
@@ -60,13 +74,13 @@ for p in range(1, 9):
     for q in range(1, 9):
         if gcd(p, q) != 1:
             continue
-        ep = expand_negative_rational(unknot, Fraction(-p, q))
+        ep = expand(unknot, Fraction(-p, q))
         assert abs(det(presentation_matrix(ep.derived_diagram))) == abs(-q - p)
         checked += 1
 print(f"  {checked} expansions match |q*tb - p|")
 
 # Zigzag signs are a recorded policy; tb bookkeeping is sign-independent.
 for policy in ("all-negative", "all-positive", "balanced"):
-    ep = expand_negative_rational(unknot, Fraction(-8, 3), zigzag_policy=policy)
+    ep = expand(unknot, Fraction(-8, 3), policy)
     rots = [c.knot.rot for c in ep.derived_diagram.components]
     print(f"\npolicy {ep.zigzag_policy}: chain rot values {rots}")

@@ -19,13 +19,13 @@ Modules:
   matrix builder (tb_i + r_i on the diagonal) behind the invariants'
   k x k system and the bordered check matrices, the (+1)-push-off
   chain diagrams, and the JSON file format.
-* ``expansion``: negative continued fractions and the expansion of
-  rational coefficients into (+-1)-surgeries with stabilization
-  bookkeeping; one private coefficient-shape dispatch serves the
-  diagram and single-knot expanders. An expansion is kept as one
-  record per derived curve and its linking matrix as per-group blocks;
-  the per-curve components and steps, and the matrix, are built only
-  when ``components``, ``steps`` or ``derived_diagram`` is first read.
+* ``expansion``: negative continued fractions and ``expand_diagram``,
+  the one expander of rational coefficients into (+-1)-surgeries with
+  stabilization bookkeeping, through one private coefficient-shape
+  dispatch; a single knot is a one-component diagram. An expansion is
+  kept as one record per derived curve and its linking matrix as
+  per-group blocks; the per-curve components and the matrix are built
+  only when ``derived_diagram`` is first read.
 * ``invariants``: invariants of surgery-dual knots; ``dual_invariants``
   is the one entry point: a k x k solve over the unexpanded components
   plus a closed form per expanded curve group, never the curves or the
@@ -42,6 +42,7 @@ from .classify import (
     BennequinReport,
     Conclusion,
     InconsistentAssumptions,
+    NotCoprime,
     Verdict,
     bennequin_check,
     classify_diagram,
@@ -88,15 +89,10 @@ from .exact import (
 )
 from .expansion import (
     ExpandedPresentation,
-    ExpansionStep,
-    NotCoprime,
     RangeError,
     Unsupported,
     evaluate_negative_continued_fraction,
     expand_diagram,
-    expand_negative_rational,
-    expand_positive_rational,
-    expand_positive_unit_fraction,
     negative_continued_fraction,
     stabilization_counts,
 )
@@ -118,7 +114,6 @@ __all__ = [
     "DimensionMismatch",
     "DualKnotInvariants",
     "ExpandedPresentation",
-    "ExpansionStep",
     "InconsistentAssumptions",
     "LegendrianKnotData",
     "MissingCoefficient",
@@ -152,9 +147,6 @@ __all__ = [
     "dual_invariants_closed_form",
     "evaluate_negative_continued_fraction",
     "expand_diagram",
-    "expand_negative_rational",
-    "expand_positive_rational",
-    "expand_positive_unit_fraction",
     "format_rational",
     "homological_order",
     "inner_product",

@@ -31,6 +31,7 @@ conjecture that such surgeries are always overtwisted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -44,7 +45,7 @@ from .diagram import (
     ValidationError,
 )
 from .exact import RationalLike, as_rational, format_rational
-from .expansion import Unsupported, _check_coprime_positive
+from .expansion import Unsupported
 from .invariants import (
     DualKnotInvariants,
     NonNullhomologousDual,
@@ -57,6 +58,7 @@ __all__ = [
     "Conclusion",
     "CONWAY_FLAG",
     "InconsistentAssumptions",
+    "NotCoprime",
     "RULE_BENNEQUIN",
     "RULE_LEMMA_TIGHT",
     "RULE_NONE",
@@ -88,6 +90,10 @@ BENNEQUIN_FORM_NOTE = (
 
 class InconsistentAssumptions(ValueError):
     """The supplied assumptions contradict each other or the diagram."""
+
+
+class NotCoprime(ValueError):
+    """p and q were required to be relatively prime."""
 
 
 class Conclusion(Enum):
@@ -298,6 +304,15 @@ def classify_thm2(ambient: AmbientStatus, coefficient: RationalLike) -> Verdict:
     )
 
 
+def _check_coprime_positive(p: int, q: int) -> None:
+    """Raise unless p and q are relatively prime positive integers."""
+    for name, value in (("p", p), ("q", q)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+    if math.gcd(p, q) != 1:
+        raise NotCoprime(f"p = {p} and q = {q} are not relatively prime")
+
+
 def classify_lemma_tight(plus_one_known_tight: bool, p: int, q: int) -> Verdict:
     """Tightness persistence: (+1)-surgery tight implies (+p/q) tight.
 
@@ -352,8 +367,10 @@ def classify_diagram(
     ``assumptions`` maps component ids to the known fact "contact
     (+1)-surgery along this component is tight"; assumed components
     must be unsurgered. When a prospective surgery ``+p/q`` is queried,
-    each unsurgered component receives a tightness-persistence verdict
-    using its assumption (missing assumptions read as False).
+    p and q must be coprime positive integers, whatever the diagram
+    holds, and each unsurgered component receives a
+    tightness-persistence verdict using its assumption (missing
+    assumptions read as False).
 
     A Tight verdict for an integer query n = p (q = 1) additionally
     gets a "conway-counterexample" trace entry when the component's tb
@@ -417,6 +434,7 @@ def classify_diagram(
         )
 
     if p is not None:
+        _check_coprime_positive(p, q)
         for component in diagram.components:
             if component.is_surgered:
                 continue

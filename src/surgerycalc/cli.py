@@ -4,14 +4,15 @@ Subcommands:
 
 * ``expand``: expand rational contact surgery coefficients into a
   (+-1)-surgery presentation, either for a diagram file or for a
-  single knot given by --tb/--rot/--chi and a coefficient. The output
+  single knot given by --tb/--rot/--chi and a coefficient, which is
+  expanded as a one-component diagram. The output
   holds the N x N linking matrix of the N derived curves, so it is
   Theta(N^2). The matrix itself is never built: each text and JSON
   row is written from the expansion's per-group blocks by string
   repetition (``LinkingBlocks.row_texts``), one str per block, none
   per entry. The component and step entries are written from the
-  expansion's curve records, with no per-curve knot, component or
-  step object, and ``json_text`` writes each list of them from one
+  expansion's curve records, with no per-curve knot or component
+  object, and ``json_text`` writes each list of them from one
   template.
 * ``invariants``: rational invariants of a surgery-dual knot, from a
   diagram file plus --dual (``dual_invariants``) or from the closed
@@ -44,6 +45,7 @@ from typing import Optional
 
 from .classify import (
     InconsistentAssumptions,
+    NotCoprime,
     RULE_BENNEQUIN,
     RULE_NONE,
     bennequin_check,
@@ -67,7 +69,6 @@ from .diagram import (
 from .exact import TooManyDigits, format_rational
 from .expansion import (
     ExpandedPresentation,
-    NotCoprime,
     RangeError,
     Unsupported,
     ZIGZAG_POLICIES,
@@ -207,11 +208,10 @@ def _run_diagrams(command: str, raw: str, handle) -> tuple[object, int]:
     return {"batch": entries}, worst
 
 
-def _knot_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    if args.tb is None or args.rot is None:
-        parser.error("single-knot mode needs --tb and --rot")
+def _knot_from_args(args: argparse.Namespace, knot_id: str) -> LegendrianKnotData:
+    """The knot given by --tb/--rot/--chi, checked as a diagram's knots are."""
     knot = LegendrianKnotData(
-        id=args.id, tb=args.tb, rot=args.rot, euler_char=args.chi
+        id=knot_id, tb=args.tb, rot=args.rot, euler_char=args.chi
     )
     _warn_even_euler_char(knot)
     return knot
@@ -253,7 +253,9 @@ def _cmd_expand(args, parser) -> tuple[Report, int]:
             "expand", args.diagram, lambda path: expansion(load_diagram(path))
         )
         return Report("expand", options, results), code
-    knot = _knot_from_args(args, parser)
+    if args.tb is None or args.rot is None:
+        parser.error("single-knot mode needs --tb and --rot")
+    knot = _knot_from_args(args, args.id)
     coefficient = _coefficient_from_args(args, parser)
     options.update(
         {"tb": knot.tb, "rot": knot.rot, "chi": knot.euler_char,
@@ -272,7 +274,8 @@ def _chain_invariants(args, parser) -> DualKnotInvariants:
         parser.error("--chain takes no diagram file and no --dual")
     if args.tb is None or args.rot is None or args.n is None:
         parser.error("--chain mode needs --tb, --rot and --n")
-    return dual_invariants_closed_form(args.tb, args.rot, args.chi, args.n)
+    knot = _knot_from_args(args, "L")
+    return dual_invariants_closed_form(knot.tb, knot.rot, knot.euler_char, args.n)
 
 
 def _cmd_invariants(args, parser) -> tuple[Report, int]:

@@ -22,10 +22,11 @@ last pivot (the determinant of the scaled system up to sign). By
 Cramer's rule y is integral, so every division is exact.
 `solve_integral` returns the pair (y, d) itself, for callers that stay
 in ints; `solve` builds a Fraction per entry, and `inner_product` one
-over a common denominator. Linking matrices of expanded presentations
-have up to hundreds of rows; elimination is cubic in the dimension,
-and keeping the per-entry gcd of Fraction arithmetic out of the inner
-loop is what makes those sizes affordable.
+over a common denominator. The kernel serves the k x k solve of
+``invariants`` (one row per surgered component, never one per expanded
+curve) and the selftest's determinants of chain matrices; elimination
+is cubic in the dimension, and the per-entry gcd of Fraction
+arithmetic stays out of its inner loop.
 """
 
 from __future__ import annotations

@@ -33,12 +33,14 @@ from .diagram import (
     build_general_matrices,
     chain_diagram,
     parse_diagram,
+    SurgeryComponent,
+    SurgeryDiagram,
     presentation_matrix,
     serialize_diagram,
 )
 from .expansion import (
     evaluate_negative_continued_fraction,
-    expand_positive_rational,
+    expand_diagram,
     negative_continued_fraction,
     stabilization_counts,
 )
@@ -249,11 +251,16 @@ def _check_expansion_roundtrip() -> dict:
             if evaluate_negative_continued_fraction(digits) != r:
                 _fail(name, f"r={r}: digits {digits} do not evaluate back")
             cases += 1
-    presentation = expand_positive_rational(
-        LegendrianKnotData(id="b", tb=-2, rot=1, euler_char=-1), 5, 2
+    knot = LegendrianKnotData(id="b", tb=-2, rot=1, euler_char=-1)
+    presentation = expand_diagram(
+        SurgeryDiagram(
+            ambient=AmbientStatus.UNKNOWN,
+            components=(SurgeryComponent(knot, contact_coefficient=Fraction(5, 2)),),
+            linking=((0,),),
+        )
     )
-    coefficients = tuple(step.coefficient for step in presentation.steps)
-    if coefficients != (Fraction(1), Fraction(-1), Fraction(-1)):
+    coefficients = tuple(curve.coefficient for _, _, curve in presentation.records)
+    if coefficients != (1, -1, -1):
         _fail(name, f"+5/2 expansion coefficients {coefficients}")
     digits = negative_continued_fraction(Fraction(-5, 3))
     if digits != (-2, -3):

@@ -29,14 +29,14 @@ from surgerycalc import (
     dual_invariants,
     dual_invariants_closed_form,
     evaluate_negative_continued_fraction,
-    expand_positive_rational,
+    expand_diagram,
     negative_continued_fraction,
     parse_diagram,
     presentation_matrix,
     serialize_diagram,
 )
 from surgerycalc.classify import CONWAY_FLAG
-from surgerycalc.diagram import LegendrianKnotData
+from surgerycalc.diagram import LegendrianKnotData, SurgeryComponent, SurgeryDiagram
 from surgerycalc.selftest import _cofactor_det as cofactor_det
 
 from helpers import random_diagram, run_cli
@@ -164,10 +164,14 @@ def test_criterion_7_expansion_round_trips():
             cases += 1
     assert cases == 489
     knot = LegendrianKnotData(id="L", tb=-2, rot=1, euler_char=-1)
-    presentation = expand_positive_rational(knot, 5, 2)
-    assert [step.coefficient for step in presentation.steps] == [1, -1, -1]
+    component = SurgeryComponent(knot, contact_coefficient=Fraction(5, 2))
+    presentation = expand_diagram(
+        SurgeryDiagram(AmbientStatus.UNKNOWN, (component,), ((0,),))
+    )
+    curves = [curve for _, _, curve in presentation.records]
+    assert [curve.coefficient for curve in curves] == [1, -1, -1]
     assert negative_continued_fraction(Fraction(-5, 3)) == (-2, -3)
-    assert [step.stabilizations for step in presentation.steps] == [0, 1, 1]
+    assert [len(curve.signs) for curve in curves] == [0, 1, 1]
     _report("7 (continued-fraction round trips, 489 pairs; +5/2 expansion)")
 
 

@@ -16,6 +16,7 @@ from surgerycalc import (
     NotCoprime,
     SurgeryComponent,
     SurgeryDiagram,
+    ValidationError,
     bennequin_check,
     classify_diagram,
     classify_lemma_tight,
@@ -202,6 +203,35 @@ def test_lemma_tight_needs_premise():
 def test_lemma_tight_not_coprime():
     with pytest.raises(NotCoprime):
         classify_lemma_tight(True, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "p, q, error, message",
+    [
+        (0, 1, ValidationError, "p must be a positive integer, got 0"),
+        (-3, 1, ValidationError, "p must be a positive integer, got -3"),
+        (3, -2, ValidationError, "q must be a positive integer, got -2"),
+        (True, 1, ValidationError, "p must be a positive integer, got True"),
+        (4, 2, NotCoprime, "p = 4 and q = 2 are not relatively prime"),
+    ],
+)
+def test_query_checked_whatever_the_diagram_holds(p, q, error, message):
+    # The +p/q query is rejected the same way by the lemma and by the
+    # dispatcher, with or without an unsurgered component to apply it to.
+    surgered = SurgeryComponent(knot=knot(-2, 1, -1, "K"), contact_coefficient=Fraction(1))
+    unsurgered = SurgeryComponent(knot=knot(-1, 0, 1, "L"))
+    diagrams = [
+        SurgeryDiagram(AmbientStatus.TIGHT, (surgered,), ((0,),)),
+        SurgeryDiagram(AmbientStatus.TIGHT, (), ()),
+        SurgeryDiagram(AmbientStatus.TIGHT, (surgered, unsurgered), ((0, 1), (1, 0))),
+    ]
+    calls = [lambda: classify_lemma_tight(True, p, q)] + [
+        lambda d=d: classify_diagram(d, p=p, q=q) for d in diagrams
+    ]
+    for call in calls:
+        with pytest.raises(error) as raised:
+            call()
+        assert str(raised.value) == message
 
 
 # --------------------------------------------------------------------------

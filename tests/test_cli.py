@@ -238,6 +238,48 @@ def test_classify_batch_directory(tmp_path, capsys):
     assert files == sorted(files) == ["chain.json", "figure1.json"]
 
 
+ALL_SURGERED = {
+    "ambient": "tight",
+    "components": [
+        {"id": "K", "tb": -2, "rot": 2, "euler_char": -1, "contact_coefficient": "1"}
+    ],
+    "linking": [[0]],
+}
+
+BAD_QUERIES = [
+    (["--n", "0"], "p must be a positive integer, got 0"),
+    (["--p", "-3"], "p must be a positive integer, got -3"),
+    (["--p", "4", "--q", "2"], "p = 4 and q = 2 are not relatively prime"),
+]
+
+
+@pytest.mark.parametrize("query, message", BAD_QUERIES)
+def test_classify_bad_query_exit_2_without_unsurgered_component(
+    tmp_path, capsys, query, message
+):
+    # The query is checked even when no component could receive it, as it
+    # is on a diagram that has one.
+    path = tmp_path / "surgered.json"
+    path.write_text(json.dumps(ALL_SURGERED), encoding="utf-8")
+    for target in (path, figure1_path(tmp_path)):
+        assert main(["classify", str(target), *query]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("query, message", BAD_QUERIES)
+def test_classify_bad_query_fails_every_file_of_a_batch(tmp_path, capsys, query, message):
+    (tmp_path / "surgered.json").write_text(json.dumps(ALL_SURGERED), encoding="utf-8")
+    figure1_path(tmp_path)
+    assert main(["classify", str(tmp_path), *query, "--format", "json"]) == 2
+    batch = json.loads(capsys.readouterr().out)["results"]["batch"]
+    assert batch == [
+        {"file": "figure1.json", "error": message},
+        {"file": "surgered.json", "error": message},
+    ]
+
+
 def test_classify_batch_isolates_per_file_errors(tmp_path, capsys):
     figure1_path(tmp_path)
     (tmp_path / "broken.json").write_text("{oops", encoding="utf-8")
@@ -528,6 +570,33 @@ def test_chain_rejects_diagram_and_dual(capsys, command, extra):
     assert "--chain takes no diagram file and no --dual" in captured.err
 
 
+@pytest.mark.parametrize("command", ["invariants", "bennequin"])
+def test_chain_knot_checked_like_single_knot_expand(capsys, command):
+    # chi = 5 is impossible for a surface with boundary: --chain rejects
+    # the knot as single-knot expand does, instead of certifying anything
+    # from it.
+    knot = ["--tb", "-2", "--rot", "1", "--chi", "5", "--n", "1"]
+    for argv in ([command, "--chain", *knot], ["expand", *knot]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: L.euler_char = 5 exceeds 1, impossible for a surface with "
+            "boundary\n"
+        )
+
+
+@pytest.mark.parametrize("command", ["invariants", "bennequin"])
+def test_chain_even_euler_char_warns_once(command):
+    result = run_cli(command, "--chain", "--tb", "-2", "--rot", "1", "--chi", "0",
+                     "--n", "1")
+    assert result.returncode == 0
+    warned = [line for line in result.stderr.splitlines() if "UserWarning" in line]
+    assert len(warned) == 1
+    assert "UserWarning: L.euler_char = 0 is even" in warned[0]
+    assert warned[0].split(":")[0].endswith("cli.py")
+
+
 @pytest.mark.parametrize(
     "argv, knot_id, location",
     [
@@ -763,13 +832,13 @@ def test_large_expand_output_matches_entrywise_rule(tmp_path, capsys, policy):
     path.write_text(json.dumps(_large_diagram(296)), encoding="utf-8")
     source = load_diagram(path)
     presentation = expand_diagram(source, zigzag_policy=policy)
-    oracle = entrywise_linking(presentation, source.linking_number)
-    oracle = [list(row) for row in oracle]
+    derived = presentation.derived_diagram
+    oracle = [list(row) for row in entrywise_linking(derived, source.linking_number)]
     argv = ["expand", str(path), "--zigzag-policy", policy]
     assert main([*argv, "--format", "json"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
     assert [(c["id"], c["tb"]) for c in results["components"]] == [
-        (c.id, c.knot.tb) for c in presentation.components
+        (c.id, c.knot.tb) for c in derived.components
     ]
     assert len(oracle) == 300
     assert results["linking"] == oracle

@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
+from operator import itemgetter
 from types import SimpleNamespace
 
 import pytest
@@ -15,9 +17,7 @@ from hypothesis import strategies as st
 import surgerycalc.data as bundled
 from surgerycalc import (
     AmbientStatus,
-    ExpansionStep,
     LegendrianKnotData,
-    NotCoprime,
     RangeError,
     Unsupported,
     PlusOneChainSpec,
@@ -25,17 +25,12 @@ from surgerycalc import (
     det,
     evaluate_negative_continued_fraction,
     expand_diagram,
-    expand_negative_rational,
-    expand_positive_rational,
-    expand_positive_unit_fraction,
     negative_continued_fraction,
     presentation_matrix,
     stabilization_counts,
     SurgeryComponent,
     SurgeryDiagram,
     ValidationError,
-    as_rational,
-    classify_lemma_tight,
 )
 from surgerycalc.cli import _expansion_obj
 from surgerycalc.diagram import LinkingBlocks, json_text
@@ -47,6 +42,30 @@ from helpers import entrywise_linking, euclid_subtractive_steps, random_diagram
 
 def knot(tb=-2, rot=1, chi=-1, cid="L"):
     return LegendrianKnotData(id=cid, tb=tb, rot=rot, euler_char=chi)
+
+
+def expand_knot(source, r, policy="all-negative"):
+    """Contact (r)-surgery along one knot: a one-component diagram, as the
+    CLI's single-knot mode builds it."""
+    diagram = SurgeryDiagram(
+        ambient=AmbientStatus.UNKNOWN,
+        components=(SurgeryComponent(knot=source, contact_coefficient=Fraction(r)),),
+        linking=((0,),),
+    )
+    return expand_diagram(diagram, zigzag_policy=policy)
+
+
+def steps(presentation):
+    """(source id, coefficient, zigzag signs) of each surgered curve, in order."""
+    return [
+        (source_id, curve.coefficient, curve.signs)
+        for source_id, _, curve in presentation.records
+        if curve.coefficient is not None
+    ]
+
+
+def stabilizations(presentation):
+    return [len(signs) for _, _, signs in steps(presentation)]
 
 
 # --------------------------------------------------------------------------
@@ -104,17 +123,15 @@ def test_stabilization_counts():
 
 
 def test_unit_fraction_single_step():
-    presentation = expand_positive_unit_fraction(knot(tb=-2), 1)
-    assert len(presentation.steps) == 1
-    step = presentation.steps[0]
-    assert step.coefficient == 1 and step.stabilizations == 0
+    presentation = expand_knot(knot(tb=-2), 1)
+    assert steps(presentation) == [("L", 1, ())]
     # n = 1 is the identity expansion: the surgery stays on the knot itself.
     assert presentation.derived_diagram.ids == ("L",)
 
 
 def test_unit_fraction_three_pushoffs():
-    presentation = expand_positive_unit_fraction(knot(tb=-2), 3)
-    assert [step.coefficient for step in presentation.steps] == [1, 1, 1]
+    presentation = expand_knot(knot(tb=-2), Fraction(1, 3))
+    assert steps(presentation) == [("L", 1, ())] * 3
     matrix = presentation_matrix(presentation.derived_diagram)
     assert matrix == presentation_matrix(
         chain_diagram(PlusOneChainSpec(-2, 1, -1, 3), dual_id=None)
@@ -125,7 +142,7 @@ def test_unit_fraction_three_pushoffs():
 def test_unit_fraction_determinant_grid():
     for tb in range(-10, 0):
         for n in range(1, 11):
-            presentation = expand_positive_unit_fraction(knot(tb=tb, rot=0, chi=1), n)
+            presentation = expand_knot(knot(tb=tb, rot=0, chi=1), Fraction(1, n))
             matrix = presentation_matrix(presentation.derived_diagram)
             assert abs(det(matrix)) == abs(n * tb + 1)
 
@@ -133,7 +150,7 @@ def test_unit_fraction_determinant_grid():
 def test_unit_fraction_homology_matches_topological_numerator():
     # n = 2, tb = -1: topological coefficient (n*tb+1)/n = -1/2, whose
     # numerator has |.| = 1 = |H1| of the surgered manifold.
-    presentation = expand_positive_unit_fraction(knot(tb=-1, rot=0, chi=1), 2)
+    presentation = expand_knot(knot(tb=-1, rot=0, chi=1), Fraction(1, 2))
     assert abs(det(presentation_matrix(presentation.derived_diagram))) == 1
 
 
@@ -142,19 +159,17 @@ def test_unit_fraction_homology_matches_topological_numerator():
 
 
 def test_negative_primitive_passthrough():
-    presentation = expand_negative_rational(knot(tb=-2), Fraction(-1))
-    assert len(presentation.steps) == 1
-    step = presentation.steps[0]
-    assert step.coefficient == -1 and step.stabilizations == 0
+    presentation = expand_knot(knot(tb=-2), -1)
+    assert steps(presentation) == [("L", -1, ())]
     assert presentation.derived_diagram.ids == ("L",)
     derived = presentation.derived_diagram.components[0].knot
     assert derived.tb == -2 and derived.rot == 1
 
 
 def test_negative_five_thirds_chain():
-    presentation = expand_negative_rational(knot(tb=-1, rot=0, chi=1), Fraction(-5, 3))
-    assert [step.stabilizations for step in presentation.steps] == [1, 1]
-    assert all(step.coefficient == -1 for step in presentation.steps)
+    presentation = expand_knot(knot(tb=-1, rot=0, chi=1), Fraction(-5, 3))
+    assert stabilizations(presentation) == [1, 1]
+    assert all(coefficient == -1 for _, coefficient, _ in steps(presentation))
     tbs = [c.knot.tb for c in presentation.derived_diagram.components]
     # Cumulative: each chain curve is a push-off of the previous one,
     # so stabilizations accumulate along the chain.
@@ -174,14 +189,9 @@ def test_negative_homology_grid():
             for q in range(1, 13):
                 if gcd(p, q) != 1:
                     continue
-                presentation = expand_negative_rational(base, Fraction(-p, q))
+                presentation = expand_knot(base, Fraction(-p, q))
                 value = det(presentation_matrix(presentation.derived_diagram))
                 assert abs(value) == abs(q * tb - p), (tb, p, q)
-
-
-def test_negative_rejects_positive():
-    with pytest.raises(RangeError):
-        expand_negative_rational(knot(), Fraction(1, 2))
 
 
 # --------------------------------------------------------------------------
@@ -189,31 +199,18 @@ def test_negative_rejects_positive():
 
 
 def test_positive_rational_five_halves():
-    presentation = expand_positive_rational(knot(tb=-2), 5, 2)
-    coefficients = [step.coefficient for step in presentation.steps]
-    assert coefficients == [1, -1, -1]
+    presentation = expand_knot(knot(tb=-2), Fraction(5, 2))
+    assert [coefficient for _, coefficient, _ in steps(presentation)] == [1, -1, -1]
     # the tail expands -p/(p-q) = -5/3 = [-2, -3]
-    assert [step.stabilizations for step in presentation.steps] == [0, 1, 1]
+    assert stabilizations(presentation) == [0, 1, 1]
 
 
 def test_positive_integer_coefficient():
-    presentation = expand_positive_rational(knot(tb=-2), 2, 1)
-    assert [step.coefficient for step in presentation.steps] == [1, -1]
+    presentation = expand_knot(knot(tb=-2), 2)
+    assert [coefficient for _, coefficient, _ in steps(presentation)] == [1, -1]
     # -p/(p-q) = -2, digits [-2], one stabilization: the (-1)-curve is a
     # once-stabilized push-off whose contact framing sits 2 below tb.
-    assert [step.stabilizations for step in presentation.steps] == [0, 1]
-
-
-def test_positive_rational_not_coprime():
-    with pytest.raises(NotCoprime):
-        expand_positive_rational(knot(), 2, 2)
-
-
-def test_positive_rational_range_error():
-    with pytest.raises(RangeError):
-        expand_positive_rational(knot(), 1, 2)
-    with pytest.raises(RangeError):
-        expand_positive_rational(knot(), 1, 1)
+    assert stabilizations(presentation) == [0, 1]
 
 
 def test_positive_homology_grid():
@@ -224,7 +221,7 @@ def test_positive_homology_grid():
             for q in range(1, p):
                 if gcd(p, q) != 1:
                     continue
-                presentation = expand_positive_rational(base, p, q)
+                presentation = expand_knot(base, Fraction(p, q))
                 value = det(presentation_matrix(presentation.derived_diagram))
                 assert abs(value) == abs(q * tb + p), (tb, p, q)
 
@@ -234,21 +231,16 @@ def test_positive_homology_grid():
 
 
 def test_policy_all_negative_default():
-    presentation = expand_negative_rational(knot(tb=-1, rot=0, chi=1), Fraction(-8, 3))
+    presentation = expand_knot(knot(tb=-1, rot=0, chi=1), Fraction(-8, 3))
     assert presentation.zigzag_policy == "all-negative"
     # digits [-3, -3]: counts (2, 1); rot drops with every zigzag.
-    assert [step.stabilization_signs for step in presentation.steps] == [
-        (-1, -1),
-        (-1,),
-    ]
+    assert [signs for _, _, signs in steps(presentation)] == [(-1, -1), (-1,)]
     rots = [c.knot.rot for c in presentation.derived_diagram.components]
     assert rots == [-2, -3]
 
 
 def test_policy_all_positive():
-    presentation = expand_negative_rational(
-        knot(tb=-1, rot=0, chi=1), Fraction(-8, 3), zigzag_policy="all-positive"
-    )
+    presentation = expand_knot(knot(tb=-1, rot=0, chi=1), Fraction(-8, 3), "all-positive")
     rots = [c.knot.rot for c in presentation.derived_diagram.components]
     assert rots == [2, 3]
     tbs = [c.knot.tb for c in presentation.derived_diagram.components]
@@ -256,104 +248,24 @@ def test_policy_all_positive():
 
 
 def test_policy_balanced():
-    presentation = expand_negative_rational(
-        knot(tb=-1, rot=0, chi=1), Fraction(-8, 3), zigzag_policy="balanced"
-    )
-    assert [step.stabilization_signs for step in presentation.steps] == [
-        (-1, 1),
-        (-1,),
-    ]
+    presentation = expand_knot(knot(tb=-1, rot=0, chi=1), Fraction(-8, 3), "balanced")
+    assert [signs for _, _, signs in steps(presentation)] == [(-1, 1), (-1,)]
 
 
-def test_policy_explicit():
-    presentation = expand_negative_rational(
-        knot(tb=-1, rot=0, chi=1),
-        Fraction(-8, 3),
-        zigzag_policy=[(1, -1), (1,)],
-    )
-    assert presentation.zigzag_policy == "explicit"
-    rots = [c.knot.rot for c in presentation.derived_diagram.components]
-    assert rots == [0, 1]
-
-
-@pytest.mark.parametrize(
-    "coefficient, stabilizations, signs, message",
-    [
-        (2, 0, (), "expansion step coefficient must be +1 or -1, got 2"),
-        (Fraction(1, 2), 0, (), "expansion step coefficient must be +1 or -1, got 1/2"),
-        ("-1/2", 0, (), "expansion step coefficient must be +1 or -1, got -1/2"),
-        (-1, -1, (), "stabilization count must be non-negative"),
-        (-1, 2, (1,), "1 stabilization signs for 2 stabilizations"),
-        (-1, 1, (1, -1), "2 stabilization signs for 1 stabilizations"),
-        (1, 2, (1, 0), "stabilization signs must be +1 or -1"),
-        (1, 1, (2,), "stabilization signs must be +1 or -1"),
-    ],
-)
-def test_expansion_step_rejects(coefficient, stabilizations, signs, message):
-    with pytest.raises(ValidationError) as raised:
-        ExpansionStep("K", coefficient, stabilizations, signs)
-    assert str(raised.value) == message
-
-
-def test_expansion_step_normalizes_its_fields():
-    for coefficient in (1, -1, "1", "-1", Fraction(-1)):
-        step = ExpansionStep("K", coefficient, 2, [1, -1])
-        assert type(step.coefficient) is Fraction
-        assert step.coefficient == as_rational(coefficient)
-        assert step.stabilization_signs == (1, -1)
-
-
-def test_policy_explicit_wrong_length():
-    from surgerycalc import ValidationError
-
-    with pytest.raises(ValidationError):
-        expand_negative_rational(
-            knot(tb=-1, rot=0, chi=1), Fraction(-8, 3), zigzag_policy=[(1,), (1,)]
-        )
-
-
-def _expand_minus_five_thirds(source, policy):
-    return expand_negative_rational(source, Fraction(-5, 3), zigzag_policy=policy)
-
-
-def _expand_plus_five_halves(source, policy):
-    # one (+1) curve, then the chain of -5/3: the same two stabilized curves
-    return expand_positive_rational(source, 5, 2, zigzag_policy=policy)
-
-
-@pytest.mark.parametrize(
-    "expander", [_expand_minus_five_thirds, _expand_plus_five_halves]
-)
-@pytest.mark.parametrize(
-    "signs, message",
-    [
-        ([(-1,), (2,)], "stabilization signs must be +1 or -1"),
-        ([(0,), (-1,)], "stabilization signs must be +1 or -1"),
-        # a wrong length anywhere is named before any bad sign value
-        ([(2,), (1, 1)], "curve 2 needs 1 stabilization signs, got 2"),
-        # a sign equal to 1 but not an int makes rot a non-int; the
-        # checks run curve by curve, rot before the sign values
-        ([(1.0,), (2,)], "L#1.rot must be an integer, got 2.0"),
-        ([(2,), (1.0,)], "stabilization signs must be +1 or -1"),
-        ([(-1,), (1.0,)], "L#2.rot must be an integer, got 1.0"),
-    ],
-)
-def test_explicit_signs_checked_at_the_call(expander, signs, message):
-    with pytest.raises(ValidationError) as raised:
-        expander(knot(), signs)
-    assert str(raised.value) == message
+@pytest.mark.parametrize("policy", ["explicit", "", "All-Negative", None, [(-1,)]])
+def test_unknown_policy_rejected(policy):
+    with pytest.raises(ValueError, match="^unknown zigzag policy"):
+        expand_knot(knot(), Fraction(-8, 3), policy)
 
 
 def test_stabilization_bookkeeping_cumulative():
-    presentation = expand_negative_rational(knot(tb=-1, rot=0, chi=1), Fraction(-17, 5))
+    presentation = expand_knot(knot(tb=-1, rot=0, chi=1), Fraction(-17, 5))
     # digits [-4, -2, -3], counts (3, 0, 1)
-    counts = [step.stabilizations for step in presentation.steps]
+    counts = stabilizations(presentation)
     assert counts == [3, 0, 1]
     running = 0
-    for component, step in zip(
-        presentation.derived_diagram.components, presentation.steps
-    ):
-        running += step.stabilizations
+    for component, count in zip(presentation.derived_diagram.components, counts):
+        running += count
         assert component.knot.tb == -1 - running
         assert component.knot.rot == 0 - running  # all-negative signs
 
@@ -374,14 +286,14 @@ def test_expand_diagram_single_plus_one_passthrough():
     )
     presentation = expand_diagram(diagram)
     assert presentation.derived_diagram == diagram
-    assert [step.coefficient for step in presentation.steps] == [1]
+    assert steps(presentation) == [("L", 1, ())]
 
 
 def test_expand_diagram_counterexample_passthrough():
     diagram = bundled.load("figure1.json")
     presentation = expand_diagram(diagram)
     assert presentation.derived_diagram == diagram
-    assert sorted(step.source_id for step in presentation.steps) == ["U", "V"]
+    assert sorted(source_id for source_id, _, _ in steps(presentation)) == ["U", "V"]
 
 
 def test_expand_diagram_unit_fraction():
@@ -397,7 +309,7 @@ def test_expand_diagram_unit_fraction():
         linking=((0,),),
     )
     presentation = expand_diagram(diagram)
-    assert [step.coefficient for step in presentation.steps] == [1, 1]
+    assert steps(presentation) == [("L", 1, ())] * 2
     assert presentation.derived_diagram.ids == ("L#1", "L#2")
     assert presentation.derived_diagram.linking[0][1] == -2
 
@@ -462,7 +374,7 @@ def test_expand_diagram_all_coefficients_unit():
     presentation = expand_diagram(diagram)
     for component in presentation.derived_diagram.components:
         assert component.contact_coefficient in (Fraction(1), Fraction(-1))
-    assert len(presentation.steps) == len(presentation.derived_diagram.components)
+    assert len(steps(presentation)) == len(presentation.derived_diagram.components)
 
 
 # --------------------------------------------------------------------------
@@ -470,10 +382,10 @@ def test_expand_diagram_all_coefficients_unit():
 
 
 def eager_views(sources, groups, source_linking, ambient, policy):
-    """The oracle: components, steps, derived diagram and CLI payload as
-    the expanders built them eagerly, one validated knot, component and
-    step per curve, with the linking matrix entry by entry."""
-    components, steps = [], []
+    """The oracle: components, derived diagram and CLI payload as the
+    expanders built them eagerly, one validated knot and component per
+    curve, with the linking matrix entry by entry."""
+    components, payload_steps = [], []
     for source, group in zip(sources, groups):
         for curve in group:
             coefficient = (
@@ -486,15 +398,15 @@ def eager_views(sources, groups, source_linking, ambient, policy):
                 SurgeryComponent(knot=derived, contact_coefficient=coefficient)
             )
             if coefficient is not None:
-                steps.append(
-                    ExpansionStep(
-                        source_id=source.id,
-                        coefficient=coefficient,
-                        stabilizations=len(curve.signs),
-                        stabilization_signs=curve.signs,
-                    )
+                payload_steps.append(
+                    {
+                        "source_id": source.id,
+                        "coefficient": format_rational(coefficient),
+                        "stabilizations": len(curve.signs),
+                        "stabilization_signs": list(curve.signs),
+                    }
                 )
-    components, steps = tuple(components), tuple(steps)
+    components = tuple(components)
     linking = entrywise_linking(SimpleNamespace(components=components), source_linking)
     derived = SurgeryDiagram(ambient=ambient, components=components, linking=linking)
     payload = {
@@ -514,22 +426,14 @@ def eager_views(sources, groups, source_linking, ambient, policy):
             for component in components
         ],
         "linking": [list(row) for row in linking],
-        "steps": [
-            {
-                "source_id": step.source_id,
-                "coefficient": format_rational(step.coefficient),
-                "stabilizations": step.stabilizations,
-                "stabilization_signs": list(step.stabilization_signs),
-            }
-            for step in steps
-        ],
-        "zigzag_policy": policy if isinstance(policy, str) else "explicit",
+        "steps": payload_steps,
+        "zigzag_policy": policy,
     }
-    return components, steps, derived, payload
+    return components, derived, payload
 
 
 def assert_views_match_eager(presentation, sources, groups, source_linking, ambient, policy):
-    components, steps, derived, payload = eager_views(
+    components, derived, payload = eager_views(
         sources, groups, source_linking, ambient, policy
     )
     obj = _expansion_obj(presentation)
@@ -537,9 +441,8 @@ def assert_views_match_eager(presentation, sources, groups, source_linking, ambi
     assert {**obj, "linking": payload["linking"]} == payload
     assert json_text(obj) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     # the CLI payload reads the records alone and builds no view
-    assert not {"components", "steps", "derived_diagram"} & vars(presentation).keys()
-    assert presentation.components == components
-    assert presentation.steps == steps
+    assert "derived_diagram" not in vars(presentation)
+    assert presentation.derived_diagram.components == components
     assert presentation.derived_diagram == derived
 
 
@@ -564,100 +467,90 @@ def test_lazy_views_match_eager_assembly(seed):
         )
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(-6, 6),
-    st.integers(-4, 4),
-    st.sampled_from((1, -1, -3)),
-    st.integers(1, 30),
-    st.integers(1, 30),
-    st.booleans(),
-    st.data(),
-)
-def test_lazy_views_match_eager_assembly_explicit_signs(tb, rot, chi, a, b, negative, data):
-    source = knot(tb=tb, rot=rot, chi=chi)
-    if gcd(a, b) != 1 or (not negative and a <= b):
-        return
-    tail = Fraction(-a, b) if negative else Fraction(-a, a - b)
-    counts = stabilization_counts(negative_continued_fraction(tail))
-    signs = [
-        tuple(data.draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n)))
-        for n in counts
-    ]
-    if negative:
-        presentation = expand_negative_rational(source, tail, zigzag_policy=signs)
-        coefficient = tail
-    else:
-        presentation = expand_positive_rational(source, a, b, zigzag_policy=signs)
-        coefficient = Fraction(a, b)
-    group = _knot_group(source, coefficient, signs)
-    assert_views_match_eager(
-        presentation, [source], [group], lambda g, h: 0, AmbientStatus.UNKNOWN, signs
-    )
-
-
 # --------------------------------------------------------------------------
-# One coefficient-shape dispatch
+# One coefficient-shape dispatch, against the expansion rules by hand
+
+#: (coefficient, stabilization count) of each curve expanding contact
+#: (r)-surgery along one knot: +1/n is n unstabilized (+1)-curves; r < 0
+#: is a (-1)-chain with counts |a1 + 1|, |ai + 2| from the digits of r;
+#: +p/q is one (+1)-curve, then the chain of -p/(p-q).
+SHAPE_RULE = {
+    "1": [(1, 0)],
+    "1/5": [(1, 0)] * 5,
+    "-1": [(-1, 0)],
+    "-3": [(-1, 2)],  # digits (-3,)
+    "-13/5": [(-1, 2), (-1, 1), (-1, 0)],  # digits (-3, -3, -2)
+    "-8/7": [(-1, 1)] + [(-1, 0)] * 6,  # digits (-2,) * 7
+    "2": [(1, 0), (-1, 1)],  # tail -2: digits (-2,)
+    "11/4": [(1, 0), (-1, 1), (-1, 1), (-1, 0), (-1, 0)],  # tail -11/7: (-2, -3, -2, -2)
+}
+
+#: The sign of the k-th zigzag of one curve under each named policy.
+POLICY_SIGN = {
+    "all-negative": lambda k: -1,
+    "all-positive": lambda k: 1,
+    "balanced": lambda k: -1 if k % 2 == 0 else 1,
+}
 
 
 @pytest.mark.parametrize("policy", ZIGZAG_POLICIES)
-@pytest.mark.parametrize(
-    "coefficient, expander, args",
-    [
-        ("1", expand_positive_unit_fraction, (1,)),
-        ("1/3", expand_positive_unit_fraction, (3,)),
-        ("-1", expand_negative_rational, (Fraction(-1),)),
-        ("-5/3", expand_negative_rational, (Fraction(-5, 3),)),
-        ("-3", expand_negative_rational, (-3,)),
-        ("2", expand_positive_rational, (2, 1)),
-        ("5/2", expand_positive_rational, (5, 2)),
-        ("7/3", expand_positive_rational, (7, 3)),
-    ],
-)
-def test_single_knot_expanders_match_expand_diagram(policy, coefficient, expander, args):
+@pytest.mark.parametrize("coefficient", list(SHAPE_RULE))
+def test_single_knot_expansion_follows_shape_rule(policy, coefficient):
     source = knot(tb=-2, rot=1, chi=-1)
-    diagram = SurgeryDiagram(
-        ambient=AmbientStatus.UNKNOWN,
-        components=(
-            SurgeryComponent(knot=source, contact_coefficient=Fraction(coefficient)),
-        ),
-        linking=((0,),),
-    )
-    # The unit-fraction expander makes no zigzag choice and reports the
-    # default policy.
-    takes_policy = expander is not expand_positive_unit_fraction
-    kwargs = {"zigzag_policy": policy} if takes_policy else {}
-    single = expander(source, *args, **kwargs)
-    via_diagram = expand_diagram(diagram, zigzag_policy=policy)
-    assert single.steps == via_diagram.steps
-    assert single.derived_diagram == via_diagram.derived_diagram
-    assert single.zigzag_policy == (policy if takes_policy else "all-negative")
-    assert via_diagram.zigzag_policy == policy
-    if coefficient in ("1", "-1"):
-        assert via_diagram.derived_diagram == diagram
+    presentation = expand_knot(source, Fraction(coefficient), policy)
+    assert presentation.zigzag_policy == policy
+    assert {(source_id, chi) for source_id, chi, _ in presentation.records} == {("L", -1)}
+    curves = [curve for _, _, curve in presentation.records]
+    assert [(curve.coefficient, len(curve.signs)) for curve in curves] == SHAPE_RULE[
+        coefficient
+    ]
+    tb, rot = source.tb, source.rot
+    for curve in curves:
+        assert curve.signs == tuple(map(POLICY_SIGN[policy], range(len(curve.signs))))
+        tb -= len(curve.signs)
+        rot += sum(curve.signs)
+        assert (curve.tb, curve.rot) == (tb, rot)
+    # a later curve links an earlier one by the earlier curve's tb
+    linking = presentation.derived_diagram.linking
+    for j in range(len(curves)):
+        for i in range(j):
+            assert linking[i][j] == linking[j][i] == curves[i].tb
 
 
-@pytest.mark.parametrize(
-    "p, q, error, message",
-    [
-        (0, 1, ValidationError, "p must be a positive integer, got 0"),
-        (3, -2, ValidationError, "q must be a positive integer, got -2"),
-        (True, 1, ValidationError, "p must be a positive integer, got True"),
-        (4, 2, NotCoprime, "p = 4 and q = 2 are not relatively prime"),
-    ],
-)
-def test_positive_pq_checks_shared_with_lemma(p, q, error, message):
-    for call in (
-        lambda: expand_positive_rational(knot(), p, q),
-        lambda: classify_lemma_tight(True, p, q),
-    ):
-        with pytest.raises(error) as raised:
-            call()
-        assert str(raised.value) == message
+@pytest.mark.parametrize("policy", ZIGZAG_POLICIES)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_records_hold_by_construction(policy, seed):
+    # What a per-curve step object used to check on construction holds
+    # on every record: coefficients are +-1 (None passes through),
+    # zigzags are int +-1 and only on (-1)-curves, and each curve's tb
+    # and rot move from its predecessor's by its zigzags alone.
+    diagram = random_diagram(random.Random(seed), max_components=5)
+    try:
+        presentation = expand_diagram(diagram, zigzag_policy=policy)
+    except Unsupported:
+        return
+    groups = [
+        (source_id, list(group))
+        for source_id, group in groupby(presentation.records, key=itemgetter(0))
+    ]
+    assert [source_id for source_id, _ in groups] == list(diagram.ids)
+    for component, (_, group) in zip(diagram.components, groups):
+        source = component.knot
+        tb, rot = source.tb, source.rot
+        for _, chi, curve in group:
+            assert chi == source.euler_char
+            if component.contact_coefficient is None:
+                assert len(group) == 1 and curve.coefficient is None
+            else:
+                assert curve.coefficient in (1, -1)
+            assert all(type(sign) is int and sign in (1, -1) for sign in curve.signs)
+            assert curve.coefficient == -1 or curve.signs == ()
+            tb -= len(curve.signs)
+            rot += sum(curve.signs)
+            assert (curve.tb, curve.rot) == (tb, rot)
+            assert type(curve.tb) is int and type(curve.rot) is int
 
-
-# --------------------------------------------------------------------------
-# Row-built linking against the entry-wise rule
 
 
 JSON_ROW_SEP = ",\n      "  # between the entries of a row of a top-level key
@@ -680,7 +573,7 @@ def assert_writer_matches(presentation, oracle):
 
 def assert_rows_match_entrywise(diagram, policy):
     presentation = expand_diagram(diagram, zigzag_policy=policy)
-    oracle = entrywise_linking(presentation, diagram.linking_number)
+    oracle = entrywise_linking(presentation.derived_diagram, diagram.linking_number)
     assert_writer_matches(presentation, oracle)
 
 
@@ -717,23 +610,12 @@ def test_row_built_linking_single_curve_and_interleaved_groups(policy):
 
 @pytest.mark.parametrize("policy", ZIGZAG_POLICIES)
 @pytest.mark.parametrize(
-    "expander, args",
-    [
-        (expand_positive_unit_fraction, (1,)),
-        (expand_positive_unit_fraction, (5,)),
-        (expand_negative_rational, (Fraction(-1),)),
-        (expand_negative_rational, (Fraction(-3),)),
-        (expand_negative_rational, (Fraction(-13, 5),)),
-        (expand_negative_rational, (Fraction(-8, 7),)),
-        (expand_positive_rational, (2, 1)),
-        (expand_positive_rational, (11, 4)),
-    ],
+    "coefficient", ["1", "1/5", "-1", "-3", "-13/5", "-8/7", "2", "11/4"]
 )
-def test_single_knot_expanders_match_entrywise_rule(policy, expander, args):
-    takes_policy = expander is not expand_positive_unit_fraction
-    kwargs = {"zigzag_policy": policy} if takes_policy else {}
-    presentation = expander(knot(), *args, **kwargs)
-    assert_writer_matches(presentation, entrywise_linking(presentation, lambda a, b: 0))
+def test_single_knot_expansion_matches_entrywise_rule(policy, coefficient):
+    presentation = expand_knot(knot(), Fraction(coefficient), policy)
+    oracle = entrywise_linking(presentation.derived_diagram, lambda a, b: 0)
+    assert_writer_matches(presentation, oracle)
 
 
 @pytest.mark.parametrize("policy", ZIGZAG_POLICIES)
@@ -741,10 +623,11 @@ def test_row_writer_prefix_offsets_on_distinct_multidigit_tbs(policy):
     # digits -2, -3, ..., -3: every curve is stabilized once more than
     # the one before, so the tbs run -11, -12, ..., -22
     r = evaluate_negative_continued_fraction([-2] + [-3] * 11)
-    presentation = expand_negative_rational(knot(tb=-10), r, zigzag_policy=policy)
-    tbs = [component.knot.tb for component in presentation.components]
+    presentation = expand_knot(knot(tb=-10), r, policy)
+    tbs = [curve.tb for _, _, curve in presentation.records]
     assert tbs == list(range(-11, -23, -1))
-    assert_writer_matches(presentation, entrywise_linking(presentation, lambda a, b: 0))
+    oracle = entrywise_linking(presentation.derived_diagram, lambda a, b: 0)
+    assert_writer_matches(presentation, oracle)
 
 
 @pytest.mark.parametrize("policy", ZIGZAG_POLICIES)
@@ -768,10 +651,10 @@ def test_row_writer_single_curve_groups_and_one_component(policy):
 
 
 def test_derived_diagram_is_built_once_and_validated():
-    presentation = expand_positive_rational(knot(), 11, 4)
+    presentation = expand_knot(knot(), Fraction(11, 4))
     derived = presentation.derived_diagram
     assert presentation.derived_diagram is derived
-    assert derived.ids == tuple(component.id for component in presentation.components)
+    assert derived.ids == tuple(curve.id for _, _, curve in presentation.records)
     assert derived.ambient is presentation.ambient is AmbientStatus.UNKNOWN
 
 
