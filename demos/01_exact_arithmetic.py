@@ -1,9 +1,10 @@
 """Exact rationals and exact linear algebra.
 
-Everything in surgerycalc is a `fractions.Fraction`; the tight versus
-overtwisted answers downstream flip on the exact sign of a determinant,
-so no floats appear anywhere. This script walks through the arithmetic
-core: parsing, matrices, Bareiss determinants and exact solves.
+Every number in surgerycalc is an int or a `fractions.Fraction`; the
+tight versus overtwisted answers downstream flip on the exact sign of a
+determinant, so no floats appear anywhere. This script walks through
+the arithmetic core: parsing, matrices, Bareiss determinants and exact
+solves in integers.
 """
 
 from fractions import Fraction
@@ -12,9 +13,7 @@ from surgerycalc import (
     SquareMatrix,
     det,
     format_rational,
-    inner_product,
     parse_rational,
-    solve,
     solve_integral,
 )
 
@@ -29,17 +28,17 @@ print("\nM =", m)
 print("det M =", det(m), " (equals n*tb + 1 = -3)")
 
 # Solving M x = (tb, tb) gives the constant vector tb/(n*tb + 1); this is
-# the inner workhorse of the rational rotation number formula.
-x = solve(m, (-2, -2))
-print("M^-1 (tb, tb) =", tuple(map(str, x)))
-
-# The kernel behind solve works in integers: it returns y and d with
-# x = y / d, and solve_integral hands over that pair itself.
+# the inner workhorse of the rational rotation number formula. The solve
+# works in integers: it returns y and d with x = y / d.
 y, d = solve_integral(m, (-2, -2))
 print("as integers over one denominator: y =", y, " d =", d)
+x = tuple(Fraction(value, d) for value in y)
+print("M^-1 (tb, tb) =", tuple(map(str, x)))
 
-# Pairing it with the rotation vector (rot, rot), rot = 1:
-pairing = inner_product((1, 1), x)
+# Pairing it with the rotation vector (rot, rot), rot = 1, in integers
+# over d, and one Fraction for the result:
+rot = 1
+pairing = Fraction(sum(rot * value for value in y), d)
 print("<(rot, rot), M^-1 (tb, tb)> =", pairing)
 print("rot_Q = rot - pairing =", 1 - pairing, " (equals rot/(n*tb+1) = -1/3)")
 
@@ -48,10 +47,13 @@ print("rot_Q = rot - pairing =", 1 - pairing, " (equals rot/(n*tb+1) = -1/3)")
 print("\ndet of a rational matrix:", det(SquareMatrix([["1/2", "1/3"], ["1/4", "1/5"]])))
 print("det of the 0x0 matrix:", det(SquareMatrix([])))
 
-# Sanity: an exact solve multiplies back exactly, no tolerance needed:
-# each row of the matrix paired with the solution gives the right-hand side.
+# Sanity: an exact solve multiplies back exactly, no tolerance needed,
+# and all in ints: each row of the matrix paired with y gives d times the
+# right-hand side.
 big = SquareMatrix([[3, -7, 2, 0], [1, 5, -4, 9], [0, 2, 8, -3], [6, -1, 1, 4]])
-v = (Fraction(1), Fraction(-2), Fraction(3), Fraction(-4))
-solution = solve(big, v)
-assert tuple(inner_product(row, solution) for row in big.rows) == v
-print("\nmultiply-back check on a 4x4 solve: exact")
+v = (1, -2, 3, -4)
+y, d = solve_integral(big, v)
+assert tuple(sum(a * b for a, b in zip(row, y)) for row in big.rows) == tuple(
+    d * value for value in v
+)
+print("\nmultiply-back check on a 4x4 solve, M y = d v in integers: exact")

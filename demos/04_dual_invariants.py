@@ -10,12 +10,10 @@ rot/(n*tb+1) with homological order |n*tb+1|. They must agree exactly.
 
 from surgerycalc import (
     NonNullhomologousDual,
-    PlusOneChainSpec,
     chain_diagram,
     dual_invariants,
     dual_invariants_closed_form,
     format_rational,
-    homological_order,
 )
 import surgerycalc.data as bundled
 
@@ -27,8 +25,7 @@ print(f"  rot_q = {format_rational(invariants.rot_q)}")
 print(f"  order = {invariants.order}")
 
 # The matrix path on the generated chain diagram agrees entrywise.
-spec = PlusOneChainSpec(tb=-2, rot=1, euler_char=-1, n=3)
-diagram = chain_diagram(spec)
+diagram = chain_diagram(-2, 1, -1, 3)
 via_matrix = dual_invariants(diagram, "dual")
 assert via_matrix == invariants
 print("matrix path on the generated chain: identical")
@@ -40,8 +37,7 @@ for tb in range(-5, 0):
         if n * tb + 1 == 0:
             continue
         for rot in range(-3, 4):
-            s = PlusOneChainSpec(tb=tb, rot=rot, euler_char=1, n=n)
-            assert dual_invariants(chain_diagram(s), "dual") == (
+            assert dual_invariants(chain_diagram(tb, rot, 1, n), "dual") == (
                 dual_invariants_closed_form(tb, rot, 1, n)
             )
             cases += 1
@@ -57,7 +53,10 @@ print(f"\ncounterexample diagram: tb of L in the surgered manifold = "
 # Degenerate case: contact (+1)-surgery on the standard tb=-1 unknot
 # produces S^1 x S^2 and the push-off dual is not rationally
 # nullhomologous (n*tb + 1 = 0, det M = 0).
-print("\nhomological order for tb=-1, n=1:", homological_order(-1, 1))
+try:
+    dual_invariants_closed_form(tb=-1, rot=0, euler_char=1, n=1)
+except NonNullhomologousDual as error:
+    print("\nclosed form for tb=-1, n=1 rejected:", error)
 s1xs2 = bundled.load("s1xs2.json")
 try:
     dual_invariants(s1xs2, "U")

@@ -10,15 +10,16 @@ float.
 
 Modules:
 
-* ``exact``: exact vectors and matrices; int entries stay ints, and
-  determinants and solves share one fraction-free (Bareiss)
-  elimination kernel over Python ints (a row holding a Fraction is
-  scaled by the lcm of its denominators). Results are Fractions except
-  ``solve_integral``'s: ints y and d, the solution being y / d.
+* ``exact``: exact matrices; int entries stay ints, and ``det`` and
+  ``solve_integral`` share one fraction-free (Bareiss) elimination
+  kernel over Python ints (a row holding a Fraction is scaled by the
+  lcm of its denominators). ``det`` returns a Fraction,
+  ``solve_integral`` ints y and d, the solution being y / d.
 * ``diagram``: the surgery diagram data model, one framed linking
   matrix builder (tb_i + r_i on the diagonal) behind the invariants'
   k x k system and the bordered check matrices, the (+1)-push-off
-  chain diagrams, and the JSON file format.
+  chain diagrams (``chain_diagram(tb, rot, euler_char, n)``), and the
+  JSON file format.
 * ``expansion``: negative continued fractions and ``expand_diagram``,
   the one expander of rational coefficients into (+-1)-surgeries with
   stabilization bookkeeping, through one private coefficient-shape
@@ -57,7 +58,6 @@ from .diagram import (
     LegendrianKnotData,
     MissingCoefficient,
     ParseError,
-    PlusOneChainSpec,
     SurgeryComponent,
     SurgeryDiagram,
     ValidationError,
@@ -66,25 +66,20 @@ from .diagram import (
     diagram_from_obj,
     diagram_to_obj,
     load_diagram,
-    parity_lint,
     parse_diagram,
     presentation_matrix,
-    reverse_orientation,
     serialize_diagram,
     topological_coefficient,
 )
 from .exact import (
     DimensionMismatch,
-    Rational,
     SingularMatrix,
     SquareMatrix,
     TooManyDigits,
     as_rational,
     det,
     format_rational,
-    inner_product,
     parse_rational,
-    solve,
     solve_integral,
 )
 from .expansion import (
@@ -101,7 +96,6 @@ from .invariants import (
     NonNullhomologousDual,
     dual_invariants,
     dual_invariants_closed_form,
-    homological_order,
 )
 from .selftest import SelfTestFailure, run_checks
 
@@ -120,9 +114,7 @@ __all__ = [
     "NonNullhomologousDual",
     "NotCoprime",
     "ParseError",
-    "PlusOneChainSpec",
     "RangeError",
-    "Rational",
     "SelfTestFailure",
     "SingularMatrix",
     "SquareMatrix",
@@ -148,18 +140,13 @@ __all__ = [
     "evaluate_negative_continued_fraction",
     "expand_diagram",
     "format_rational",
-    "homological_order",
-    "inner_product",
     "load_diagram",
     "negative_continued_fraction",
-    "parity_lint",
     "parse_diagram",
     "parse_rational",
     "presentation_matrix",
-    "reverse_orientation",
     "run_checks",
     "serialize_diagram",
-    "solve",
     "solve_integral",
     "stabilization_counts",
     "topological_coefficient",

@@ -43,6 +43,7 @@ from .diagram import (
     MissingCoefficient,
     SurgeryDiagram,
     ValidationError,
+    _check_positive,
 )
 from .exact import RationalLike, as_rational, format_rational
 from .expansion import Unsupported
@@ -191,8 +192,7 @@ def classify_thm1(
     re-executes the mechanism: the dual knot's closed-form invariants
     violate the rational Bennequin bound.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    _check_positive(n, "n")
     if ambient is not AmbientStatus.TIGHT:
         return _inconclusive(
             f"ambient manifold is {ambient.value}, criterion needs tight"
@@ -306,9 +306,8 @@ def classify_thm2(ambient: AmbientStatus, coefficient: RationalLike) -> Verdict:
 
 def _check_coprime_positive(p: int, q: int) -> None:
     """Raise unless p and q are relatively prime positive integers."""
-    for name, value in (("p", p), ("q", q)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+    _check_positive(p, "p")
+    _check_positive(q, "q")
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"p = {p} and q = {q} are not relatively prime")
 

@@ -302,6 +302,8 @@ def _cmd_classify(args, parser) -> tuple[Report, int]:
         parser.error("classify needs a diagram file or directory")
     if args.n is not None and (args.p is not None or args.q is not None):
         parser.error("give either --n or --p/--q, not both")
+    if args.n is not None and args.n < 1:
+        parser.error("--n must be a positive integer")
     if args.q is not None and args.p is None:
         parser.error("--q needs --p")
     p = args.n if args.n is not None else args.p

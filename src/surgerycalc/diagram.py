@@ -21,8 +21,8 @@ diagram that is the integer linking matrix ``M``.
 ``presentation_matrix`` frames every component, and
 ``build_general_matrices`` also gives the bordered extension ``M0``
 (corner 0, border the dual's linking vector), which only checks read.
-``chain_diagram`` realizes the (+1)-push-off chain of contact
-(+1/n)-surgery, whose M and M0 the selftest checks.
+``chain_diagram(tb, rot, euler_char, n)`` realizes the (+1)-push-off
+chain of contact (+1/n)-surgery, whose M and M0 the selftest checks.
 
 Diagrams serialize to a small JSON document; rationals travel as
 "p/q" strings, never floats. ``parse_diagram(serialize_diagram(d))``
@@ -47,7 +47,6 @@ __all__ = [
     "LegendrianKnotData",
     "MissingCoefficient",
     "ParseError",
-    "PlusOneChainSpec",
     "SurgeryComponent",
     "SurgeryDiagram",
     "ValidationError",
@@ -57,10 +56,8 @@ __all__ = [
     "diagram_to_obj",
     "json_text",
     "load_diagram",
-    "parity_lint",
     "parse_diagram",
     "presentation_matrix",
-    "reverse_orientation",
     "serialize_diagram",
     "topological_coefficient",
 ]
@@ -117,7 +114,11 @@ class LegendrianKnotData:
         if not isinstance(self.id, str) or not self.id:
             raise ValidationError("knot id must be a non-empty string")
         for name in ("tb", "rot", "euler_char"):
-            _check_knot_int(self.id, name, getattr(self, name))
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(
+                    f"{self.id}.{name} must be an integer, got {value!r}"
+                )
         if self.euler_char > 1:
             raise ValidationError(
                 f"{self.id}.euler_char = {self.euler_char} exceeds 1, impossible "
@@ -125,10 +126,10 @@ class LegendrianKnotData:
             )
 
 
-def _check_knot_int(knot_id: str, name: str, value: object) -> None:
-    """Raise unless ``value``, the field ``name`` of knot ``knot_id``, is an int."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{knot_id}.{name} must be an integer, got {value!r}")
+def _check_positive(value: object, name: str) -> None:
+    """Raise unless ``value``, the argument ``name``, is a positive int."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _warn_even_euler_char(knot: LegendrianKnotData) -> None:
@@ -257,21 +258,12 @@ class LinkingBlocks:
     repeated L - i - 1 times, and ``source[g][h]`` repeated len(tbs[h])
     times for each h > g.
 
-    Entries are ints, and the diagonal is 0, by construction from
-    validated knots and diagrams; symmetry is checked here, once, on
-    the k x k table.
+    Entries are ints, the diagonal is 0 and ``source`` is symmetric, by
+    construction from validated knots and diagrams.
     """
 
     tbs: tuple[tuple[int, ...], ...]
     source: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        for g, row in enumerate(self.source):
-            for h in range(g):
-                if row[h] != self.source[h][g]:
-                    # name the first asymmetric entry of the whole matrix
-                    i, j = (sum(map(len, self.tbs[:x])) for x in (g, h))
-                    raise ValidationError(f"linking[{i}][{j}] != linking[{j}][{i}]")
 
     def _rows(self, before, after, zero, join, opener, closer):
         """Each row as ``join`` of its blocks, between ``opener`` and ``closer``.
@@ -332,45 +324,24 @@ def topological_coefficient(component: SurgeryComponent) -> int | Fraction:
     return Fraction(component.knot.tb) + r
 
 
-@dataclass(frozen=True)
-class PlusOneChainSpec:
+def chain_diagram(
+    tb: int, rot: int, euler_char: int, n: int, *, dual_id: Optional[str] = "dual"
+) -> SurgeryDiagram:
     """Contact (+1)-surgeries along ``n`` successive push-offs of one knot.
 
     This is the standard presentation of contact (+1/n)-surgery along
-    a Legendrian knot with invariants (tb, rot, euler_char).
-    """
-
-    tb: int
-    rot: int
-    euler_char: int
-    n: int
-
-    def __post_init__(self) -> None:
-        for name in ("tb", "rot", "euler_char", "n"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if self.n < 1:
-            raise ValidationError(f"n must be a positive integer, got {self.n}")
-
-
-def chain_diagram(
-    spec: PlusOneChainSpec, *, dual_id: Optional[str] = "dual"
-) -> SurgeryDiagram:
-    """Realize a (+1)-push-off chain as a surgery diagram.
-
-    The diagram has ``n`` surgered push-offs L#1, ..., L#n and, when
+    a Legendrian knot with invariants (tb, rot, euler_char). The
+    diagram has ``n`` surgered push-offs L#1, ..., L#n and, when
     ``dual_id`` is given, one extra unsurgered push-off, last, whose
     surgery-dual invariants can then be computed. All pairwise linking
     numbers equal tb. Without the dual, ``presentation_matrix`` gives
     the chain's M (framings tb + 1, det n*tb + 1); with it,
     ``build_general_matrices`` borders M into M0 (det -n*tb^2).
     """
+    _check_positive(n, "n")
     knots = [
-        LegendrianKnotData(
-            id=f"L#{i}", tb=spec.tb, rot=spec.rot, euler_char=spec.euler_char
-        )
-        for i in range(1, spec.n + 1)
+        LegendrianKnotData(id=f"L#{i}", tb=tb, rot=rot, euler_char=euler_char)
+        for i in range(1, n + 1)
     ]
     plus_one = Fraction(1)
     components = [
@@ -380,12 +351,12 @@ def chain_diagram(
         components.append(
             SurgeryComponent(
                 knot=LegendrianKnotData(
-                    id=dual_id, tb=spec.tb, rot=spec.rot, euler_char=spec.euler_char
+                    id=dual_id, tb=tb, rot=rot, euler_char=euler_char
                 )
             )
         )
     size = len(components)
-    row = (spec.tb,) * size
+    row = (tb,) * size
     linking = tuple(row[:i] + (0,) + row[i + 1 :] for i in range(size))
     return SurgeryDiagram(
         ambient=AmbientStatus.UNKNOWN, components=tuple(components), linking=linking
@@ -452,55 +423,6 @@ def build_general_matrices(
         + [(entry,) + row for entry, row in zip(link_vector, m.rows)]
     )
     return m, m0, link_vector
-
-
-def reverse_orientation(diagram: SurgeryDiagram, component_id: str) -> SurgeryDiagram:
-    """Reverse the orientation of one component.
-
-    Its rotation number changes sign, as do its linking numbers with
-    every other component; tb and euler_char are orientation
-    independent.
-    """
-    index = diagram.component_index(component_id)
-    components = list(diagram.components)
-    old = components[index]
-    components[index] = SurgeryComponent(
-        knot=LegendrianKnotData(
-            id=old.knot.id,
-            tb=old.knot.tb,
-            rot=-old.knot.rot,
-            euler_char=old.knot.euler_char,
-        ),
-        contact_coefficient=old.contact_coefficient,
-    )
-    linking = [list(row) for row in diagram.linking]
-    for j in range(len(components)):
-        if j != index:
-            linking[index][j] = -linking[index][j]
-            linking[j][index] = -linking[j][index]
-    return SurgeryDiagram(
-        ambient=diagram.ambient,
-        components=tuple(components),
-        linking=tuple(tuple(row) for row in linking),
-    )
-
-
-def parity_lint(diagram: SurgeryDiagram) -> list[str]:
-    """Optional sanity lint: tb + rot + euler_char is even for
-    nullhomologous Legendrian knots.
-
-    Returns one message per violating component; an empty list means
-    no complaints. This is advisory, not a validation failure.
-    """
-    messages = []
-    for component in diagram.components:
-        knot = component.knot
-        if (knot.tb + knot.rot + knot.euler_char) % 2 != 0:
-            messages.append(
-                f"component {knot.id!r}: tb + rot + euler_char = "
-                f"{knot.tb + knot.rot + knot.euler_char} is odd"
-            )
-    return messages
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ as 0/1) on top of arbitrary-precision integers.
 Integers stay integers until a result is built. The linking matrices
 of surgery diagrams are integer matrices, so `SquareMatrix` stores an
 int entry as the int it is (strings and Fractions become Fractions),
-and `solve` and `inner_product` keep int vector entries likewise.
+and `solve_integral` keeps int vector entries likewise.
 
 Determinants and solves share one elimination kernel. It scales each
 row that holds a Fraction (right-hand side included) by the lcm of its
@@ -20,13 +20,12 @@ denominators, runs fraction-free Bareiss elimination (Bareiss 1968)
 over Python ints, and back-substitutes for y = d * x, where d is the
 last pivot (the determinant of the scaled system up to sign). By
 Cramer's rule y is integral, so every division is exact.
-`solve_integral` returns the pair (y, d) itself, for callers that stay
-in ints; `solve` builds a Fraction per entry, and `inner_product` one
-over a common denominator. The kernel serves the k x k solve of
-``invariants`` (one row per surgered component, never one per expanded
-curve) and the selftest's determinants of chain matrices; elimination
-is cubic in the dimension, and the per-entry gcd of Fraction
-arithmetic stays out of its inner loop.
+`solve_integral` returns the pair (y, d) itself, and `det` one
+Fraction. The kernel serves the k x k solve of ``invariants`` (one row
+per surgered component, never one per expanded curve) and the
+selftest's determinants of chain matrices; elimination is cubic in the
+dimension, and the per-entry gcd of Fraction arithmetic stays out of
+its inner loop.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from typing import Iterable, Sequence, Union
 
 __all__ = [
     "DimensionMismatch",
-    "Rational",
     "RationalLike",
     "SingularMatrix",
     "SquareMatrix",
@@ -48,14 +46,9 @@ __all__ = [
     "as_rational",
     "det",
     "format_rational",
-    "inner_product",
     "parse_rational",
-    "solve",
     "solve_integral",
 ]
-
-#: The universal numeric type of the package.
-Rational = Fraction
 
 RationalLike = Union[int, str, Fraction]
 
@@ -277,24 +270,3 @@ def solve_integral(
         y[i] = (d * row[-1] - sum(map(mul, row[1:-1], y[i + 1 :]))) // row[0]
     return tuple(y), d
 
-
-def solve(matrix: SquareMatrix, vector: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-    """Solve matrix . x = vector exactly: ``solve_integral`` as Fractions."""
-    y, d = solve_integral(matrix, vector)
-    return tuple(Fraction(value, d) for value in y)
-
-
-def inner_product(
-    left: Sequence[RationalLike], right: Sequence[RationalLike]
-) -> Fraction:
-    """Exact dot product of two equal-length rational vectors.
-
-    The terms are summed in integers over the common denominator
-    lcm(left denominators) * lcm(right denominators), and one Fraction
-    is built for the sum.
-    """
-    a, left_scale = _integers(_entries(left))
-    b, right_scale = _integers(_entries(right))
-    if len(a) != len(b):
-        raise DimensionMismatch(f"vector lengths differ: {len(a)} vs {len(b)}")
-    return Fraction(sum(map(mul, a, b)), left_scale * right_scale)

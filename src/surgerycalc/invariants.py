@@ -125,6 +125,7 @@ from .diagram import (
     SurgeryComponent,
     SurgeryDiagram,
     ValidationError,
+    _check_positive,
     _dual_links,
     _framed_matrix,
 )
@@ -136,7 +137,6 @@ __all__ = [
     "NonNullhomologousDual",
     "dual_invariants",
     "dual_invariants_closed_form",
-    "homological_order",
 ]
 
 
@@ -173,32 +173,25 @@ class DualKnotInvariants:
                 )
 
 
-def homological_order(tb: int, n: int) -> int:
-    """|n*tb + 1|, the dual's homological order for a (+1/n)-chain.
-
-    A return of 0 signals the degenerate non-nullhomologous case; it
-    is consumed as an error trigger by the invariant computations.
-    """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
-    return abs(n * tb + 1)
-
-
 def dual_invariants_closed_form(
     tb: int, rot: int, euler_char: int, n: int
 ) -> DualKnotInvariants:
-    """Closed-form dual invariants for contact (+1/n)-surgery."""
-    r = homological_order(tb, n)
-    if r == 0:
+    """Closed-form dual invariants for contact (+1/n)-surgery.
+
+    The homological order is |n*tb + 1|; n*tb + 1 = 0 is the degenerate
+    case, NonNullhomologousDual.
+    """
+    _check_positive(n, "n")
+    denominator = n * tb + 1
+    if denominator == 0:
         raise NonNullhomologousDual(
             f"n*tb + 1 = 0 for tb = {tb}, n = {n}: the surgery is topologically "
             "a 0-surgery and the dual knot is not rationally nullhomologous"
         )
-    denominator = n * tb + 1
     return DualKnotInvariants(
         tb_q=Fraction(tb, denominator),
         rot_q=Fraction(rot, denominator),
-        order=r,
+        order=abs(denominator),
         euler_char=euler_char,
     )
 

@@ -29,7 +29,6 @@ from .data import load as load_bundled
 from .diagram import (
     AmbientStatus,
     LegendrianKnotData,
-    PlusOneChainSpec,
     build_general_matrices,
     chain_diagram,
     parse_diagram,
@@ -96,8 +95,8 @@ def _check_det_chain_grid() -> dict:
     cases = 0
     for tb in range(-10, 0):
         for n in range(1, 11):
-            spec = PlusOneChainSpec(tb=tb, rot=0, euler_char=1, n=n)
-            value = exact.det(presentation_matrix(chain_diagram(spec, dual_id=None)))
+            chain = chain_diagram(tb, 0, 1, n, dual_id=None)
+            value = exact.det(presentation_matrix(chain))
             if value != n * tb + 1:
                 _fail(name, f"tb={tb}, n={n}: det={value}, expected {n * tb + 1}")
             cases += 1
@@ -109,8 +108,7 @@ def _check_det_extended_grid() -> dict:
     cases = 0
     for tb in range(-10, 0):
         for n in range(1, 11):
-            spec = PlusOneChainSpec(tb=tb, rot=0, euler_char=1, n=n)
-            value = exact.det(build_general_matrices(chain_diagram(spec), n)[1])
+            value = exact.det(build_general_matrices(chain_diagram(tb, 0, 1, n), n)[1])
             if value != -n * tb * tb:
                 _fail(name, f"tb={tb}, n={n}: det={value}, expected {-n * tb * tb}")
             cases += 1
@@ -122,10 +120,9 @@ def _check_cofactor_cross() -> dict:
     cases = 0
     for tb in range(-10, 0):
         for n in range(1, 7):
-            spec = PlusOneChainSpec(tb=tb, rot=0, euler_char=1, n=n)
             for matrix in (
-                presentation_matrix(chain_diagram(spec, dual_id=None)),
-                build_general_matrices(chain_diagram(spec), n)[1],
+                presentation_matrix(chain_diagram(tb, 0, 1, n, dual_id=None)),
+                build_general_matrices(chain_diagram(tb, 0, 1, n), n)[1],
             ):
                 bareiss = exact.det(matrix)
                 oracle = _cofactor_det(matrix.rows)
@@ -147,8 +144,7 @@ def _check_closed_matrix_agreement() -> dict:
             if n * tb + 1 == 0:
                 continue
             for rot in range(-10, 11):
-                spec = PlusOneChainSpec(tb=tb, rot=rot, euler_char=1, n=n)
-                via_matrix = dual_invariants(chain_diagram(spec), "dual")
+                via_matrix = dual_invariants(chain_diagram(tb, rot, 1, n), "dual")
                 closed = dual_invariants_closed_form(tb, rot, 1, n)
                 if via_matrix != closed:
                     _fail(

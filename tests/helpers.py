@@ -97,6 +97,30 @@ def random_diagram(rng: random.Random, max_components: int = 5) -> SurgeryDiagra
     )
 
 
+def reverse_orientation(diagram: SurgeryDiagram, component_id: str) -> SurgeryDiagram:
+    """The diagram with one component's orientation reversed.
+
+    Its rotation number changes sign, as do its linking numbers with
+    every other component; tb and euler_char do not depend on the
+    orientation.
+    """
+    index = diagram.component_index(component_id)
+    components = list(diagram.components)
+    old = components[index]
+    components[index] = SurgeryComponent(
+        knot=LegendrianKnotData(
+            id=old.id, tb=old.knot.tb, rot=-old.knot.rot, euler_char=old.knot.euler_char
+        ),
+        contact_coefficient=old.contact_coefficient,
+    )
+    flip = [-1 if j == index else 1 for j in range(len(components))]
+    linking = tuple(
+        tuple(flip[i] * flip[j] * entry for j, entry in enumerate(row))
+        for i, row in enumerate(diagram.linking)
+    )
+    return SurgeryDiagram(diagram.ambient, tuple(components), linking)
+
+
 def entrywise_linking(derived, source_linking):
     """The linking rule entry by entry: the oracle for expanded linking matrices.
 

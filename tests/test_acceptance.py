@@ -19,7 +19,6 @@ from surgerycalc import (
     AmbientStatus,
     Conclusion,
     NonNullhomologousDual,
-    PlusOneChainSpec,
     bennequin_check,
     build_general_matrices,
     chain_diagram,
@@ -65,9 +64,8 @@ def test_criterion_2_determinant_identities():
     """det(M) = n*tb+1 and det(M0) = -n*tb^2 on the full grid, plus oracle."""
     for tb in range(-10, 0):
         for n in range(1, 11):
-            spec = PlusOneChainSpec(tb=tb, rot=0, euler_char=1, n=n)
-            m = presentation_matrix(chain_diagram(spec, dual_id=None))
-            m0 = build_general_matrices(chain_diagram(spec), n)[1]
+            m = presentation_matrix(chain_diagram(tb, 0, 1, n, dual_id=None))
+            m0 = build_general_matrices(chain_diagram(tb, 0, 1, n), n)[1]
             assert det(m) == n * tb + 1
             assert det(m0) == -n * tb * tb
             if n <= 6:
@@ -84,8 +82,7 @@ def test_criterion_3_closed_form_vs_matrix_path():
             if n * tb + 1 == 0:
                 continue
             for rot in range(-10, 11):
-                spec = PlusOneChainSpec(tb=tb, rot=rot, euler_char=1, n=n)
-                via_matrix = dual_invariants(chain_diagram(spec), "dual")
+                via_matrix = dual_invariants(chain_diagram(tb, rot, 1, n), "dual")
                 closed = dual_invariants_closed_form(tb, rot, 1, n)
                 assert via_matrix.tb_q == closed.tb_q == Fraction(tb, n * tb + 1)
                 assert via_matrix.rot_q == closed.rot_q == Fraction(rot, n * tb + 1)

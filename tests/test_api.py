@@ -1,15 +1,23 @@
-"""The public API: every exported name resolves, and the README's
-quickstart runs and prints what its comments show."""
+"""The public API: every exported name resolves, the README's
+quickstart runs and prints what its comments show, and the commands
+import nothing outside the standard library."""
 
 from __future__ import annotations
 
 import contextlib
 import importlib
 import io
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
+
+import surgerycalc
+import surgerycalc.data as bundled
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -57,3 +65,38 @@ def test_readme_quickstart_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {"__name__": "quickstart"})
     assert out.getvalue().splitlines() == expected
+
+
+def test_commands_import_only_the_standard_library(tmp_path):
+    # -S leaves site-packages off the path, and the child may import only
+    # the package itself: a dependency outside the standard library would
+    # fail to import or show up in sys.modules.
+    figure1 = tmp_path / "figure1.json"
+    figure1.write_text(bundled.read_text("figure1.json"), encoding="utf-8")
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        from surgerycalc.cli import main
+        runs = [
+            ["selftest"],
+            ["expand", "--tb", "-2", "--rot", "1", "--p", "-5", "--q", "3"],
+            ["invariants", "--chain", "--tb", "-2", "--rot", "1", "--n", "3"],
+            ["classify", sys.argv[1], "--n", "2"],
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv in runs]
+        outside = {m.split(".")[0] for m in sys.modules}
+        outside -= set(sys.stdlib_module_names) | {"surgerycalc", "__main__"}
+        print(codes, sorted(outside))
+        """
+    )
+    source_root = str(Path(surgerycalc.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script, str(figure1)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": source_root},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0, 0, 0, 0] []\n"

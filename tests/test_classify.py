@@ -18,6 +18,7 @@ from surgerycalc import (
     SurgeryDiagram,
     ValidationError,
     bennequin_check,
+    chain_diagram,
     classify_diagram,
     classify_lemma_tight,
     classify_thm1,
@@ -232,6 +233,23 @@ def test_query_checked_whatever_the_diagram_holds(p, q, error, message):
         with pytest.raises(error) as raised:
             call()
         assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("value", [0, -1, True, 1.5])
+def test_one_positive_integer_check(value):
+    # chain length n, the closed forms' n, Theorem 1's n and the lemma's
+    # p and q all fail alike, naming the argument and the value given.
+    checks = [
+        ("n", lambda: chain_diagram(-2, 1, -1, value)),
+        ("n", lambda: dual_invariants_closed_form(-2, 1, -1, value)),
+        ("n", lambda: classify_thm1(AmbientStatus.TIGHT, knot(-2, 3, -1), value)),
+        ("p", lambda: classify_lemma_tight(True, value, 1)),
+        ("q", lambda: classify_lemma_tight(True, 3, value)),
+    ]
+    for name, call in checks:
+        with pytest.raises(ValidationError) as raised:
+            call()
+        assert str(raised.value) == f"{name} must be a positive integer, got {value!r}"
 
 
 # --------------------------------------------------------------------------

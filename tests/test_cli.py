@@ -247,7 +247,7 @@ ALL_SURGERED = {
 }
 
 BAD_QUERIES = [
-    (["--n", "0"], "p must be a positive integer, got 0"),
+    (["--p", "0"], "p must be a positive integer, got 0"),
     (["--p", "-3"], "p must be a positive integer, got -3"),
     (["--p", "4", "--q", "2"], "p = 4 and q = 2 are not relatively prime"),
 ]
@@ -278,6 +278,23 @@ def test_classify_bad_query_fails_every_file_of_a_batch(tmp_path, capsys, query,
         {"file": "figure1.json", "error": message},
         {"file": "surgered.json", "error": message},
     ]
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_classify_n_below_one_is_a_usage_error(tmp_path, capsys, n):
+    # --n is checked before any file is read: one usage error that names
+    # --n, for a single file and for a directory batch alike.
+    (tmp_path / "surgered.json").write_text(json.dumps(ALL_SURGERED), encoding="utf-8")
+    for target in (figure1_path(tmp_path), tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["classify", str(target), "--n", n, "--format", "json"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: surgerycalc classify [-h]")
+        assert captured.err.endswith(
+            "surgerycalc classify: error: --n must be a positive integer\n"
+        )
 
 
 def test_classify_batch_isolates_per_file_errors(tmp_path, capsys):

@@ -17,7 +17,6 @@ from surgerycalc import (
     LegendrianKnotData,
     MissingCoefficient,
     ParseError,
-    PlusOneChainSpec,
     SquareMatrix,
     SurgeryComponent,
     SurgeryDiagram,
@@ -25,10 +24,8 @@ from surgerycalc import (
     build_general_matrices,
     chain_diagram,
     det,
-    parity_lint,
     parse_diagram,
     presentation_matrix,
-    reverse_orientation,
     serialize_diagram,
     topological_coefficient,
 )
@@ -167,34 +164,30 @@ def test_topological_coefficient_missing():
 # Chain matrices
 
 
-def chain_m(spec):
+def chain_m(tb, rot, chi, n):
     """The chain's n x n linking matrix M."""
-    return presentation_matrix(chain_diagram(spec, dual_id=None))
+    return presentation_matrix(chain_diagram(tb, rot, chi, n, dual_id=None))
 
 
-def chain_m0(spec):
+def chain_m0(tb, rot, chi, n):
     """The chain's (n+1) x (n+1) bordered matrix M0."""
-    return build_general_matrices(chain_diagram(spec), spec.n)[1]
+    return build_general_matrices(chain_diagram(tb, rot, chi, n), n)[1]
 
 
 def test_linking_matrix_single_pushoff():
-    spec = PlusOneChainSpec(tb=-2, rot=0, euler_char=1, n=1)
-    assert chain_m(spec) == SquareMatrix([[-1]])
+    assert chain_m(-2, 0, 1, 1) == SquareMatrix([[-1]])
 
 
 def test_linking_matrix_three_pushoffs():
-    spec = PlusOneChainSpec(tb=-2, rot=0, euler_char=1, n=3)
-    assert chain_m(spec) == SquareMatrix([[-1, -2, -2], [-2, -1, -2], [-2, -2, -1]])
+    assert chain_m(-2, 0, 1, 3) == SquareMatrix([[-1, -2, -2], [-2, -1, -2], [-2, -2, -1]])
 
 
 def test_extended_matrix_single_pushoff():
-    spec = PlusOneChainSpec(tb=-2, rot=0, euler_char=1, n=1)
-    assert chain_m0(spec) == SquareMatrix([[0, -2], [-2, -1]])
+    assert chain_m0(-2, 0, 1, 1) == SquareMatrix([[0, -2], [-2, -1]])
 
 
 def test_extended_matrix_small_case():
-    spec = PlusOneChainSpec(tb=-1, rot=0, euler_char=1, n=2)
-    matrix = chain_m0(spec)
+    matrix = chain_m0(-1, 0, 1, 2)
     assert matrix == SquareMatrix([[0, -1, -1], [-1, 0, -1], [-1, -1, 0]])
     assert det(matrix) == -2 == cofactor_det(matrix.rows)
 
@@ -202,9 +195,8 @@ def test_extended_matrix_small_case():
 def test_determinant_identities_on_grid():
     for tb in range(-10, 0):
         for n in range(1, 11):
-            spec = PlusOneChainSpec(tb=tb, rot=0, euler_char=1, n=n)
-            m = chain_m(spec)
-            m0 = chain_m0(spec)
+            m = chain_m(tb, 0, 1, n)
+            m0 = chain_m0(tb, 0, 1, n)
             assert m.rows == tuple(zip(*m.rows)) and m0.rows == tuple(zip(*m0.rows))
             assert det(m) == n * tb + 1
             assert det(m0) == -n * tb * tb
@@ -235,15 +227,14 @@ def test_general_matrices_match_chain_builders():
     # off-diagonal tb for M; M0 borders it with tb and corner 0.
     for tb in range(-5, 3):
         for n in range(1, 6):
-            spec = PlusOneChainSpec(tb=tb, rot=2, euler_char=-1, n=n)
             m_rows = [[tb + 1 if i == j else tb for j in range(n)] for i in range(n)]
             m0_rows = [[0] + [tb] * n] + [[tb] + row for row in m_rows]
-            diagram = chain_diagram(spec)
+            diagram = chain_diagram(tb, 2, -1, n)
             m, m0, link_vector = build_general_matrices(
                 diagram, diagram.component_index("dual")
             )
-            assert m == chain_m(spec) == SquareMatrix(m_rows)
-            assert m0 == chain_m0(spec) == SquareMatrix(m0_rows)
+            assert m == chain_m(tb, 2, -1, n) == SquareMatrix(m_rows)
+            assert m0 == chain_m0(tb, 2, -1, n) == SquareMatrix(m0_rows)
             assert link_vector == (tb,) * n
             assert diagram.ids == tuple(f"L#{i}" for i in range(1, n + 1)) + ("dual",)
 
@@ -256,7 +247,7 @@ def test_dual_system_table():
         components=(SurgeryComponent(knot=unknot("L")),),
         linking=((0,),),
     )
-    chain = chain_diagram(PlusOneChainSpec(tb=-3, rot=1, euler_char=1, n=4))
+    chain = chain_diagram(-3, 1, 1, 4)
     for diagram, dual_id in ((figure1, "L"), (s1xs2, "U"), (lone, "L"), (chain, "dual")):
         index = diagram.component_index(dual_id)
         m, m0, link_vector = build_general_matrices(diagram, index)
@@ -342,38 +333,6 @@ def test_presentation_matrix_requires_all_surgered():
     diagram = bundled.load("s1xs2.json")
     with pytest.raises(MissingCoefficient):
         presentation_matrix(diagram)
-
-
-# --------------------------------------------------------------------------
-# Helpers
-
-
-def test_reverse_orientation_negates_rot_and_linking():
-    diagram = bundled.load("figure1.json")
-    reversed_diagram = reverse_orientation(diagram, "L")
-    index = diagram.component_index("L")
-    assert reversed_diagram.components[index].knot.rot == -diagram.components[
-        index
-    ].knot.rot
-    for j in range(len(diagram.components)):
-        if j != index:
-            assert reversed_diagram.linking[index][j] == -diagram.linking[index][j]
-    assert reverse_orientation(reversed_diagram, "L") == diagram
-
-
-def test_parity_lint():
-    clean = SurgeryDiagram(
-        ambient=AmbientStatus.UNKNOWN,
-        components=(SurgeryComponent(knot=unknot("A", tb=-2, rot=1, chi=1)),),
-        linking=((0,),),
-    )
-    assert parity_lint(clean) == []
-    dirty = SurgeryDiagram(
-        ambient=AmbientStatus.UNKNOWN,
-        components=(SurgeryComponent(knot=unknot("A", tb=-2, rot=0, chi=-1)),),
-        linking=((0,),),
-    )
-    assert len(parity_lint(dirty)) == 1
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +19,7 @@ from surgerycalc import (
     as_rational,
     det,
     format_rational,
-    inner_product,
     parse_rational,
-    solve,
     solve_integral,
 )
 from surgerycalc.selftest import _cofactor_det as cofactor_det
@@ -34,9 +33,14 @@ fractions_st = st.fractions(
 IDENTITY_2 = SquareMatrix([[1, 0], [0, 1]])
 
 
-def apply(matrix, vector):
-    """matrix . vector, one exact inner product per row."""
-    return tuple(inner_product(row, vector) for row in matrix.rows)
+def multiply_back(matrix, vector):
+    """``solve_integral``'s (y, d), checked: ints with matrix . y = d * vector."""
+    y, d = solve_integral(matrix, vector)
+    assert {type(v) for v in y} <= {int} and type(d) is int and d != 0
+    assert tuple(sum(map(mul, row, y)) for row in matrix.rows) == tuple(
+        d * v for v in vector
+    )
+    return y, d
 
 
 # --------------------------------------------------------------------------
@@ -168,15 +172,9 @@ def test_det_and_solve_rational_entries_randomized():
         if oracle == 0:
             singular += 1
             with pytest.raises(SingularMatrix):
-                solve(matrix, vector)
-            with pytest.raises(SingularMatrix):
                 solve_integral(matrix, vector)
         else:
-            solution = solve(matrix, vector)
-            assert apply(matrix, solution) == vector
-            y, d = solve_integral(matrix, vector)
-            assert {type(v) for v in y} <= {int} and type(d) is int and d != 0
-            assert tuple(Fraction(v, d) for v in y) == solution
+            multiply_back(matrix, vector)
     assert singular > 0
 
 
@@ -200,8 +198,7 @@ def test_zero_first_pivot_needs_row_swap(rows):
     matrix = SquareMatrix(rows)
     assert matrix[0, 0] == 0
     assert det(matrix) == cofactor_det(matrix.rows) != 0
-    vector = tuple(Fraction(k + 1, 3) for k in range(matrix.dimension))
-    assert apply(matrix, solve(matrix, vector)) == vector
+    multiply_back(matrix, tuple(Fraction(k + 1, 3) for k in range(matrix.dimension)))
 
 
 @pytest.mark.parametrize("rows", ZERO_LAST_PIVOT)
@@ -214,7 +211,7 @@ def test_singular_only_at_last_pivot(rows):
     assert cofactor_det(matrix.rows) == 0
     assert det(matrix) == 0
     with pytest.raises(SingularMatrix):
-        solve(matrix, (1,) * n)
+        solve_integral(matrix, (1,) * n)
 
 
 def test_matrix_shape_validation():
@@ -227,7 +224,7 @@ def test_matrix_shape_validation():
 
 
 def test_solve_identity():
-    assert solve(IDENTITY_2, (3, 5)) == (3, 5)
+    assert solve_integral(IDENTITY_2, (3, 5)) == ((3, 5), 1)
 
 
 def test_solve_pushoff_matrix():
@@ -235,9 +232,8 @@ def test_solve_pushoff_matrix():
     # is the constant vector tb/(n*tb + 1) = 2/3 (verified by
     # multiplying back: each row gives (-1 - 2) * 2/3 = -2).
     matrix = SquareMatrix([[-1, -2], [-2, -1]])
-    solution = solve(matrix, (-2, -2))
-    assert solution == (Fraction(2, 3), Fraction(2, 3))
-    assert apply(matrix, solution) == (Fraction(-2), Fraction(-2))
+    y, d = multiply_back(matrix, (-2, -2))
+    assert tuple(Fraction(v, d) for v in y) == (Fraction(2, 3), Fraction(2, 3))
 
 
 def test_solve_multiply_back_randomized():
@@ -248,27 +244,22 @@ def test_solve_multiply_back_randomized():
         matrix = SquareMatrix(rows)
         if det(matrix) == 0:
             continue
-        vector = tuple(rng.randint(-9, 9) for _ in range(4))
-        assert apply(matrix, solve(matrix, vector)) == tuple(
-            Fraction(v) for v in vector
-        )
+        multiply_back(matrix, tuple(rng.randint(-9, 9) for _ in range(4)))
         done += 1
 
 
 def test_solve_singular_raises():
     with pytest.raises(SingularMatrix):
-        solve(SquareMatrix([[1, 2], [2, 4]]), (1, 1))
+        solve_integral(SquareMatrix([[1, 2], [2, 4]]), (1, 1))
 
 
 def test_solve_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        solve(IDENTITY_2, (1, 2, 3))
     with pytest.raises(DimensionMismatch):
         solve_integral(IDENTITY_2, (1, 2, 3))
 
 
 def test_solve_dimension_zero():
-    assert solve(SquareMatrix([]), ()) == ()
+    assert solve_integral(SquareMatrix([]), ()) == ((), 1)
 
 
 @settings(deadline=None, max_examples=60)
@@ -283,42 +274,16 @@ def test_solve_dimension_zero():
 def test_solve_multiply_back_hypothesis(rows, vector):
     matrix = SquareMatrix(rows)
     # Singularity is decided by the independent oracle: det shares the
-    # elimination kernel with solve.
+    # elimination kernel with solve_integral.
     if cofactor_det(rows) == 0:
         with pytest.raises(SingularMatrix):
-            solve(matrix, vector)
+            solve_integral(matrix, vector)
         return
-    assert apply(matrix, solve(matrix, vector)) == tuple(Fraction(v) for v in vector)
+    multiply_back(matrix, vector)
 
 
 # --------------------------------------------------------------------------
-# Inner products
-
-
-def test_inner_product_empty():
-    assert inner_product((), ()) == 0
-
-
-def test_inner_product_orthogonal_units():
-    assert inner_product((1, 0), (0, 1)) == 0
-
-
-def test_inner_product_rotation_pairing():
-    # rot = 1, tb = -2, n = 2: pairing of (rot, rot) with the constant
-    # vector tb/(n*tb + 1) = 2/3. Hand expansion: 2 * (1 * 2/3) = 4/3,
-    # consistent with rot_Q = rot - 4/3 = -1/3 = rot/(n*tb + 1).
-    pairing = inner_product((1, 1), (Fraction(2, 3), Fraction(2, 3)))
-    assert pairing == Fraction(4, 3)
-    assert 1 - pairing == Fraction(1, 2 * -2 + 1)
-
-
-def test_inner_product_mismatch():
-    with pytest.raises(DimensionMismatch):
-        inner_product((1, 2), (1,))
-
-
-# --------------------------------------------------------------------------
-# Entry types: ints stay ints inside, results are Fractions
+# Entry types: ints stay ints inside, det is a Fraction, y and d ints
 
 
 def _encode(rng, value, form):
@@ -333,13 +298,13 @@ def _encode(rng, value, form):
     return f"{value * scale}/{scale}"
 
 
-def _kernel_results(rows, vector, other):
+def _kernel_results(rows, vector):
     matrix = SquareMatrix(rows)
     try:
-        solution = solve(matrix, vector)
+        solution = solve_integral(matrix, vector)
     except SingularMatrix:
         solution = None
-    return det(matrix), solution, inner_product(vector, other)
+    return det(matrix), solution
 
 
 def test_kernel_results_do_not_depend_on_entry_type():
@@ -349,19 +314,18 @@ def test_kernel_results_do_not_depend_on_entry_type():
         n = rng.randint(0, 7)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         vector = [rng.randint(-9, 9) for _ in range(n)]
-        other = [rng.randint(-9, 9) for _ in range(n)]
-        expected = _kernel_results(rows, vector, other)
+        expected = _kernel_results(rows, vector)
         singular += expected[1] is None
         for form in ("int", "fraction", "string", "mixed"):
             results = _kernel_results(
                 [[_encode(rng, v, form) for v in row] for row in rows],
                 [_encode(rng, v, form) for v in vector],
-                [_encode(rng, v, form) for v in other],
             )
             assert results == expected
-            value, solution, pairing = results
-            assert type(value) is Fraction and type(pairing) is Fraction
-            assert solution is None or all(type(x) is Fraction for x in solution)
+            value, solution = results
+            assert type(value) is Fraction
+            assert solution is None or {type(x) for x in solution[0]} <= {int}
+            assert solution is None or type(solution[1]) is int
     assert 0 < singular < 300
 
 
@@ -370,8 +334,4 @@ def test_kernel_rejects_floats_and_bools(inexact):
     with pytest.raises(TypeError):
         SquareMatrix([[1, 0], [0, inexact]])
     with pytest.raises(TypeError):
-        solve(SquareMatrix([[1, 0], [0, 1]]), (1, inexact))
-    with pytest.raises(TypeError):
-        inner_product((1, inexact), (1, 1))
-    with pytest.raises(TypeError):
-        inner_product((1, 1), (inexact, 1))
+        solve_integral(SquareMatrix([[1, 0], [0, 1]]), (1, inexact))

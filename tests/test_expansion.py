@@ -20,7 +20,6 @@ from surgerycalc import (
     LegendrianKnotData,
     RangeError,
     Unsupported,
-    PlusOneChainSpec,
     chain_diagram,
     det,
     evaluate_negative_continued_fraction,
@@ -33,7 +32,7 @@ from surgerycalc import (
     ValidationError,
 )
 from surgerycalc.cli import _expansion_obj
-from surgerycalc.diagram import LinkingBlocks, json_text
+from surgerycalc.diagram import json_text
 from surgerycalc.exact import format_rational
 from surgerycalc.expansion import ZIGZAG_POLICIES, _Curve, _knot_group
 
@@ -134,7 +133,7 @@ def test_unit_fraction_three_pushoffs():
     assert steps(presentation) == [("L", 1, ())] * 3
     matrix = presentation_matrix(presentation.derived_diagram)
     assert matrix == presentation_matrix(
-        chain_diagram(PlusOneChainSpec(-2, 1, -1, 3), dual_id=None)
+        chain_diagram(-2, 1, -1, 3, dual_id=None)
     )
     assert det(matrix) == -5
 
@@ -656,25 +655,6 @@ def test_derived_diagram_is_built_once_and_validated():
     assert presentation.derived_diagram is derived
     assert derived.ids == tuple(curve.id for _, _, curve in presentation.records)
     assert derived.ambient is presentation.ambient is AmbientStatus.UNKNOWN
-
-
-def test_linking_blocks_check_symmetry_like_surgery_diagram():
-    # groups of 1, 2 and 1 curves; source[1][2] = 5 but source[2][1] = 4
-    tbs = ((-1,), (-2, -2), (-3,))
-    source = ((0, 1, 2), (1, 0, 5), (2, 4, 0))
-    with pytest.raises(ValidationError) as raised:
-        LinkingBlocks(tbs=tbs, source=source)
-    matrix = ((0, 1, 1, 2), (1, 0, -2, 5), (1, -2, 0, 5), (2, 4, 4, 0))
-    components = tuple(
-        SurgeryComponent(knot=knot(cid=cid)) for cid in ("A", "B#1", "B#2", "C")
-    )
-    with pytest.raises(ValidationError) as expected:
-        SurgeryDiagram(AmbientStatus.UNKNOWN, components, matrix)
-    assert str(raised.value) == str(expected.value) == "linking[3][1] != linking[1][3]"
-    symmetric = LinkingBlocks(tbs=tbs, source=((0, 1, 2), (1, 0, 4), (2, 4, 0)))
-    assert symmetric.matrix() == (
-        (0, 1, 1, 2), (1, 0, -2, 4), (1, -2, 0, 4), (2, 4, 4, 0)
-    )
 
 
 def test_derived_id_collision_raises_at_expand_time():

@@ -17,7 +17,6 @@ from surgerycalc import (
     LegendrianKnotData,
     MissingCoefficient,
     NonNullhomologousDual,
-    PlusOneChainSpec,
     SurgeryComponent,
     SurgeryDiagram,
     Unsupported,
@@ -29,20 +28,21 @@ from surgerycalc import (
     dual_invariants_closed_form,
     evaluate_negative_continued_fraction,
     expand_diagram,
-    homological_order,
-    reverse_orientation,
 )
 from surgerycalc.expansion import _knot_group
 from surgerycalc.invariants import _group_pairs
 from surgerycalc.selftest import _cofactor_det as cofactor_det
 
-from helpers import group_sweep, random_diagram, tail_continuants
+from helpers import group_sweep, random_diagram, reverse_orientation, tail_continuants
 
 
 def test_homological_order_values():
-    assert homological_order(-1, 1) == 0
-    assert homological_order(-2, 3) == 5
-    assert homological_order(-5, 2) == 9
+    # |n*tb + 1|; n*tb + 1 = 0 is the degenerate, non-nullhomologous case
+    assert dual_invariants_closed_form(-2, 0, 1, 3).order == 5
+    assert dual_invariants_closed_form(-5, 0, 1, 2).order == 9
+    assert dual_invariants_closed_form(3, 0, 1, 2).order == 7
+    with pytest.raises(NonNullhomologousDual):
+        dual_invariants_closed_form(-1, 0, 1, 1)
 
 
 def test_closed_form_examples():
@@ -74,8 +74,7 @@ def test_matrix_path_counterexample():
 
 
 def test_matrix_path_single_pushoff_dual():
-    spec = PlusOneChainSpec(tb=-2, rot=0, euler_char=1, n=1)
-    diagram = chain_diagram(spec)
+    diagram = chain_diagram(-2, 0, 1, 1)
     invariants = dual_invariants(diagram, "dual")
     # tb_q = tb + det(M0)/det(M) = -2 + (-4)/(-1) = 2, matching the
     # closed form -2/(1*(-2)+1) = 2.
@@ -95,8 +94,7 @@ def test_closed_form_matches_matrix_path_on_grid():
             if n * tb + 1 == 0:
                 continue
             for rot in range(-6, 7):
-                spec = PlusOneChainSpec(tb=tb, rot=rot, euler_char=1, n=n)
-                diagram = chain_diagram(spec)
+                diagram = chain_diagram(tb, rot, 1, n)
                 via_matrix = dual_invariants(diagram, "dual")
                 closed = dual_invariants_closed_form(tb, rot, 1, n)
                 assert via_matrix == closed
