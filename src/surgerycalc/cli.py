@@ -37,6 +37,7 @@ it independently, in sorted order.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,7 +46,6 @@ from typing import Optional
 
 from .classify import (
     InconsistentAssumptions,
-    NotCoprime,
     RULE_BENNEQUIN,
     RULE_NONE,
     bennequin_check,
@@ -93,7 +93,6 @@ _INPUT_ERRORS = (
     ParseError,
     ValidationError,
     MissingCoefficient,
-    NotCoprime,
     RangeError,
     Unsupported,
     InconsistentAssumptions,
@@ -308,6 +307,13 @@ def _cmd_classify(args, parser) -> tuple[Report, int]:
         parser.error("--q needs --p")
     p = args.n if args.n is not None else args.p
     q = 1 if args.q is None else args.q
+    if args.p is not None:
+        if args.p < 1:
+            parser.error("--p must be a positive integer")
+        if q < 1:
+            parser.error("--q must be a positive integer")
+        if math.gcd(p, q) != 1:
+            parser.error(f"--p {p} and --q {q} are not relatively prime")
     assumptions = {cid: True for cid in (args.assume_plus_one_tight or [])}
     options = {
         "input": args.diagram,

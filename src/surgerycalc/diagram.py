@@ -111,6 +111,15 @@ class LegendrianKnotData:
     euler_char: int
 
     def __post_init__(self) -> None:
+        if (
+            type(self.id) is str
+            and self.id
+            and type(self.tb) is int
+            and type(self.rot) is int
+            and type(self.euler_char) is int
+            and self.euler_char <= 1
+        ):
+            return
         if not isinstance(self.id, str) or not self.id:
             raise ValidationError("knot id must be a non-empty string")
         for name in ("tb", "rot", "euler_char"):
@@ -155,13 +164,15 @@ class SurgeryComponent:
     contact_coefficient: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
-        if self.contact_coefficient is not None:
-            coefficient = as_rational(self.contact_coefficient)
-            if coefficient == 0:
-                raise ValidationError(
-                    f"{self.knot.id}: contact coefficient 0 is not a surgery"
-                )
-            object.__setattr__(self, "contact_coefficient", coefficient)
+        coefficient = self.contact_coefficient
+        if coefficient is None or (type(coefficient) is Fraction and coefficient):
+            return
+        coefficient = as_rational(coefficient)
+        if coefficient == 0:
+            raise ValidationError(
+                f"{self.knot.id}: contact coefficient 0 is not a surgery"
+            )
+        object.__setattr__(self, "contact_coefficient", coefficient)
 
     @property
     def id(self) -> str:
@@ -337,30 +348,54 @@ def chain_diagram(
     numbers equal tb. Without the dual, ``presentation_matrix`` gives
     the chain's M (framings tb + 1, det n*tb + 1); with it,
     ``build_general_matrices`` borders M into M0 (det -n*tb^2).
+
+    The arguments are checked once, with the errors the validating
+    constructors raise, in their order: n, then tb, rot and euler_char
+    as one knot's, then ``dual_id`` (a non-empty str other than every
+    L#i). The n + 1 knots, their components and the diagram are then
+    built without re-validation, which is sound because they come from
+    these checked numbers and from no parsed input.
     """
     _check_positive(n, "n")
-    knots = [
-        LegendrianKnotData(id=f"L#{i}", tb=tb, rot=rot, euler_char=euler_char)
-        for i in range(1, n + 1)
-    ]
+    LegendrianKnotData(id="L#1", tb=tb, rot=rot, euler_char=euler_char)
     plus_one = Fraction(1)
-    components = [
-        SurgeryComponent(knot=knot, contact_coefficient=plus_one) for knot in knots
-    ]
+    coefficients = {f"L#{i}": plus_one for i in range(1, n + 1)}
     if dual_id is not None:
-        components.append(
-            SurgeryComponent(
-                knot=LegendrianKnotData(
-                    id=dual_id, tb=tb, rot=rot, euler_char=euler_char
-                )
-            )
+        if not isinstance(dual_id, str) or not dual_id:
+            raise ValidationError("knot id must be a non-empty string")
+        if dual_id in coefficients:
+            raise ValidationError(f"duplicate component id {dual_id!r}")
+        coefficients[dual_id] = None
+    components = tuple(
+        _prebuilt(
+            SurgeryComponent,
+            knot=_prebuilt(
+                LegendrianKnotData, id=knot_id, tb=tb, rot=rot, euler_char=euler_char
+            ),
+            contact_coefficient=coefficient,
         )
+        for knot_id, coefficient in coefficients.items()
+    )
     size = len(components)
     row = (tb,) * size
     linking = tuple(row[:i] + (0,) + row[i + 1 :] for i in range(size))
-    return SurgeryDiagram(
-        ambient=AmbientStatus.UNKNOWN, components=tuple(components), linking=linking
+    return _prebuilt(
+        SurgeryDiagram,
+        ambient=AmbientStatus.UNKNOWN,
+        components=components,
+        linking=linking,
     )
+
+
+def _prebuilt(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with ``fields`` as given.
+
+    ``__post_init__`` does not run, so nothing is checked or normalized:
+    only ``chain_diagram`` calls this, on values it has checked itself.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _framed_matrix(diagram: SurgeryDiagram, indices) -> SquareMatrix:
@@ -370,15 +405,12 @@ def _framed_matrix(diagram: SurgeryDiagram, indices) -> SquareMatrix:
     numbers elsewhere; MissingCoefficient for the first unsurgered one.
     """
     components, linking = diagram.components, diagram.linking
-    return SquareMatrix(
-        [
-            [
-                topological_coefficient(components[i]) if i == j else linking[i][j]
-                for j in indices
-            ]
-            for i in indices
-        ]
-    )
+    rows = []
+    for position, i in enumerate(indices):
+        row = list(map(linking[i].__getitem__, indices))
+        row[position] = topological_coefficient(components[i])
+        rows.append(row)
+    return SquareMatrix(rows)
 
 
 def presentation_matrix(diagram: SurgeryDiagram) -> SquareMatrix:
@@ -401,8 +433,9 @@ def _dual_links(
         raise ValidationError(
             f"dual component {dual.id!r} must not carry a surgery coefficient"
         )
-    others = [i for i in range(n) if i != dual_index]
-    return others, tuple(diagram.linking_number(dual_index, i) for i in others)
+    row = diagram.linking[dual_index]
+    others = [*range(dual_index), *range(dual_index + 1, n)]
+    return others, row[:dual_index] + row[dual_index + 1 :]
 
 
 def build_general_matrices(

@@ -157,13 +157,21 @@ def negative_continued_fraction(r: RationalLike) -> tuple[int, ...]:
 
 
 def evaluate_negative_continued_fraction(digits: Sequence[int]) -> Fraction:
-    """Evaluate a1 - 1/(a2 - 1/(... - 1/am)) exactly."""
+    """Evaluate a1 - 1/(a2 - 1/(... - 1/am)) exactly.
+
+    The suffix ai - 1/(... - 1/am) is kept as the integer continuant
+    pair (P, Q), from (am, 1) by (P, Q) -> (ai P - Q, P), and one
+    Fraction is built at the end. P and Q stay coprime, so a suffix is 0
+    exactly when its P is; dividing by it raises ZeroDivisionError.
+    """
     if not digits:
         raise ValueError("empty continued fraction")
-    value = Fraction(digits[-1])
+    numerator, denominator = digits[-1], 1
     for a in reversed(digits[:-1]):
-        value = a - Fraction(1) / value
-    return value
+        if not numerator:
+            raise ZeroDivisionError("a suffix of the continued fraction is 0")
+        numerator, denominator = a * numerator - denominator, numerator
+    return Fraction(numerator, denominator)
 
 
 def stabilization_counts(digits: Sequence[int]) -> tuple[int, ...]:

@@ -247,37 +247,44 @@ ALL_SURGERED = {
 }
 
 BAD_QUERIES = [
-    (["--p", "0"], "p must be a positive integer, got 0"),
-    (["--p", "-3"], "p must be a positive integer, got -3"),
-    (["--p", "4", "--q", "2"], "p = 4 and q = 2 are not relatively prime"),
+    (["--p", "0"], "--p must be a positive integer"),
+    (["--p", "-3"], "--p must be a positive integer"),
+    (["--p", "2", "--q", "0"], "--q must be a positive integer"),
+    (["--p", "4", "--q", "2"], "--p 4 and --q 2 are not relatively prime"),
 ]
 
 
+def _assert_classify_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: surgerycalc classify [-h]")
+    assert captured.err.endswith(f"surgerycalc classify: error: {message}\n")
+
+
 @pytest.mark.parametrize("query, message", BAD_QUERIES)
-def test_classify_bad_query_exit_2_without_unsurgered_component(
+def test_classify_bad_query_is_a_usage_error_for_a_file(
     tmp_path, capsys, query, message
 ):
-    # The query is checked even when no component could receive it, as it
-    # is on a diagram that has one.
+    # The query is checked before the file is read, so a diagram with no
+    # component that could receive it fails as one that has one does.
     path = tmp_path / "surgered.json"
     path.write_text(json.dumps(ALL_SURGERED), encoding="utf-8")
     for target in (path, figure1_path(tmp_path)):
-        assert main(["classify", str(target), *query]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        _assert_classify_usage_error(capsys, ["classify", str(target), *query], message)
 
 
 @pytest.mark.parametrize("query, message", BAD_QUERIES)
-def test_classify_bad_query_fails_every_file_of_a_batch(tmp_path, capsys, query, message):
+def test_classify_bad_query_is_one_usage_error_for_a_batch(
+    tmp_path, capsys, query, message
+):
     (tmp_path / "surgered.json").write_text(json.dumps(ALL_SURGERED), encoding="utf-8")
     figure1_path(tmp_path)
-    assert main(["classify", str(tmp_path), *query, "--format", "json"]) == 2
-    batch = json.loads(capsys.readouterr().out)["results"]["batch"]
-    assert batch == [
-        {"file": "figure1.json", "error": message},
-        {"file": "surgered.json", "error": message},
-    ]
+    _assert_classify_usage_error(
+        capsys, ["classify", str(tmp_path), *query, "--format", "json"], message
+    )
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])
@@ -286,14 +293,10 @@ def test_classify_n_below_one_is_a_usage_error(tmp_path, capsys, n):
     # --n, for a single file and for a directory batch alike.
     (tmp_path / "surgered.json").write_text(json.dumps(ALL_SURGERED), encoding="utf-8")
     for target in (figure1_path(tmp_path), tmp_path):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["classify", str(target), "--n", n, "--format", "json"])
-        assert exit_info.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("usage: surgerycalc classify [-h]")
-        assert captured.err.endswith(
-            "surgerycalc classify: error: --n must be a positive integer\n"
+        _assert_classify_usage_error(
+            capsys,
+            ["classify", str(target), "--n", n, "--format", "json"],
+            "--n must be a positive integer",
         )
 
 

@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import json
 import random
+import types
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import surgerycalc
 import surgerycalc.data as bundled
 from surgerycalc import (
     AmbientStatus,
+    DimensionMismatch,
+    DualKnotInvariants,
     LegendrianKnotData,
     MissingCoefficient,
     ParseError,
@@ -29,7 +34,7 @@ from surgerycalc import (
     serialize_diagram,
     topological_coefficient,
 )
-from surgerycalc.diagram import json_text
+from surgerycalc.diagram import _check_positive, json_text
 from surgerycalc.selftest import _cofactor_det as cofactor_det
 
 from helpers import random_diagram
@@ -139,6 +144,102 @@ def test_nonzero_diagonal_rejected():
         )
 
 
+class Int(int):
+    """An int subclass: every constructor accepts it as an int."""
+
+
+class Ratio(Fraction):
+    """A Fraction subclass: every constructor accepts it as a Fraction."""
+
+
+def knot_of(**fields):
+    return LegendrianKnotData(**{"id": "K", "tb": -2, "rot": 1, "euler_char": -1, **fields})
+
+
+def dual_of(**fields):
+    values = {"tb_q": Fraction(-2, 3), "rot_q": Fraction(1, 3), "order": 3, "euler_char": 1}
+    return DualKnotInvariants(**{**values, **fields})
+
+
+def component_of(coefficient):
+    return SurgeryComponent(knot=unknot(), contact_coefficient=coefficient)
+
+
+# Each constructor tries an exact-type fast path before its full checks;
+# these are the values that path must leave to the checks, with the error
+# each one raised before the fast path existed.
+CONSTRUCTOR_ERRORS = [
+    (lambda: knot_of(tb=True), ValidationError, "K.tb must be an integer, got True"),
+    (lambda: knot_of(rot=False), ValidationError, "K.rot must be an integer, got False"),
+    (lambda: knot_of(tb=-2.0), ValidationError, "K.tb must be an integer, got -2.0"),
+    (lambda: knot_of(rot="1"), ValidationError, "K.rot must be an integer, got '1'"),
+    (lambda: knot_of(euler_char=1.0), ValidationError,
+     "K.euler_char must be an integer, got 1.0"),
+    (lambda: knot_of(euler_char=2), ValidationError,
+     "K.euler_char = 2 exceeds 1, impossible for a surface with boundary"),
+    (lambda: knot_of(euler_char=Int(3)), ValidationError,
+     "K.euler_char = 3 exceeds 1, impossible for a surface with boundary"),
+    (lambda: knot_of(id=""), ValidationError, "knot id must be a non-empty string"),
+    (lambda: knot_of(id=5), ValidationError, "knot id must be a non-empty string"),
+    (lambda: component_of(Fraction(0)), ValidationError,
+     "K: contact coefficient 0 is not a surgery"),
+    (lambda: component_of(Ratio(0)), ValidationError,
+     "K: contact coefficient 0 is not a surgery"),
+    (lambda: component_of(0), ValidationError, "K: contact coefficient 0 is not a surgery"),
+    (lambda: component_of("0/5"), ValidationError,
+     "K: contact coefficient 0 is not a surgery"),
+    (lambda: component_of(True), TypeError, "not an exact rational: True"),
+    (lambda: component_of(0.5), TypeError, "not an exact rational: 0.5"),
+    (lambda: component_of("0.5"), ValueError, "not a rational 'p/q' string: '0.5'"),
+    (lambda: dual_of(order=0), ValidationError, "order must be >= 1, got 0"),
+    (lambda: dual_of(order=True), ValidationError, "order must be an integer, got True"),
+    (lambda: dual_of(order=3.0), ValidationError, "order must be an integer, got 3.0"),
+    (lambda: dual_of(order="3"), ValidationError, "order must be an integer, got '3'"),
+    (lambda: dual_of(order=2), ValidationError,
+     "denominator of tb_q = -2/3 does not divide the homological order 2"),
+    (lambda: dual_of(rot_q=Fraction(1, 6)), ValidationError,
+     "denominator of rot_q = 1/6 does not divide the homological order 3"),
+    (lambda: dual_of(tb_q=-1), ValidationError, "tb_q must be a Fraction, got -1"),
+    (lambda: dual_of(rot_q=0.5), ValidationError, "rot_q must be a Fraction, got 0.5"),
+    (lambda: dual_of(rot_q="1/3"), ValidationError, "rot_q must be a Fraction, got '1/3'"),
+    (lambda: SquareMatrix([[1, True], [0, 1]]), TypeError, "not an exact rational: True"),
+    (lambda: SquareMatrix([[1, 0], [0.5, 1]]), TypeError, "not an exact rational: 0.5"),
+    (lambda: SquareMatrix([[1, "x"], [0, 1]]), ValueError,
+     "not a rational 'p/q' string: 'x'"),
+    (lambda: SquareMatrix([[1, 0], [1.5]]), TypeError, "not an exact rational: 1.5"),
+    (lambda: SquareMatrix([[1, 0], [0]]), DimensionMismatch,
+     "row 1 has 1 entries, expected 2"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", CONSTRUCTOR_ERRORS)
+def test_constructor_fast_paths_fail_as_the_full_checks(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_constructor_fast_paths_accept_subclasses():
+    knot = knot_of(tb=Int(-2), rot=Int(1), euler_char=Int(-1))
+    assert (type(knot.tb), knot) == (Int, knot_of())
+    assert knot_of(id=type("Id", (str,), {})("K")) == knot_of()
+    for coefficient, stored in (
+        (Ratio(3, 2), Ratio(3, 2)),
+        (Int(2), Fraction(2)),
+        ("3/2", Fraction(3, 2)),
+    ):
+        component = component_of(coefficient)
+        assert type(component.contact_coefficient) is type(stored)
+        assert component.contact_coefficient == stored
+    invariants = dual_of(tb_q=Ratio(-2, 3), order=Int(6))
+    assert type(invariants.order) is Int and invariants == dual_of(order=6)
+    matrix = SquareMatrix([[Int(2), "1/2"], [Ratio(1, 3), 0]])
+    assert matrix.rows == ((Fraction(2), Fraction(1, 2)), (Fraction(1, 3), 0))
+    assert [type(entry) for entry in matrix.rows[0] + matrix.rows[1]] == [
+        Fraction, Fraction, Ratio, int,
+    ]
+
+
 # --------------------------------------------------------------------------
 # Coefficients
 
@@ -200,6 +301,93 @@ def test_determinant_identities_on_grid():
             assert m.rows == tuple(zip(*m.rows)) and m0.rows == tuple(zip(*m0.rows))
             assert det(m) == n * tb + 1
             assert det(m0) == -n * tb * tb
+
+
+def validated_chain(tb, rot, euler_char, n, dual_id="dual"):
+    """The chain built through the validating constructors."""
+    _check_positive(n, "n")
+    components = [
+        SurgeryComponent(
+            knot=LegendrianKnotData(id=f"L#{i}", tb=tb, rot=rot, euler_char=euler_char),
+            contact_coefficient=Fraction(1),
+        )
+        for i in range(1, n + 1)
+    ]
+    if dual_id is not None:
+        components.append(
+            SurgeryComponent(
+                knot=LegendrianKnotData(id=dual_id, tb=tb, rot=rot, euler_char=euler_char)
+            )
+        )
+    size = len(components)
+    return SurgeryDiagram(
+        ambient=AmbientStatus.UNKNOWN,
+        components=components,
+        linking=[[0 if i == j else tb for j in range(size)] for i in range(size)],
+    )
+
+
+def test_chain_diagram_equals_the_validated_chain():
+    for tb in range(-10, 0):
+        for n in range(1, 9):
+            for rot in (-3, 0, 2, 7):
+                for euler_char in (1, -1):
+                    for dual_id in (None, "dual"):
+                        built = chain_diagram(tb, rot, euler_char, n, dual_id=dual_id)
+                        oracle = validated_chain(tb, rot, euler_char, n, dual_id)
+                        assert built == oracle and hash(built) == hash(oracle)
+                        assert type(built.components) is tuple
+                        assert type(built.linking) is tuple
+                        assert set(map(type, built.linking)) == {tuple}
+                        assert serialize_diagram(built) == serialize_diagram(oracle)
+
+
+def test_only_chain_diagram_builds_without_validation():
+    # No path from parsed input (parse_diagram, diagram_from_obj, the
+    # CLI's single-knot mode, the expander's derived_diagram) may reach
+    # the helper that skips __post_init__: only chain_diagram names it.
+    def owners(code, owner):
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                inner = owner or const.co_name
+                if "_prebuilt" in const.co_names:
+                    yield inner
+                yield from owners(const, inner)
+
+    package = Path(surgerycalc.__file__).parent
+    users = set()
+    for source in sorted(package.rglob("*.py")):
+        code = compile(source.read_text(encoding="utf-8"), str(source), "exec")
+        users |= {(source.name, owner) for owner in owners(code, None)}
+    assert users == {("diagram.py", "chain_diagram")}
+
+
+@pytest.mark.parametrize(
+    "args, dual_id, message",
+    [
+        ((True, 0, 1, 2), "dual", "L#1.tb must be an integer, got True"),
+        ((-2.0, 0, 1, 2), "dual", "L#1.tb must be an integer, got -2.0"),
+        (("-2", 0, 1, 2), "dual", "L#1.tb must be an integer, got '-2'"),
+        ((-2, False, 1, 2), "dual", "L#1.rot must be an integer, got False"),
+        ((-2, 0.0, 1, 2), "dual", "L#1.rot must be an integer, got 0.0"),
+        ((-2, "0", 1, 2), "dual", "L#1.rot must be an integer, got '0'"),
+        ((-2, 0, 2, 2), "dual",
+         "L#1.euler_char = 2 exceeds 1, impossible for a surface with boundary"),
+        ((-2, 0, 1, 0), "dual", "n must be a positive integer, got 0"),
+        ((-2, 0, 1, True), "dual", "n must be a positive integer, got True"),
+        ((True, 0, 1, 0), 5, "n must be a positive integer, got 0"),
+        ((-2, 0, 1, 2), "", "knot id must be a non-empty string"),
+        ((-2, 0, 1, 2), 5, "knot id must be a non-empty string"),
+        ((-2, 0, 1, 2), "L#1", "duplicate component id 'L#1'"),
+        ((-2, 0, 2, 2), "L#1", "L#1.euler_char = 2 exceeds 1, impossible for a "
+         "surface with boundary"),
+    ],
+)
+def test_chain_diagram_rejects_what_the_constructors_reject(args, dual_id, message):
+    for build in (chain_diagram, validated_chain):
+        with pytest.raises(ValidationError) as raised:
+            build(*args, dual_id=dual_id)
+        assert type(raised.value) is ValidationError and str(raised.value) == message
 
 
 # --------------------------------------------------------------------------

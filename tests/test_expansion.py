@@ -11,7 +11,7 @@ from operator import itemgetter
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import surgerycalc.data as bundled
@@ -108,6 +108,32 @@ def test_round_trip_hypothesis(p, q):
     digits = negative_continued_fraction(r)
     assert evaluate_negative_continued_fraction(digits) == r
     assert digits[0] <= -1 and all(a <= -2 for a in digits[1:])
+
+
+def fraction_fold(digits):
+    """The oracle: a1 - 1/(a2 - 1/(... - 1/am)) folded in Fractions."""
+    value = Fraction(digits[-1])
+    for a in reversed(digits[:-1]):
+        value = a - Fraction(1) / value
+    return value
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=12))
+@example([-3, 1, 1])
+@example([0, 0])
+@example([2, 1, 1, 0])
+@example([0])
+def test_continuants_equal_fraction_fold(digits):
+    # Both sides raise ZeroDivisionError exactly where a suffix is 0.
+    try:
+        expected = fraction_fold(digits)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            evaluate_negative_continued_fraction(digits)
+    else:
+        value = evaluate_negative_continued_fraction(digits)
+        assert type(value) is Fraction and value == expected
 
 
 def test_stabilization_counts():
