@@ -37,7 +37,6 @@ it independently, in sorted order.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,10 +45,12 @@ from typing import Optional
 
 from .classify import (
     InconsistentAssumptions,
+    NotCoprime,
     RULE_BENNEQUIN,
     RULE_NONE,
     bennequin_check,
     classify_diagram,
+    _check_coprime_positive,
     verdict_from_bennequin,
     verdict_to_obj,
 )
@@ -308,12 +309,10 @@ def _cmd_classify(args, parser) -> tuple[Report, int]:
     p = args.n if args.n is not None else args.p
     q = 1 if args.q is None else args.q
     if args.p is not None:
-        if args.p < 1:
-            parser.error("--p must be a positive integer")
-        if q < 1:
-            parser.error("--q must be a positive integer")
-        if math.gcd(p, q) != 1:
-            parser.error(f"--p {p} and --q {q} are not relatively prime")
+        try:
+            _check_coprime_positive(p, q)
+        except (ValidationError, NotCoprime) as error:
+            parser.error(f"--p/--q: {error}")
     assumptions = {cid: True for cid in (args.assume_plus_one_tight or [])}
     options = {
         "input": args.diagram,

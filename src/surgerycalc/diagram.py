@@ -111,15 +111,6 @@ class LegendrianKnotData:
     euler_char: int
 
     def __post_init__(self) -> None:
-        if (
-            type(self.id) is str
-            and self.id
-            and type(self.tb) is int
-            and type(self.rot) is int
-            and type(self.euler_char) is int
-            and self.euler_char <= 1
-        ):
-            return
         if not isinstance(self.id, str) or not self.id:
             raise ValidationError("knot id must be a non-empty string")
         for name in ("tb", "rot", "euler_char"):
@@ -164,15 +155,13 @@ class SurgeryComponent:
     contact_coefficient: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
-        coefficient = self.contact_coefficient
-        if coefficient is None or (type(coefficient) is Fraction and coefficient):
-            return
-        coefficient = as_rational(coefficient)
-        if coefficient == 0:
-            raise ValidationError(
-                f"{self.knot.id}: contact coefficient 0 is not a surgery"
-            )
-        object.__setattr__(self, "contact_coefficient", coefficient)
+        if self.contact_coefficient is not None:
+            coefficient = as_rational(self.contact_coefficient)
+            if coefficient == 0:
+                raise ValidationError(
+                    f"{self.knot.id}: contact coefficient 0 is not a surgery"
+                )
+            object.__setattr__(self, "contact_coefficient", coefficient)
 
     @property
     def id(self) -> str:

@@ -34,7 +34,6 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import chain
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -144,9 +143,7 @@ class SquareMatrix:
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]]):
-        normalized = tuple(map(tuple, rows))
-        if not set(map(type, chain.from_iterable(normalized))) <= _EXACT_TYPES:
-            normalized = tuple(map(_entries, normalized))
+        normalized = tuple(_entries(row) for row in rows)
         for index, row in enumerate(normalized):
             if len(row) != len(normalized):
                 raise DimensionMismatch(
@@ -196,12 +193,12 @@ def _eliminate(
     Returns None when a pivot column is zero, that is, when the matrix
     is singular.
     """
-    active = list(rows)
+    active = []
     scale = 1
-    if not set(map(type, chain.from_iterable(rows))) <= {int}:
-        for index, row in enumerate(rows):
-            active[index], s = _integers(row)
-            scale *= s
+    for row in rows:
+        integers, s = _integers(row)
+        active.append(integers)
+        scale *= s
     upper = []
     sign = 1
     previous_pivot = 1
@@ -218,13 +215,10 @@ def _eliminate(
         upper.append(top)
         # Bareiss step on the rows below, which drop the pivot column:
         # the division by the previous pivot is exact.
-        below = []
-        for row in active[1:]:
-            head = row[0]
-            below.append(
-                [(x * pivot - head * y) // previous_pivot for x, y in zip(row[1:], tail)]
-            )
-        active = below
+        active = [
+            [(x * pivot - row[0] * y) // previous_pivot for x, y in zip(row[1:], tail)]
+            for row in active[1:]
+        ]
         previous_pivot = pivot
     return upper, sign, scale
 

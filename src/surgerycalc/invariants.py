@@ -158,16 +158,6 @@ class DualKnotInvariants:
     euler_char: int
 
     def __post_init__(self) -> None:
-        order, tb_q, rot_q = self.order, self.tb_q, self.rot_q
-        if (
-            type(order) is int
-            and order >= 1
-            and type(tb_q) is Fraction
-            and type(rot_q) is Fraction
-            and order % tb_q.denominator == 0
-            and order % rot_q.denominator == 0
-        ):
-            return
         if isinstance(self.order, bool) or not isinstance(self.order, int):
             raise ValidationError(f"order must be an integer, got {self.order!r}")
         if self.order < 1:

@@ -247,10 +247,10 @@ ALL_SURGERED = {
 }
 
 BAD_QUERIES = [
-    (["--p", "0"], "--p must be a positive integer"),
-    (["--p", "-3"], "--p must be a positive integer"),
-    (["--p", "2", "--q", "0"], "--q must be a positive integer"),
-    (["--p", "4", "--q", "2"], "--p 4 and --q 2 are not relatively prime"),
+    (["--p", "0"], "--p/--q: p must be a positive integer, got 0"),
+    (["--p", "-3"], "--p/--q: p must be a positive integer, got -3"),
+    (["--p", "2", "--q", "0"], "--p/--q: q must be a positive integer, got 0"),
+    (["--p", "4", "--q", "2"], "--p/--q: p = 4 and q = 2 are not relatively prime"),
 ]
 
 

@@ -165,9 +165,10 @@ def component_of(coefficient):
     return SurgeryComponent(knot=unknot(), contact_coefficient=coefficient)
 
 
-# Each constructor tries an exact-type fast path before its full checks;
-# these are the values that path must leave to the checks, with the error
-# each one raised before the fast path existed.
+# Values each validating constructor rejects, with the error it raises:
+# bools, floats and numeric strs are not ints, and a zero coefficient, an
+# euler_char above 1 and an order that a denominator does not divide are
+# out of range.
 CONSTRUCTOR_ERRORS = [
     (lambda: knot_of(tb=True), ValidationError, "K.tb must be an integer, got True"),
     (lambda: knot_of(rot=False), ValidationError, "K.rot must be an integer, got False"),
@@ -213,13 +214,13 @@ CONSTRUCTOR_ERRORS = [
 
 
 @pytest.mark.parametrize("build, error, message", CONSTRUCTOR_ERRORS)
-def test_constructor_fast_paths_fail_as_the_full_checks(build, error, message):
+def test_constructors_reject_inexact_and_out_of_range_values(build, error, message):
     with pytest.raises(error) as raised:
         build()
     assert type(raised.value) is error and str(raised.value) == message
 
 
-def test_constructor_fast_paths_accept_subclasses():
+def test_constructors_accept_subclasses():
     knot = knot_of(tb=Int(-2), rot=Int(1), euler_char=Int(-1))
     assert (type(knot.tb), knot) == (Int, knot_of())
     assert knot_of(id=type("Id", (str,), {})("K")) == knot_of()
