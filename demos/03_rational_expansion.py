@@ -8,7 +8,8 @@ push-off). ``expand_diagram`` expands every surgered component of a
 diagram, so a single knot is expanded as a one-component diagram. The
 expansion is checked here against first homology: for a surgery with
 topological coefficient a/b on a knot in the 3-sphere, |H1| = |a| must
-equal |det| of the derived presentation matrix.
+equal |det| of the derived presentation matrix, read off as |d| from
+``solve_integral`` (d is the determinant of the system up to sign).
 """
 
 from fractions import Fraction
@@ -19,11 +20,10 @@ from surgerycalc import (
     LegendrianKnotData,
     SurgeryComponent,
     SurgeryDiagram,
-    det,
     evaluate_negative_continued_fraction,
     expand_diagram,
     negative_continued_fraction,
-    presentation_matrix,
+    solve_integral,
 )
 
 # Negative continued fractions: greedy floors, digits a1 <= -1, rest <= -2.
@@ -42,6 +42,17 @@ def expand(knot, r, policy="all-negative"):
         linking=((0,),),
     )
     return expand_diagram(diagram, zigzag_policy=policy)
+
+
+def abs_det(diagram):
+    """|det| of the framed linking matrix of a (+-1)-surgered diagram:
+    tb + coefficient on the diagonal, linking numbers elsewhere."""
+    rows = [
+        [c.knot.tb + int(c.contact_coefficient) if i == j else lk for j, lk in enumerate(row)]
+        + [0]
+        for i, (c, row) in enumerate(zip(diagram.components, diagram.linking))
+    ]
+    return abs(solve_integral(rows)[1])
 
 
 def signed(value):
@@ -63,8 +74,7 @@ print("\n+5/2 on the tb=-1 unknot:")
 for _, _, curve in presentation.records:
     print(f"  {curve.id}: coefficient {signed(curve.coefficient)}, "
           f"{len(curve.signs)} stabilizations, tb={curve.tb}")
-value = det(presentation_matrix(presentation.derived_diagram))
-print(f"  |det| of the derived presentation = {abs(value)}  "
+print(f"  |det| of the derived presentation = {abs_det(presentation.derived_diagram)}  "
       f"(topological coefficient tb + 5/2 = 3/2, so |H1| = 3)")
 
 # The same homology cross-check over a grid of negative coefficients.
@@ -75,7 +85,7 @@ for p in range(1, 9):
         if gcd(p, q) != 1:
             continue
         ep = expand(unknot, Fraction(-p, q))
-        assert abs(det(presentation_matrix(ep.derived_diagram))) == abs(-q - p)
+        assert abs_det(ep.derived_diagram) == abs(-q - p)
         checked += 1
 print(f"  {checked} expansions match |q*tb - p|")
 

@@ -10,16 +10,14 @@ float.
 
 Modules:
 
-* ``exact``: exact matrices; int entries stay ints, and ``det`` and
-  ``solve_integral`` share one fraction-free (Bareiss) elimination
-  kernel over Python ints (a row holding a Fraction is scaled by the
-  lcm of its denominators). ``det`` returns a Fraction,
-  ``solve_integral`` ints y and d, the solution being y / d.
-* ``diagram``: the surgery diagram data model, one framed linking
-  matrix builder (tb_i + r_i on the diagonal) behind the invariants'
-  k x k system and the bordered check matrices, the (+1)-push-off
-  chain diagrams (``chain_diagram(tb, rot, euler_char, n)``), and the
-  JSON file format.
+* ``exact``: exact rationals and ``solve_integral``, the one
+  fraction-free (Bareiss) elimination kernel: it takes augmented rows
+  of Python ints and returns ints y and d, the solution being y / d.
+* ``diagram``: the surgery diagram data model, the framed linking
+  system of the invariants built cleared of denominators (row i times
+  the denominator q_i of its coefficient, so every entry is an int),
+  the (+1)-push-off chain diagrams (``chain_diagram(tb, rot,
+  euler_char, n)``), and the JSON file format.
 * ``expansion``: negative continued fractions and ``expand_diagram``,
   the one expander of rational coefficients into (+-1)-surgeries with
   stabilization bookkeeping, through one private coefficient-shape
@@ -61,23 +59,18 @@ from .diagram import (
     SurgeryComponent,
     SurgeryDiagram,
     ValidationError,
-    build_general_matrices,
     chain_diagram,
     diagram_from_obj,
     diagram_to_obj,
     load_diagram,
     parse_diagram,
-    presentation_matrix,
     serialize_diagram,
-    topological_coefficient,
 )
 from .exact import (
     DimensionMismatch,
     SingularMatrix,
-    SquareMatrix,
     TooManyDigits,
     as_rational,
-    det,
     format_rational,
     parse_rational,
     solve_integral,
@@ -117,7 +110,6 @@ __all__ = [
     "RangeError",
     "SelfTestFailure",
     "SingularMatrix",
-    "SquareMatrix",
     "SurgeryComponent",
     "SurgeryDiagram",
     "TooManyDigits",
@@ -126,13 +118,11 @@ __all__ = [
     "Verdict",
     "as_rational",
     "bennequin_check",
-    "build_general_matrices",
     "chain_diagram",
     "classify_diagram",
     "classify_lemma_tight",
     "classify_thm1",
     "classify_thm2",
-    "det",
     "diagram_from_obj",
     "diagram_to_obj",
     "dual_invariants",
@@ -144,12 +134,10 @@ __all__ = [
     "negative_continued_fraction",
     "parse_diagram",
     "parse_rational",
-    "presentation_matrix",
     "run_checks",
     "serialize_diagram",
     "solve_integral",
     "stabilization_counts",
-    "topological_coefficient",
     "verdict_from_bennequin",
     "verdict_to_obj",
 ]

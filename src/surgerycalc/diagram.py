@@ -12,17 +12,16 @@ Topological framings are always derived as ``tb + coefficient``, so
 the diagonal of the stored linking matrix is unused and must be zero.
 This avoids carrying redundant, possibly inconsistent data.
 
-The module also builds the linking matrices. One private builder
-writes every framed matrix: framings tb_i + r_i on the diagonal (ints
-for integer coefficients, Fractions otherwise), linking numbers
-elsewhere. It gives the k x k matrix Lambda of the components other
-than an unsurgered dual that ``invariants`` solves; on an expanded
-diagram that is the integer linking matrix ``M``.
-``presentation_matrix`` frames every component, and
-``build_general_matrices`` also gives the bordered extension ``M0``
-(corner 0, border the dual's linking vector), which only checks read.
-``chain_diagram(tb, rot, euler_char, n)`` realizes the (+1)-push-off
-chain of contact (+1/n)-surgery, whose M and M0 the selftest checks.
+The module also builds the one linear system the package solves: the
+framed linking system of the components other than an unsurgered
+dual, whose matrix Lambda has the framings tb_i + p_i/q_i on its
+diagonal and linking numbers elsewhere (on an expanded diagram, the
+integer linking matrix ``M``). It is built with its denominators
+cleared: row i and its right-hand side are multiplied by q_i, so every
+entry is an int and ``exact.solve_integral`` takes the rows as they
+are. ``chain_diagram(tb, rot, euler_char, n)`` realizes the
+(+1)-push-off chain of contact (+1/n)-surgery, whose invariants the
+selftest checks against their closed forms.
 
 Diagrams serialize to a small JSON document; rationals travel as
 "p/q" strings, never floats. ``parse_diagram(serialize_diagram(d))``
@@ -40,7 +39,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Optional
 
-from .exact import SquareMatrix, as_rational, format_rational
+from .exact import as_rational, format_rational
 
 __all__ = [
     "AmbientStatus",
@@ -50,16 +49,13 @@ __all__ = [
     "SurgeryComponent",
     "SurgeryDiagram",
     "ValidationError",
-    "build_general_matrices",
     "chain_diagram",
     "diagram_from_obj",
     "diagram_to_obj",
     "json_text",
     "load_diagram",
     "parse_diagram",
-    "presentation_matrix",
     "serialize_diagram",
-    "topological_coefficient",
 ]
 
 
@@ -309,21 +305,6 @@ class LinkingBlocks:
         )
 
 
-def topological_coefficient(component: SurgeryComponent) -> int | Fraction:
-    """Surgery coefficient against the Seifert framing: tb + contact coefficient.
-
-    An int when the contact coefficient is an integer, else a Fraction.
-    """
-    r = component.contact_coefficient
-    if r is None:
-        raise MissingCoefficient(
-            f"component {component.id!r} carries no contact surgery coefficient"
-        )
-    if r.denominator == 1:
-        return component.knot.tb + r.numerator
-    return Fraction(component.knot.tb) + r
-
-
 def chain_diagram(
     tb: int, rot: int, euler_char: int, n: int, *, dual_id: Optional[str] = "dual"
 ) -> SurgeryDiagram:
@@ -334,9 +315,9 @@ def chain_diagram(
     diagram has ``n`` surgered push-offs L#1, ..., L#n and, when
     ``dual_id`` is given, one extra unsurgered push-off, last, whose
     surgery-dual invariants can then be computed. All pairwise linking
-    numbers equal tb. Without the dual, ``presentation_matrix`` gives
-    the chain's M (framings tb + 1, det n*tb + 1); with it,
-    ``build_general_matrices`` borders M into M0 (det -n*tb^2).
+    numbers equal tb, so the chain's framed linking matrix M has
+    tb + 1 on its diagonal (det n*tb + 1), and bordered with the
+    dual's linking numbers and corner 0 it has det -n*tb^2.
 
     The arguments are checked once, with the errors the validating
     constructors raise, in their order: n, then tb, rot and euler_char
@@ -387,24 +368,33 @@ def _prebuilt(cls, **fields):
     return obj
 
 
-def _framed_matrix(diagram: SurgeryDiagram, indices) -> SquareMatrix:
-    """Framed linking matrix of the components at ``indices``.
+def _framed_matrix(diagram: SurgeryDiagram, indices, rhs) -> list[list[int]]:
+    """Rows q_i (Lambda_i | rhs_i) of the framed linking system of the
+    components at ``indices``, rhs in the same order.
 
-    ``topological_coefficient`` tb_i + r_i on the diagonal, linking
-    numbers elsewhere; MissingCoefficient for the first unsurgered one.
+    Lambda has tb_i + p_i/q_i on the diagonal and linking numbers
+    elsewhere. Row i and its right-hand side are multiplied by the
+    denominator q_i of its coefficient, which leaves the solution
+    Lambda^-1 rhs as it is: every entry is an int, q_i tb_i + p_i on the
+    diagonal, q_i lk_ij off it and q_i rhs_i last. MissingCoefficient
+    for the first unsurgered component.
     """
     components, linking = diagram.components, diagram.linking
     rows = []
     for position, i in enumerate(indices):
-        row = list(map(linking[i].__getitem__, indices))
-        row[position] = topological_coefficient(components[i])
+        component = components[i]
+        r = component.contact_coefficient
+        if r is None:
+            raise MissingCoefficient(
+                f"component {component.id!r} carries no contact surgery coefficient"
+            )
+        q = r.denominator
+        row = [*map(linking[i].__getitem__, indices), rhs[position]]
+        if q != 1:
+            row = [q * entry for entry in row]
+        row[position] = q * component.knot.tb + r.numerator
         rows.append(row)
-    return SquareMatrix(rows)
-
-
-def presentation_matrix(diagram: SurgeryDiagram) -> SquareMatrix:
-    """Framed linking matrix of a diagram whose components are all surgered."""
-    return _framed_matrix(diagram, range(len(diagram.components)))
+    return rows
 
 
 def _dual_links(
@@ -425,26 +415,6 @@ def _dual_links(
     row = diagram.linking[dual_index]
     others = [*range(dual_index), *range(dual_index + 1, n)]
     return others, row[:dual_index] + row[dual_index + 1 :]
-
-
-def build_general_matrices(
-    diagram: SurgeryDiagram, dual_index: int
-) -> tuple[SquareMatrix, SquareMatrix, tuple[int, ...]]:
-    """``M``, bordered ``M0`` and the dual linking vector of a diagram.
-
-    ``dual_index`` names the single unsurgered component. ``M`` is the
-    framed linking matrix of the other components (Lambda when a
-    coefficient is not an integer) and the vector holds their linking
-    numbers with the dual, in the same order; ``M0`` borders ``M`` with
-    corner 0 and the vector. Only checks need ``M0``.
-    """
-    others, link_vector = _dual_links(diagram, dual_index)
-    m = _framed_matrix(diagram, others)
-    m0 = SquareMatrix(
-        [(0,) + link_vector]
-        + [(entry,) + row for entry, row in zip(link_vector, m.rows)]
-    )
-    return m, m0, link_vector
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic and exact dense linear algebra.
+"""Exact rationals and the one exact linear solve.
 
 Every number in this package is exact: an int or a
 `fractions.Fraction`. Floating point is never used: the downstream
@@ -9,42 +9,31 @@ so a single rounding error could silently change an answer.
 the package relies on (positive denominator, lowest terms, zero stored
 as 0/1) on top of arbitrary-precision integers.
 
-Integers stay integers until a result is built. The linking matrices
-of surgery diagrams are integer matrices, so `SquareMatrix` stores an
-int entry as the int it is (strings and Fractions become Fractions),
-and `solve_integral` keeps int vector entries likewise.
-
-Determinants and solves share one elimination kernel. It scales each
-row that holds a Fraction (right-hand side included) by the lcm of its
-denominators, runs fraction-free Bareiss elimination (Bareiss 1968)
-over Python ints, and back-substitutes for y = d * x, where d is the
-last pivot (the determinant of the scaled system up to sign). By
-Cramer's rule y is integral, so every division is exact.
-`solve_integral` returns the pair (y, d) itself, and `det` one
-Fraction. The kernel serves the k x k solve of ``invariants`` (one row
-per surgered component, never one per expanded curve) and the
-selftest's determinants of chain matrices; elimination is cubic in the
-dimension, and the per-entry gcd of Fraction arithmetic stays out of
-its inner loop.
+The one linear system the package solves is the k x k framed linking
+system of ``invariants`` (one row per surgered component, never one
+per expanded curve). ``diagram`` builds it with its denominators
+already cleared, so ``solve_integral`` takes augmented rows of Python
+ints only. It runs fraction-free Bareiss elimination (Bareiss 1968)
+and back-substitutes for y = d * x, where d is the last pivot (the
+determinant of the system up to sign). By Cramer's rule y is integral,
+so every division is exact, and no gcd is ever taken. Elimination is
+cubic in the dimension.
 """
 
 from __future__ import annotations
 
-import math
 import re
 import sys
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 __all__ = [
     "DimensionMismatch",
     "RationalLike",
     "SingularMatrix",
-    "SquareMatrix",
     "TooManyDigits",
     "as_rational",
-    "det",
     "format_rational",
     "parse_rational",
     "solve_integral",
@@ -54,12 +43,9 @@ RationalLike = Union[int, str, Fraction]
 
 _RATIONAL_FORMAT = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 
-# Entry types stored as they are; bool (an int subclass) is not one.
-_EXACT_TYPES = frozenset((int, Fraction))
-
 
 class DimensionMismatch(ValueError):
-    """Vector or matrix dimensions do not agree."""
+    """A row of a linear system has the wrong length."""
 
 
 class SingularMatrix(ValueError):
@@ -114,91 +100,20 @@ def format_rational(value: RationalLike) -> str:
         ) from None
 
 
-def _entries(values: Iterable[RationalLike]) -> tuple[int | Fraction, ...]:
-    """Ints and Fractions as they are, anything else through ``as_rational``."""
-    values = tuple(values)
-    if set(map(type, values)) <= _EXACT_TYPES:
-        return values
-    return tuple(v if type(v) in _EXACT_TYPES else as_rational(v) for v in values)
-
-
-def _integers(entries: Sequence[int | Fraction]) -> tuple[Sequence[int], int]:
-    """(v, s) with entries = v / s: s is the lcm of the denominators."""
-    if set(map(type, entries)) <= {int}:
-        return entries, 1
-    s = math.lcm(*(entry.denominator for entry in entries))
-    return [entry.numerator * (s // entry.denominator) for entry in entries], s
-
-
-class SquareMatrix:
-    """Immutable square matrix of exact rationals.
-
-    Rows are stored as a tuple of tuples; every operation treats the
-    matrix as a value. Entries may be given as ints, Fractions or "p/q"
-    strings. An int entry is stored as the int it is, the others as
-    Fractions, so an integer matrix reaches the elimination kernel
-    without conversion; results are Fractions either way.
-    """
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: Iterable[Iterable[RationalLike]]):
-        normalized = tuple(_entries(row) for row in rows)
-        for index, row in enumerate(normalized):
-            if len(row) != len(normalized):
-                raise DimensionMismatch(
-                    f"row {index} has {len(row)} entries, expected {len(normalized)}"
-                )
-        self._rows = normalized
-
-    @property
-    def dimension(self) -> int:
-        return len(self._rows)
-
-    @property
-    def rows(self) -> tuple[tuple[int | Fraction, ...], ...]:
-        return self._rows
-
-    def __getitem__(self, key: tuple[int, int]) -> int | Fraction:
-        i, j = key
-        return self._rows[i][j]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SquareMatrix):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
-    def __repr__(self) -> str:
-        body = ", ".join(
-            "[" + ", ".join(format_rational(x) for x in row) + "]" for row in self._rows
-        )
-        return f"SquareMatrix([{body}])"
-
-
 def _eliminate(
-    rows: Sequence[Sequence[int | Fraction]], n: int
-) -> tuple[list[Sequence[int]], int, int] | None:
+    rows: Sequence[Sequence[int]], n: int
+) -> tuple[list[Sequence[int]], int] | None:
     """Integer fraction-free (Bareiss) elimination of the first n columns.
 
-    A row of ints is taken as it is; a row holding a Fraction is first
-    scaled by the lcm of its denominators. So the elimination runs over
-    Python ints and no gcd is ever taken. Rows may carry extra columns
-    (a right-hand side) that are transformed along. Returns
-    (upper, sign, scale): upper[k] is row k of the upper triangular
-    integer form from column k on, the parity of the row swaps and the
-    product of the row scales, so that det = sign * upper[n-1][0] / scale.
-    Returns None when a pivot column is zero, that is, when the matrix
-    is singular.
+    ``rows`` are rows of Python ints, which are not modified; the
+    elimination runs over ints and no gcd is ever taken. Rows may carry
+    extra columns (a right-hand side) that are transformed along.
+    Returns (upper, sign): upper[k] is row k of the upper triangular
+    integer form from column k on, and sign the parity of the row
+    swaps, so that det = sign * upper[n-1][0]. Returns None when a pivot
+    column is zero, that is, when the matrix is singular.
     """
-    active = []
-    scale = 1
-    for row in rows:
-        integers, s = _integers(row)
-        active.append(integers)
-        scale *= s
+    active = list(rows)
     upper = []
     sign = 1
     previous_pivot = 1
@@ -220,53 +135,40 @@ def _eliminate(
             for row in active[1:]
         ]
         previous_pivot = pivot
-    return upper, sign, scale
+    return upper, sign
 
 
-def det(matrix: SquareMatrix) -> Fraction:
-    """Exact determinant by integer fraction-free elimination.
+def solve_integral(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
+    """Integers (y, d), d != 0, with A . (y / d) = b exactly.
 
-    The empty (0 x 0) matrix has determinant 1, so bordered and chain
-    constructions compose correctly in the degenerate "no surgery"
-    case.
+    ``rows`` are the n augmented rows (A_i | b_i) of the system, each n
+    ints and then b_i. Raises TypeError for an entry that is not an int
+    (bools, floats, Fractions and strs included), DimensionMismatch for
+    a row whose length is not n + 1 and SingularMatrix when det A = 0
+    (no pivot can be found).
     """
-    n = matrix.dimension
-    if n == 0:
-        return Fraction(1)
-    reduced = _eliminate(matrix.rows, n)
-    if reduced is None:
-        return Fraction(0)
-    upper, sign, scale = reduced
-    return Fraction(sign * upper[-1][0], scale)
-
-
-def solve_integral(
-    matrix: SquareMatrix, vector: Sequence[RationalLike]
-) -> tuple[tuple[int, ...], int]:
-    """Integers (y, d), d != 0, with matrix . (y / d) = vector exactly.
-
-    Raises SingularMatrix when the determinant vanishes (no pivot can
-    be found), DimensionMismatch when the vector length is wrong.
-    """
-    n = matrix.dimension
-    vec = _entries(vector)
-    if len(vec) != n:
-        raise DimensionMismatch(
-            f"vector has {len(vec)} entries, matrix dimension is {n}"
-        )
+    n = len(rows)
+    for index, row in enumerate(rows):
+        if len(row) != n + 1:
+            raise DimensionMismatch(
+                f"row {index} has {len(row)} entries, expected {n + 1}"
+            )
+        if not set(map(type, row)) <= {int}:
+            for value in row:
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise TypeError(f"row {index}: not an int: {value!r}")
     if n == 0:
         return (), 1
-    reduced = _eliminate([row + (v,) for row, v in zip(matrix.rows, vec)], n)
+    reduced = _eliminate(rows, n)
     if reduced is None:
         raise SingularMatrix("matrix has determinant zero")
     upper = reduced[0]
-    # With d the last pivot (the determinant of the row-scaled, permuted
-    # system), y = d * x is integral by Cramer's rule, so back-substitution
-    # for y divides exactly. Row i is (pivot, entries right of it, rhs).
+    # With d the last pivot (the determinant of the permuted system),
+    # y = d * x is integral by Cramer's rule, so back-substitution for y
+    # divides exactly. Row i is (pivot, entries right of it, rhs).
     d = upper[-1][0]
     y = [0] * n
     for i in range(n - 1, -1, -1):
         row = upper[i]
         y[i] = (d * row[-1] - sum(map(mul, row[1:-1], y[i + 1 :]))) // row[0]
     return tuple(y), d
-

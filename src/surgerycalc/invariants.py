@@ -22,8 +22,8 @@ knot, so its Euler characteristic is carried over verbatim.
 where every surgered coefficient is +-1, each surgered curve is a
 one-curve group with pair (1, rot) (step 3 below), so it evaluates
 exactly these formulas with M the matrix it solves. It takes the solve
-as integers y / d (``exact.solve_integral``) and builds only tb_Q and
-rot_Q as Fractions.
+as integers y / d (``exact.solve_integral``, on the int rows that
+``diagram`` builds) and builds only tb_Q and rot_Q as Fractions.
 
 Integer-coefficient convention. When every surgered coefficient is an
 integer, each surgered component is one curve with its own tb and rot
@@ -38,9 +38,12 @@ M is then (sum m_i) x (sum m_i).
 ``dual_invariants`` never builds that M:
 
 1. Lambda is the k x k matrix with Lambda_ii = tb_i + r_i and
-   Lambda_ij = lk_ij. One exact solve gives sigma = Lambda^-1 l = y / d,
-   the sums of the group parts of x = M^-1 lk, and
-   tb_Q = tb - < l, sigma > = (tb d - < l, y >) / d.
+   Lambda_ij = lk_ij. It is built cleared of denominators: with
+   r_i = p_i / q_i, row i of (Lambda | l) times q_i is the int row
+   (q_i lk_i1, ..., q_i tb_i + p_i, ..., q_i lk_ik | q_i l_i), which
+   leaves the solution as it is. One exact solve of these rows gives
+   sigma = Lambda^-1 l = y / d, the sums of the group parts of
+   x = M^-1 lk, and tb_Q = tb - < l, sigma > = (tb d - < l, y >) / d.
 2. In the basis c'_j = c_j - c_(j-1) a group's block G becomes the
    symmetric tridiagonal H with H_11 = t_1 + e_1,
    H_jj = t_j - t_(j-1) + e_j + e_(j-1) and H_(j,j+1) = -e_j, and the
@@ -220,7 +223,7 @@ def dual_invariants(diagram: SurgeryDiagram, component_id: str) -> DualKnotInvar
     others, link_vector = _dual_links(diagram, dual_index)
     pairs = _group_pairs([diagram.components[i] for i in others])
     try:
-        y, d = solve_integral(_framed_matrix(diagram, others), link_vector)
+        y, d = solve_integral(_framed_matrix(diagram, others, link_vector))
     except SingularMatrix:
         raise NonNullhomologousDual(
             "det(M) = 0: the dual knot is not rationally nullhomologous and "

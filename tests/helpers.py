@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -16,6 +17,7 @@ from surgerycalc import (
     SurgeryComponent,
     SurgeryDiagram,
 )
+from surgerycalc.selftest import _cofactor_det as cofactor_det
 
 
 def run_python(*argv, text=True, timeout=None):
@@ -180,3 +182,82 @@ def group_sweep(curves):
         sign *= curve.coefficient
         previous_rot = curve.rot
     return below[0], weight
+
+
+# --------------------------------------------------------------------------
+# Linking matrices and Fraction oracles, independent of the integer kernel
+
+
+def framing(component: SurgeryComponent):
+    """tb + contact coefficient: an int for an integer coefficient, else a
+    Fraction."""
+    r = component.contact_coefficient
+    return component.knot.tb + (r.numerator if r.denominator == 1 else r)
+
+
+def framed_matrices(diagram: SurgeryDiagram, dual_id=None):
+    """(M, M0, lk) of a diagram, entry by entry and without row scaling.
+
+    M is the framed linking matrix of the components other than
+    ``dual_id`` (all of them when it is None): tb + coefficient on the
+    diagonal, an int or a Fraction, and linking numbers elsewhere. lk
+    holds their linking numbers with the dual, and M0 borders M with
+    corner 0 and lk; without a dual, M0 is None and lk is ().
+    """
+    ids = diagram.ids
+    others = [i for i, component_id in enumerate(ids) if component_id != dual_id]
+    m = [
+        [framing(diagram.components[i]) if i == j else diagram.linking[i][j] for j in others]
+        for i in others
+    ]
+    if dual_id is None:
+        return m, None, ()
+    dual_row = diagram.linking[diagram.component_index(dual_id)]
+    link_vector = tuple(dual_row[i] for i in others)
+    m0 = [[0, *link_vector]] + [[entry, *row] for entry, row in zip(link_vector, m)]
+    return m, m0, link_vector
+
+
+def fraction_det(rows) -> Fraction:
+    """Determinant by Gaussian elimination over Fractions; the 0 x 0
+    matrix has determinant 1."""
+    rows = [[Fraction(entry) for entry in row] for row in rows]
+    value = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            value = -value
+        value *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            factor = rows[i][k] / rows[k][k]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[k])]
+    return value
+
+
+def cramer(rows, vector):
+    """The solution of rows . x = vector by Cramer's rule over the cofactor
+    determinant, as Fractions; None when the matrix is singular."""
+    determinant = cofactor_det(rows)
+    if determinant == 0:
+        return None
+    return tuple(
+        cofactor_det([[*row[:i], v, *row[i + 1 :]] for row, v in zip(rows, vector)])
+        / determinant
+        for i in range(len(rows))
+    )
+
+
+def clear_denominators(rows):
+    """(int rows, scale): each rational row times the lcm of its
+    denominators, and the product of those lcms."""
+    scaled = []
+    scale = 1
+    for row in rows:
+        row = [Fraction(entry) for entry in row]
+        s = math.lcm(*(entry.denominator for entry in row))
+        scaled.append([entry.numerator * (s // entry.denominator) for entry in row])
+        scale *= s
+    return scaled, scale

@@ -20,25 +20,23 @@ from surgerycalc import (
     Conclusion,
     NonNullhomologousDual,
     bennequin_check,
-    build_general_matrices,
     chain_diagram,
     classify_diagram,
     classify_thm1,
-    det,
     dual_invariants,
     dual_invariants_closed_form,
     evaluate_negative_continued_fraction,
     expand_diagram,
     negative_continued_fraction,
     parse_diagram,
-    presentation_matrix,
     serialize_diagram,
 )
 from surgerycalc.classify import CONWAY_FLAG
 from surgerycalc.diagram import LegendrianKnotData, SurgeryComponent, SurgeryDiagram
 from surgerycalc.selftest import _cofactor_det as cofactor_det
+from surgerycalc.selftest import _det as det
 
-from helpers import random_diagram, run_cli
+from helpers import fraction_det, framed_matrices, random_diagram, run_cli
 
 
 def _report(criterion: str) -> None:
@@ -48,13 +46,12 @@ def _report(criterion: str) -> None:
 def test_criterion_1_counterexample_tb():
     """tb of L in the surgered manifold is exactly -3 via the matrix path."""
     diagram = bundled.load("figure1.json")
-    dual_index = diagram.component_index("L")
-    m, m0, _ = build_general_matrices(diagram, dual_index)
-    assert det(m) == -1
-    assert det(m0) == 2
-    tb0 = diagram.components[dual_index].knot.tb
+    m, m0, _ = framed_matrices(diagram, "L")
+    assert det(m) == fraction_det(m) == -1
+    assert det(m0) == fraction_det(m0) == 2
+    tb0 = diagram.component("L").knot.tb
     assert tb0 == -1
-    assert tb0 + det(m0) / det(m) == -3
+    assert tb0 + Fraction(det(m0), det(m)) == -3
     invariants = dual_invariants(diagram, "L")
     assert invariants.tb_q == Fraction(-3)
     _report("1 (counterexample diagram: tb = -1 + 2/(-1) = -3)")
@@ -64,13 +61,12 @@ def test_criterion_2_determinant_identities():
     """det(M) = n*tb+1 and det(M0) = -n*tb^2 on the full grid, plus oracle."""
     for tb in range(-10, 0):
         for n in range(1, 11):
-            m = presentation_matrix(chain_diagram(tb, 0, 1, n, dual_id=None))
-            m0 = build_general_matrices(chain_diagram(tb, 0, 1, n), n)[1]
-            assert det(m) == n * tb + 1
-            assert det(m0) == -n * tb * tb
+            m, m0, _ = framed_matrices(chain_diagram(tb, 0, 1, n), "dual")
+            assert det(m) == fraction_det(m) == n * tb + 1
+            assert det(m0) == fraction_det(m0) == -n * tb * tb
             if n <= 6:
-                assert cofactor_det(m.rows) == n * tb + 1
-                assert cofactor_det(m0.rows) == -n * tb * tb
+                assert cofactor_det(m) == n * tb + 1
+                assert cofactor_det(m0) == -n * tb * tb
     _report("2 (determinant identities, 100 + 100 grid cases, cofactor oracle)")
 
 

@@ -8,8 +8,8 @@ import sys
 import pytest
 
 import surgerycalc.data as bundled
-import surgerycalc.exact
 import surgerycalc.invariants
+import surgerycalc.selftest
 from surgerycalc.cli import main
 from surgerycalc.diagram import LinkingBlocks, load_diagram
 from surgerycalc.expansion import expand_diagram
@@ -424,8 +424,8 @@ def test_selftest_deterministic_byte_identical():
 def test_selftest_fault_injection(monkeypatch):
     # A sign flip in the determinant must be caught by the very first
     # identity grid.
-    true_det = surgerycalc.exact.det
-    monkeypatch.setattr(surgerycalc.exact, "det", lambda m: -true_det(m))
+    true_det = surgerycalc.selftest._det
+    monkeypatch.setattr(surgerycalc.selftest, "_det", lambda rows: -true_det(rows))
     with pytest.raises(SelfTestFailure, match=r"det\(M\) = n\*tb\+1 grid"):
         run_checks()
 
@@ -436,8 +436,8 @@ def test_selftest_fault_injection_solve_path(monkeypatch):
     # closed-form comparison grid.
     true_solve = surgerycalc.invariants.solve_integral
 
-    def perturbed(matrix, vector):
-        y, d = true_solve(matrix, vector)
+    def perturbed(rows):
+        y, d = true_solve(rows)
         return (y[0] + 1,) + y[1:], d
 
     monkeypatch.setattr(surgerycalc.invariants, "solve_integral", perturbed)
@@ -452,8 +452,8 @@ def test_selftest_fault_injection_solve_denominator(monkeypatch):
     # d must be caught by the closed-form comparison grid.
     true_solve = surgerycalc.invariants.solve_integral
 
-    def perturbed(matrix, vector):
-        y, d = true_solve(matrix, vector)
+    def perturbed(rows):
+        y, d = true_solve(rows)
         return y, 2 * d
 
     monkeypatch.setattr(surgerycalc.invariants, "solve_integral", perturbed)
@@ -494,8 +494,8 @@ def test_selftest_grid_sizes():
 
 
 def test_selftest_failure_exit_code(monkeypatch, capsys):
-    true_det = surgerycalc.exact.det
-    monkeypatch.setattr(surgerycalc.exact, "det", lambda m: -true_det(m))
+    true_det = surgerycalc.selftest._det
+    monkeypatch.setattr(surgerycalc.selftest, "_det", lambda rows: -true_det(rows))
     code = main(["selftest"])
     captured = capsys.readouterr()
     assert code == 1

@@ -17,27 +17,25 @@ import surgerycalc
 import surgerycalc.data as bundled
 from surgerycalc import (
     AmbientStatus,
-    DimensionMismatch,
     DualKnotInvariants,
     LegendrianKnotData,
     MissingCoefficient,
     ParseError,
-    SquareMatrix,
+    SingularMatrix,
     SurgeryComponent,
     SurgeryDiagram,
     ValidationError,
-    build_general_matrices,
     chain_diagram,
-    det,
+    dual_invariants,
     parse_diagram,
-    presentation_matrix,
     serialize_diagram,
-    topological_coefficient,
+    solve_integral,
 )
-from surgerycalc.diagram import _check_positive, json_text
+from surgerycalc.diagram import _check_positive, _dual_links, _framed_matrix, json_text
 from surgerycalc.selftest import _cofactor_det as cofactor_det
+from surgerycalc.selftest import _det as det
 
-from helpers import random_diagram
+from helpers import cramer, fraction_det, framed_matrices, random_diagram
 
 
 def unknot(cid="K", tb=-1, rot=0, chi=1):
@@ -203,13 +201,6 @@ CONSTRUCTOR_ERRORS = [
     (lambda: dual_of(tb_q=-1), ValidationError, "tb_q must be a Fraction, got -1"),
     (lambda: dual_of(rot_q=0.5), ValidationError, "rot_q must be a Fraction, got 0.5"),
     (lambda: dual_of(rot_q="1/3"), ValidationError, "rot_q must be a Fraction, got '1/3'"),
-    (lambda: SquareMatrix([[1, True], [0, 1]]), TypeError, "not an exact rational: True"),
-    (lambda: SquareMatrix([[1, 0], [0.5, 1]]), TypeError, "not an exact rational: 0.5"),
-    (lambda: SquareMatrix([[1, "x"], [0, 1]]), ValueError,
-     "not a rational 'p/q' string: 'x'"),
-    (lambda: SquareMatrix([[1, 0], [1.5]]), TypeError, "not an exact rational: 1.5"),
-    (lambda: SquareMatrix([[1, 0], [0]]), DimensionMismatch,
-     "row 1 has 1 entries, expected 2"),
 ]
 
 
@@ -234,32 +225,115 @@ def test_constructors_accept_subclasses():
         assert component.contact_coefficient == stored
     invariants = dual_of(tb_q=Ratio(-2, 3), order=Int(6))
     assert type(invariants.order) is Int and invariants == dual_of(order=6)
-    matrix = SquareMatrix([[Int(2), "1/2"], [Ratio(1, 3), 0]])
-    assert matrix.rows == ((Fraction(2), Fraction(1, 2)), (Fraction(1, 3), 0))
-    assert [type(entry) for entry in matrix.rows[0] + matrix.rows[1]] == [
-        Fraction, Fraction, Ratio, int,
-    ]
+    # int subclasses in a diagram reach the kernel and solve as ints
+    for coefficient in (Ratio(3, 2), Int(2)):
+        diagrams = [
+            SurgeryDiagram(
+                ambient=AmbientStatus.UNKNOWN,
+                components=(
+                    SurgeryComponent(knot=knot_of(tb=tb), contact_coefficient=coefficient),
+                    SurgeryComponent(knot=unknot("L")),
+                ),
+                linking=((0, lk), (lk, 0)),
+            )
+            for tb, lk in ((Int(-1), Int(3)), (-1, 3))
+        ]
+        assert dual_invariants(diagrams[0], "L") == dual_invariants(diagrams[1], "L")
 
 
 # --------------------------------------------------------------------------
-# Coefficients
+# The framed linking system, row-scaled where it is built
 
 
-def test_topological_coefficient_values():
-    assert topological_coefficient(
-        SurgeryComponent(knot=unknot(tb=-2, chi=-1, rot=1), contact_coefficient=Fraction(1, 3))
-    ) == Fraction(-5, 3)
-    assert topological_coefficient(
-        SurgeryComponent(knot=unknot(tb=-1), contact_coefficient=Fraction(1))
-    ) == 0
-    assert topological_coefficient(
-        SurgeryComponent(knot=unknot(tb=-1), contact_coefficient=Fraction(-1))
-    ) == -2
+def one_surgery(tb, coefficient, dual_linking=2):
+    """Knot K (tb ``tb``) surgered with ``coefficient``; unsurgered dual L."""
+    return SurgeryDiagram(
+        ambient=AmbientStatus.UNKNOWN,
+        components=(
+            SurgeryComponent(knot=unknot(tb=tb), contact_coefficient=coefficient),
+            SurgeryComponent(knot=unknot("L")),
+        ),
+        linking=((0, dual_linking), (dual_linking, 0)),
+    )
 
 
-def test_topological_coefficient_missing():
-    with pytest.raises(MissingCoefficient):
-        topological_coefficient(SurgeryComponent(knot=unknot()))
+def test_framed_matrix_diagonal_values():
+    # the row of tb + p/q is q times (tb + p/q | lk): q tb + p and q lk
+    for tb, coefficient, row in (
+        (-2, Fraction(1, 3), [-5, 6]),
+        (-1, Fraction(1), [0, 2]),
+        (-1, Fraction(-1), [-2, 2]),
+        (4, Fraction(-7, 5), [13, 10]),
+    ):
+        assert _framed_matrix(one_surgery(tb, coefficient), [0], [2]) == [row]
+        assert framed_matrices(one_surgery(tb, coefficient), "L")[0] == [
+            [tb + coefficient]
+        ]
+
+
+def test_framed_matrix_missing_coefficient():
+    diagram = SurgeryDiagram(
+        ambient=AmbientStatus.UNKNOWN,
+        components=(SurgeryComponent(knot=unknot()), SurgeryComponent(knot=unknot("L"))),
+        linking=((0, 1), (1, 0)),
+    )
+    for build in (
+        lambda: _framed_matrix(diagram, [0], [1]),
+        lambda: dual_invariants(diagram, "L"),
+    ):
+        with pytest.raises(MissingCoefficient) as raised:
+            build()
+        assert str(raised.value) == "component 'K' carries no contact surgery coefficient"
+
+
+def _random_system_diagram(rng):
+    """1-4 surgered components p/q (|p| <= 30, q <= 7), then the dual L."""
+    k = rng.randint(1, 4)
+    components = []
+    for index in range(k):
+        while True:
+            coefficient = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
+            if coefficient:
+                break
+        components.append(
+            SurgeryComponent(
+                knot=unknot(f"K{index}", tb=rng.randint(-6, 3)),
+                contact_coefficient=coefficient,
+            )
+        )
+    components.append(SurgeryComponent(knot=unknot("L")))
+    linking = [[0] * (k + 1) for _ in range(k + 1)]
+    for i in range(k + 1):
+        for j in range(i):
+            linking[i][j] = linking[j][i] = rng.randint(-3, 3)
+    return SurgeryDiagram(AmbientStatus.UNKNOWN, tuple(components), linking)
+
+
+def test_row_scaled_system_solves_like_lambda():
+    # The int rows q_i (Lambda_i | l_i) have the solution of the
+    # unscaled rational system Lambda x = l, by Cramer's rule over the
+    # cofactor determinant, and are singular exactly when Lambda is.
+    rng = random.Random(20261019)
+    singular = 0
+    for _ in range(1200):
+        diagram = _random_system_diagram(rng)
+        others, link_vector = _dual_links(diagram, diagram.component_index("L"))
+        rows = _framed_matrix(diagram, others, link_vector)
+        lam, _, lk = framed_matrices(diagram, "L")
+        assert lk == link_vector
+        for row, lam_row, l, component in zip(rows, lam, lk, diagram.components):
+            q = component.contact_coefficient.denominator
+            assert {type(entry) for entry in row} == {int}
+            assert row == [q * entry for entry in (*lam_row, l)]
+        expected = cramer(lam, lk)
+        if expected is None:
+            singular += 1
+            with pytest.raises(SingularMatrix):
+                solve_integral(rows)
+            continue
+        y, d = solve_integral(rows)
+        assert tuple(Fraction(v, d) for v in y) == expected
+    assert singular > 0
 
 
 # --------------------------------------------------------------------------
@@ -268,30 +342,30 @@ def test_topological_coefficient_missing():
 
 def chain_m(tb, rot, chi, n):
     """The chain's n x n linking matrix M."""
-    return presentation_matrix(chain_diagram(tb, rot, chi, n, dual_id=None))
+    return framed_matrices(chain_diagram(tb, rot, chi, n, dual_id=None))[0]
 
 
 def chain_m0(tb, rot, chi, n):
     """The chain's (n+1) x (n+1) bordered matrix M0."""
-    return build_general_matrices(chain_diagram(tb, rot, chi, n), n)[1]
+    return framed_matrices(chain_diagram(tb, rot, chi, n), "dual")[1]
 
 
 def test_linking_matrix_single_pushoff():
-    assert chain_m(-2, 0, 1, 1) == SquareMatrix([[-1]])
+    assert chain_m(-2, 0, 1, 1) == [[-1]]
 
 
 def test_linking_matrix_three_pushoffs():
-    assert chain_m(-2, 0, 1, 3) == SquareMatrix([[-1, -2, -2], [-2, -1, -2], [-2, -2, -1]])
+    assert chain_m(-2, 0, 1, 3) == [[-1, -2, -2], [-2, -1, -2], [-2, -2, -1]]
 
 
 def test_extended_matrix_single_pushoff():
-    assert chain_m0(-2, 0, 1, 1) == SquareMatrix([[0, -2], [-2, -1]])
+    assert chain_m0(-2, 0, 1, 1) == [[0, -2], [-2, -1]]
 
 
 def test_extended_matrix_small_case():
     matrix = chain_m0(-1, 0, 1, 2)
-    assert matrix == SquareMatrix([[0, -1, -1], [-1, 0, -1], [-1, -1, 0]])
-    assert det(matrix) == -2 == cofactor_det(matrix.rows)
+    assert matrix == [[0, -1, -1], [-1, 0, -1], [-1, -1, 0]]
+    assert det(matrix) == -2 == cofactor_det(matrix)
 
 
 def test_determinant_identities_on_grid():
@@ -299,9 +373,10 @@ def test_determinant_identities_on_grid():
         for n in range(1, 11):
             m = chain_m(tb, 0, 1, n)
             m0 = chain_m0(tb, 0, 1, n)
-            assert m.rows == tuple(zip(*m.rows)) and m0.rows == tuple(zip(*m0.rows))
-            assert det(m) == n * tb + 1
-            assert det(m0) == -n * tb * tb
+            assert m == [list(column) for column in zip(*m)]
+            assert m0 == [list(column) for column in zip(*m0)]
+            assert det(m) == fraction_det(m) == n * tb + 1
+            assert det(m0) == fraction_det(m0) == -n * tb * tb
 
 
 def validated_chain(tb, rot, euler_char, n, dual_id="dual"):
@@ -395,20 +470,30 @@ def test_chain_diagram_rejects_what_the_constructors_reject(args, dual_id, messa
 # General matrices
 
 
+def dual_system(diagram, dual_id):
+    """The library's int rows of the dual's system, as ``dual_invariants``
+    builds them."""
+    others, link_vector = _dual_links(diagram, diagram.component_index(dual_id))
+    return _framed_matrix(diagram, others, link_vector)
+
+
 def test_general_matrices_counterexample_diagram():
     diagram = bundled.load("figure1.json")
-    m, m0, link_vector = build_general_matrices(diagram, diagram.component_index("L"))
-    assert m == SquareMatrix([[0, -1], [-1, -2]])
-    assert m0 == SquareMatrix([[0, -1, 0], [-1, 0, -1], [0, -1, -2]])
+    m, m0, link_vector = framed_matrices(diagram, "L")
+    assert m == [[0, -1], [-1, -2]]
+    assert m0 == [[0, -1, 0], [-1, 0, -1], [0, -1, -2]]
     assert link_vector == (-1, 0)
+    assert dual_system(diagram, "L") == [[0, -1, -1], [-1, -2, 0]]
 
 
 def test_general_matrices_degenerate_pushoff():
     diagram = bundled.load("s1xs2.json")
-    m, m0, link_vector = build_general_matrices(diagram, diagram.component_index("U"))
-    assert m == SquareMatrix([[0]])
+    m, m0, link_vector = framed_matrices(diagram, "U")
+    assert m == [[0]]
     assert det(m) == 0
     assert link_vector == (-1,)
+    with pytest.raises(SingularMatrix):
+        solve_integral(dual_system(diagram, "U"))
 
 
 def test_general_matrices_match_chain_builders():
@@ -419,12 +504,11 @@ def test_general_matrices_match_chain_builders():
             m_rows = [[tb + 1 if i == j else tb for j in range(n)] for i in range(n)]
             m0_rows = [[0] + [tb] * n] + [[tb] + row for row in m_rows]
             diagram = chain_diagram(tb, 2, -1, n)
-            m, m0, link_vector = build_general_matrices(
-                diagram, diagram.component_index("dual")
-            )
-            assert m == chain_m(tb, 2, -1, n) == SquareMatrix(m_rows)
-            assert m0 == chain_m0(tb, 2, -1, n) == SquareMatrix(m0_rows)
+            m, m0, link_vector = framed_matrices(diagram, "dual")
+            assert m == chain_m(tb, 2, -1, n) == m_rows
+            assert m0 == chain_m0(tb, 2, -1, n) == m0_rows
             assert link_vector == (tb,) * n
+            assert dual_system(diagram, "dual") == [row + [tb] for row in m_rows]
             assert diagram.ids == tuple(f"L#{i}" for i in range(1, n + 1)) + ("dual",)
 
 
@@ -438,14 +522,13 @@ def test_dual_system_table():
     )
     chain = chain_diagram(-3, 1, 1, 4)
     for diagram, dual_id in ((figure1, "L"), (s1xs2, "U"), (lone, "L"), (chain, "dual")):
-        index = diagram.component_index(dual_id)
-        m, m0, link_vector = build_general_matrices(diagram, index)
-        assert m0.rows == ((0,) + link_vector,) + tuple(
-            (entry,) + row for entry, row in zip(link_vector, m.rows)
-        )
-        others = [c for c in diagram.components if c.id != dual_id]
-        assert [m.rows[i][i] for i in range(len(others))] == [
-            topological_coefficient(c) for c in others
+        m, m0, link_vector = framed_matrices(diagram, dual_id)
+        # every coefficient here is an integer, so no row is scaled
+        assert dual_system(diagram, dual_id) == [
+            row + [entry] for row, entry in zip(m, link_vector)
+        ]
+        assert m0 == [[0, *link_vector]] + [
+            [entry, *row] for entry, row in zip(link_vector, m)
         ]
     for diagram, index, message in (
         (figure1, 3, "out of range"),
@@ -454,7 +537,7 @@ def test_dual_system_table():
         (s1xs2, s1xs2.component_index("K"), "must not carry a surgery"),
     ):
         with pytest.raises(ValidationError, match=message):
-            build_general_matrices(diagram, index)
+            _dual_links(diagram, index)
 
 
 def test_general_matrices_no_surgered_components():
@@ -464,45 +547,42 @@ def test_general_matrices_no_surgered_components():
         components=(SurgeryComponent(knot=unknot("L")),),
         linking=((0,),),
     )
-    m, m0, link_vector = build_general_matrices(diagram, 0)
-    assert m.dimension == 0
+    m, m0, link_vector = framed_matrices(diagram, "L")
+    assert m == [] == dual_system(diagram, "L")
     assert det(m) == 1
-    assert m0 == SquareMatrix([[0]])
+    assert solve_integral([]) == ((), 1)
+    assert m0 == [[0]]
     assert link_vector == ()
 
 
 def test_general_matrices_rejects_surgered_dual():
     diagram = bundled.load("s1xs2.json")
     with pytest.raises(ValidationError):
-        build_general_matrices(diagram, diagram.component_index("K"))
+        _dual_links(diagram, diagram.component_index("K"))
+    with pytest.raises(ValidationError):
+        dual_invariants(diagram, "K")
 
 
 def test_rational_coefficients_give_lambda():
-    # Unexpanded rational coefficients frame by tb + p/q: the matrices are
-    # Lambda, with Fractions only on those diagonal entries.
+    # Rational coefficients frame by tb + p/q: the unscaled matrix is
+    # Lambda, with Fractions only on those diagonal entries, and the
+    # library's rows are q_i (Lambda_i | l_i), all ints.
     a = SurgeryComponent(knot=unknot("A", tb=-2), contact_coefficient=Fraction(1, 2))
     b = SurgeryComponent(knot=unknot("B", tb=-3), contact_coefficient=Fraction(-7, 3))
     c = SurgeryComponent(knot=unknot("C", tb=-1), contact_coefficient=Fraction(-2))
     lam = [[Fraction(-3, 2), 2, 1], [2, Fraction(-16, 3), -1], [1, -1, -3]]
-    assert presentation_matrix(
-        SurgeryDiagram(
-            ambient=AmbientStatus.UNKNOWN,
-            components=(a, b, c),
-            linking=((0, 2, 1), (2, 0, -1), (1, -1, 0)),
-        )
-    ) == SquareMatrix(lam)
     diagram = SurgeryDiagram(
         ambient=AmbientStatus.UNKNOWN,
         components=(a, b, c, SurgeryComponent(knot=unknot("L"))),
         linking=((0, 2, 1, 1), (2, 0, -1, 0), (1, -1, 0, 3), (1, 0, 3, 0)),
     )
-    m, m0, link_vector = build_general_matrices(diagram, 3)
-    assert m == SquareMatrix(lam)
-    assert [type(entry) for entry in m.rows[2]] == [int, int, int]
-    assert m0 == SquareMatrix(
-        [[0, 1, 0, 3]] + [[v] + row for v, row in zip((1, 0, 3), lam)]
-    )
+    m, m0, link_vector = framed_matrices(diagram, "L")
+    assert m == lam
+    assert m0 == [[0, 1, 0, 3]] + [[v] + row for v, row in zip((1, 0, 3), lam)]
     assert link_vector == (1, 0, 3)
+    rows = dual_system(diagram, "L")
+    assert rows == [[-3, 4, 2, 2], [6, -16, -3, 0], [1, -1, -3, 3]]
+    assert {type(entry) for row in rows for entry in row} == {int}
 
 
 def test_general_matrices_rejects_second_unsurgered():
@@ -515,13 +595,13 @@ def test_general_matrices_rejects_second_unsurgered():
         linking=((0, 1), (1, 0)),
     )
     with pytest.raises(MissingCoefficient):
-        build_general_matrices(diagram, 1)
+        dual_system(diagram, "L")
 
 
-def test_presentation_matrix_requires_all_surgered():
+def test_framed_matrix_requires_all_surgered():
     diagram = bundled.load("s1xs2.json")
     with pytest.raises(MissingCoefficient):
-        presentation_matrix(diagram)
+        _framed_matrix(diagram, range(2), (0, 0))
 
 
 # --------------------------------------------------------------------------
@@ -538,7 +618,7 @@ def test_bundled_diagrams_parse():
 
     s1xs2 = bundled.load("s1xs2.json")
     assert s1xs2.ids == ("K", "U")
-    assert topological_coefficient(s1xs2.component("K")) == 0
+    assert _framed_matrix(s1xs2, [0], [-1]) == [[0, -1]]
 
 
 def test_round_trip_bundled():

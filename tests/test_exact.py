@@ -1,4 +1,4 @@
-"""Exact arithmetic core: canonical form, determinants, solves."""
+"""Exact arithmetic core: canonical form, the integer kernel, solves."""
 
 from __future__ import annotations
 
@@ -14,33 +14,43 @@ from hypothesis import strategies as st
 from surgerycalc import (
     DimensionMismatch,
     SingularMatrix,
-    SquareMatrix,
     TooManyDigits,
     as_rational,
-    det,
     format_rational,
     parse_rational,
     solve_integral,
 )
 from surgerycalc.selftest import _cofactor_det as cofactor_det
+from surgerycalc.selftest import _det as det
 
-from helpers import random_rational
+from helpers import clear_denominators, cramer, fraction_det, random_rational
 
 fractions_st = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
 )
 
-IDENTITY_2 = SquareMatrix([[1, 0], [0, 1]])
+IDENTITY_2 = [[1, 0], [0, 1]]
 
 
-def multiply_back(matrix, vector):
-    """``solve_integral``'s (y, d), checked: ints with matrix . y = d * vector."""
-    y, d = solve_integral(matrix, vector)
+def augment(rows, vector):
+    """The augmented rows (A | b) that ``solve_integral`` takes."""
+    return [[*row, v] for row, v in zip(rows, vector)]
+
+
+def multiply_back(rows, vector):
+    """``solve_integral``'s (y, d) for A = ``rows``, b = ``vector``, checked:
+    ints with A . y = d * b."""
+    y, d = solve_integral(augment(rows, vector))
     assert {type(v) for v in y} <= {int} and type(d) is int and d != 0
-    assert tuple(sum(map(mul, row, y)) for row in matrix.rows) == tuple(
-        d * v for v in vector
-    )
+    assert tuple(sum(map(mul, row, y)) for row in rows) == tuple(d * v for v in vector)
     return y, d
+
+
+def solve_rational(rows, vector):
+    """The solution of a rational system, through its row-scaled int rows."""
+    scaled, _ = clear_denominators(augment(rows, vector))
+    y, d = solve_integral(scaled)
+    return tuple(Fraction(v, d) for v in y)
 
 
 # --------------------------------------------------------------------------
@@ -98,7 +108,8 @@ def test_canonical_form_after_arithmetic(x, y, z):
 
 
 # --------------------------------------------------------------------------
-# Determinants
+# Determinants: the selftest's det over the elimination kernel, against
+# the cofactor and Fraction elimination oracles
 
 
 def test_det_identity_2x2():
@@ -106,15 +117,15 @@ def test_det_identity_2x2():
 
 
 def test_det_counterexample_matrices():
-    assert det(SquareMatrix([[0, -1], [-1, -2]])) == -1
-    assert det(SquareMatrix([[0, -1, 0], [-1, 0, -1], [0, -1, -2]])) == 2
+    assert det([[0, -1], [-1, -2]]) == -1
+    assert det([[0, -1, 0], [-1, 0, -1], [0, -1, -2]]) == 2
 
 
 def test_det_pushoff_chain_3x3():
-    matrix = SquareMatrix([[-1, -2, -2], [-2, -1, -2], [-2, -2, -1]])
+    rows = [[-1, -2, -2], [-2, -1, -2], [-2, -2, -1]]
     # n = 3 push-offs of a tb = -2 knot: det must equal n*tb + 1 = -5.
-    assert det(matrix) == -5
-    assert cofactor_det(matrix.rows) == -5
+    assert det(rows) == -5
+    assert cofactor_det(rows) == -5
 
 
 def test_cofactor_oracle_returns_fraction_for_int_entries():
@@ -124,7 +135,7 @@ def test_cofactor_oracle_returns_fraction_for_int_entries():
 
 
 def test_det_dimension_zero_is_one():
-    assert det(SquareMatrix([])) == 1
+    assert det([]) == 1
 
 
 def test_det_matches_cofactor_oracle_randomized():
@@ -132,7 +143,7 @@ def test_det_matches_cofactor_oracle_randomized():
     for _ in range(1000):
         n = rng.randint(0, 6)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert det(SquareMatrix(rows)) == cofactor_det(rows)
+        assert det(rows) == cofactor_det(rows) == fraction_det(rows)
 
 
 def test_det_duplicated_row_is_zero():
@@ -142,12 +153,16 @@ def test_det_duplicated_row_is_zero():
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         source, target = rng.sample(range(n), 2)
         rows[target] = list(rows[source])
-        assert det(SquareMatrix(rows)) == 0
+        assert det(rows) == 0
 
 
 def test_det_rational_entries():
-    matrix = SquareMatrix([["1/2", "1/3"], ["1/4", "1/5"]])
-    assert det(matrix) == Fraction(1, 10) - Fraction(1, 12)
+    # A rational matrix reaches the kernel row-scaled: each row times the
+    # lcm of its denominators (2 * 3 and 4 * 5), and the determinant
+    # divides by the product of the scales.
+    rows, scale = clear_denominators([["1/2", "1/3"], ["1/4", "1/5"]])
+    assert (rows, scale) == ([[3, 2], [5, 4]], 120)
+    assert Fraction(det(rows), scale) == Fraction(1, 10) - Fraction(1, 12)
 
 
 def _random_rational_rows(rng, n):
@@ -165,16 +180,16 @@ def test_det_and_solve_rational_entries_randomized():
     for _ in range(600):
         n = rng.randint(0, 6)
         rows = _random_rational_rows(rng, n)
-        matrix = SquareMatrix(rows)
         oracle = cofactor_det(rows)
-        assert det(matrix) == oracle
+        scaled, scale = clear_denominators(rows)
+        assert Fraction(det(scaled), scale) == oracle == fraction_det(rows)
         vector = tuple(random_rational(rng, allow_zero=True) for _ in rows)
         if oracle == 0:
             singular += 1
             with pytest.raises(SingularMatrix):
-                solve_integral(matrix, vector)
+                solve_rational(rows, vector)
         else:
-            multiply_back(matrix, vector)
+            assert solve_rational(rows, vector) == cramer(rows, vector)
     assert singular > 0
 
 
@@ -195,28 +210,28 @@ ZERO_LAST_PIVOT = (
 
 @pytest.mark.parametrize("rows", ZERO_FIRST_PIVOT)
 def test_zero_first_pivot_needs_row_swap(rows):
-    matrix = SquareMatrix(rows)
-    assert matrix[0, 0] == 0
-    assert det(matrix) == cofactor_det(matrix.rows) != 0
-    multiply_back(matrix, tuple(Fraction(k + 1, 3) for k in range(matrix.dimension)))
+    rows = [[Fraction(entry) for entry in row] for row in rows]
+    assert rows[0][0] == 0
+    scaled, scale = clear_denominators(rows)
+    assert Fraction(det(scaled), scale) == cofactor_det(rows) != 0
+    vector = tuple(Fraction(k + 1, 3) for k in range(len(rows)))
+    assert solve_rational(rows, vector) == cramer(rows, vector)
 
 
 @pytest.mark.parametrize("rows", ZERO_LAST_PIVOT)
 def test_singular_only_at_last_pivot(rows):
-    matrix = SquareMatrix(rows)
-    n = matrix.dimension
-    assert all(
-        cofactor_det([row[:k] for row in matrix.rows[:k]]) != 0 for k in range(1, n)
-    )
-    assert cofactor_det(matrix.rows) == 0
-    assert det(matrix) == 0
+    rows = [[Fraction(entry) for entry in row] for row in rows]
+    n = len(rows)
+    assert all(cofactor_det([row[:k] for row in rows[:k]]) != 0 for k in range(1, n))
+    assert cofactor_det(rows) == 0
+    assert det(clear_denominators(rows)[0]) == 0
     with pytest.raises(SingularMatrix):
-        solve_integral(matrix, (1,) * n)
+        solve_rational(rows, (1,) * n)
 
 
 def test_matrix_shape_validation():
-    with pytest.raises(DimensionMismatch):
-        SquareMatrix([[1, 2], [3]])
+    with pytest.raises(DimensionMismatch, match="row 1 has 2 entries, expected 3"):
+        solve_integral([[1, 2, 0], [3, 0]])
 
 
 # --------------------------------------------------------------------------
@@ -224,15 +239,14 @@ def test_matrix_shape_validation():
 
 
 def test_solve_identity():
-    assert solve_integral(IDENTITY_2, (3, 5)) == ((3, 5), 1)
+    assert solve_integral(augment(IDENTITY_2, (3, 5))) == ((3, 5), 1)
 
 
 def test_solve_pushoff_matrix():
     # n = 2 push-offs of a tb = -2 knot; the solution of M x = (tb, tb)
     # is the constant vector tb/(n*tb + 1) = 2/3 (verified by
     # multiplying back: each row gives (-1 - 2) * 2/3 = -2).
-    matrix = SquareMatrix([[-1, -2], [-2, -1]])
-    y, d = multiply_back(matrix, (-2, -2))
+    y, d = multiply_back([[-1, -2], [-2, -1]], (-2, -2))
     assert tuple(Fraction(v, d) for v in y) == (Fraction(2, 3), Fraction(2, 3))
 
 
@@ -241,25 +255,27 @@ def test_solve_multiply_back_randomized():
     done = 0
     while done < 200:
         rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
-        matrix = SquareMatrix(rows)
-        if det(matrix) == 0:
+        if cofactor_det(rows) == 0:
             continue
-        multiply_back(matrix, tuple(rng.randint(-9, 9) for _ in range(4)))
+        y, d = multiply_back(rows, tuple(rng.randint(-9, 9) for _ in range(4)))
+        # d is the determinant of the system up to the sign of the swaps
+        assert abs(d) == abs(det(rows))
         done += 1
 
 
 def test_solve_singular_raises():
     with pytest.raises(SingularMatrix):
-        solve_integral(SquareMatrix([[1, 2], [2, 4]]), (1, 1))
+        solve_integral([[1, 2, 1], [2, 4, 1]])
 
 
 def test_solve_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        solve_integral(IDENTITY_2, (1, 2, 3))
+    # a right-hand side too many: each row must hold n + 1 entries
+    with pytest.raises(DimensionMismatch, match="row 0 has 4 entries, expected 3"):
+        solve_integral([[1, 0, 1, 3], [0, 1, 2, 3]])
 
 
 def test_solve_dimension_zero():
-    assert solve_integral(SquareMatrix([]), ()) == ((), 1)
+    assert solve_integral([]) == ((), 1)
 
 
 @settings(deadline=None, max_examples=60)
@@ -272,66 +288,34 @@ def test_solve_dimension_zero():
     st.lists(st.integers(min_value=-9, max_value=9), min_size=3, max_size=3),
 )
 def test_solve_multiply_back_hypothesis(rows, vector):
-    matrix = SquareMatrix(rows)
     # Singularity is decided by the independent oracle: det shares the
     # elimination kernel with solve_integral.
     if cofactor_det(rows) == 0:
         with pytest.raises(SingularMatrix):
-            solve_integral(matrix, vector)
+            solve_integral(augment(rows, vector))
         return
-    multiply_back(matrix, vector)
+    multiply_back(rows, vector)
 
 
 # --------------------------------------------------------------------------
-# Entry types: ints stay ints inside, det is a Fraction, y and d ints
+# The kernel's boundary: int entries only, n + 1 per row
 
 
-def _encode(rng, value, form):
-    """``value`` written as an int, a Fraction or a "p/q" string."""
-    if form == "mixed":
-        form = rng.choice(("int", "fraction", "string"))
-    if form == "int":
-        return value
-    if form == "fraction":
-        return Fraction(value)
-    scale = rng.randint(1, 5)
-    return f"{value * scale}/{scale}"
+def test_solve_leaves_its_rows_unchanged():
+    rows = [[0, 2, 1, 1], [3, 1, 0, 2], [1, 0, 4, 3]]
+    copy = [list(row) for row in rows]
+    solve_integral(rows)
+    assert rows == copy
 
 
-def _kernel_results(rows, vector):
-    matrix = SquareMatrix(rows)
-    try:
-        solution = solve_integral(matrix, vector)
-    except SingularMatrix:
-        solution = None
-    return det(matrix), solution
-
-
-def test_kernel_results_do_not_depend_on_entry_type():
-    rng = random.Random(20261019)
-    singular = 0
-    for _ in range(300):
-        n = rng.randint(0, 7)
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        vector = [rng.randint(-9, 9) for _ in range(n)]
-        expected = _kernel_results(rows, vector)
-        singular += expected[1] is None
-        for form in ("int", "fraction", "string", "mixed"):
-            results = _kernel_results(
-                [[_encode(rng, v, form) for v in row] for row in rows],
-                [_encode(rng, v, form) for v in vector],
-            )
-            assert results == expected
-            value, solution = results
-            assert type(value) is Fraction
-            assert solution is None or {type(x) for x in solution[0]} <= {int}
-            assert solution is None or type(solution[1]) is int
-    assert 0 < singular < 300
-
-
-@pytest.mark.parametrize("inexact", [0.5, 1.0, True, False])
+@pytest.mark.parametrize(
+    "inexact", [0.5, 1.0, True, False, Fraction(1, 2), Fraction(1), "1", "1/2"]
+)
 def test_kernel_rejects_floats_and_bools(inexact):
-    with pytest.raises(TypeError):
-        SquareMatrix([[1, 0], [0, inexact]])
-    with pytest.raises(TypeError):
-        solve_integral(SquareMatrix([[1, 0], [0, 1]]), (1, inexact))
+    # bools, floats, Fractions and strs are all refused, in the matrix
+    # and in the right-hand side alike
+    for rows in ([[1, 0, 1], [0, inexact, 1]], [[1, 0, 1], [0, 1, inexact]]):
+        with pytest.raises(TypeError, match=r"row 1: not an int: "):
+            solve_integral(rows)
+    assert solve_integral([[1, 0, 1], [0, 1, 1]]) == ((1, 1), 1)
+

@@ -21,11 +21,9 @@ from surgerycalc import (
     RangeError,
     Unsupported,
     chain_diagram,
-    det,
     evaluate_negative_continued_fraction,
     expand_diagram,
     negative_continued_fraction,
-    presentation_matrix,
     stabilization_counts,
     SurgeryComponent,
     SurgeryDiagram,
@@ -36,7 +34,18 @@ from surgerycalc.diagram import json_text
 from surgerycalc.exact import format_rational
 from surgerycalc.expansion import ZIGZAG_POLICIES, _Curve, _knot_group
 
-from helpers import entrywise_linking, euclid_subtractive_steps, random_diagram
+from helpers import (
+    entrywise_linking,
+    euclid_subtractive_steps,
+    fraction_det,
+    framed_matrices,
+    random_diagram,
+)
+
+
+def framed_m(diagram):
+    """The framed linking matrix of a diagram whose components are all surgered."""
+    return framed_matrices(diagram)[0]
 
 
 def knot(tb=-2, rot=1, chi=-1, cid="L"):
@@ -157,26 +166,26 @@ def test_unit_fraction_single_step():
 def test_unit_fraction_three_pushoffs():
     presentation = expand_knot(knot(tb=-2), Fraction(1, 3))
     assert steps(presentation) == [("L", 1, ())] * 3
-    matrix = presentation_matrix(presentation.derived_diagram)
-    assert matrix == presentation_matrix(
+    matrix = framed_m(presentation.derived_diagram)
+    assert matrix == framed_m(
         chain_diagram(-2, 1, -1, 3, dual_id=None)
     )
-    assert det(matrix) == -5
+    assert fraction_det(matrix) == -5
 
 
 def test_unit_fraction_determinant_grid():
     for tb in range(-10, 0):
         for n in range(1, 11):
             presentation = expand_knot(knot(tb=tb, rot=0, chi=1), Fraction(1, n))
-            matrix = presentation_matrix(presentation.derived_diagram)
-            assert abs(det(matrix)) == abs(n * tb + 1)
+            matrix = framed_m(presentation.derived_diagram)
+            assert abs(fraction_det(matrix)) == abs(n * tb + 1)
 
 
 def test_unit_fraction_homology_matches_topological_numerator():
     # n = 2, tb = -1: topological coefficient (n*tb+1)/n = -1/2, whose
     # numerator has |.| = 1 = |H1| of the surgered manifold.
     presentation = expand_knot(knot(tb=-1, rot=0, chi=1), Fraction(1, 2))
-    assert abs(det(presentation_matrix(presentation.derived_diagram))) == 1
+    assert abs(fraction_det(framed_m(presentation.derived_diagram))) == 1
 
 
 # --------------------------------------------------------------------------
@@ -199,10 +208,10 @@ def test_negative_five_thirds_chain():
     # Cumulative: each chain curve is a push-off of the previous one,
     # so stabilizations accumulate along the chain.
     assert tbs == [-2, -3]
-    matrix = presentation_matrix(presentation.derived_diagram)
+    matrix = framed_m(presentation.derived_diagram)
     # Framings tb - 1 on the diagonal; linking = tb of the earlier curve.
-    assert matrix.rows == ((Fraction(-3), Fraction(-2)), (Fraction(-2), Fraction(-4)))
-    assert abs(det(matrix)) == 8  # |q*tb - p| = |-3 - 5|
+    assert matrix == [[-3, -2], [-2, -4]]
+    assert abs(fraction_det(matrix)) == 8  # |q*tb - p| = |-3 - 5|
 
 
 def test_negative_homology_grid():
@@ -215,7 +224,7 @@ def test_negative_homology_grid():
                 if gcd(p, q) != 1:
                     continue
                 presentation = expand_knot(base, Fraction(-p, q))
-                value = det(presentation_matrix(presentation.derived_diagram))
+                value = fraction_det(framed_m(presentation.derived_diagram))
                 assert abs(value) == abs(q * tb - p), (tb, p, q)
 
 
@@ -247,7 +256,7 @@ def test_positive_homology_grid():
                 if gcd(p, q) != 1:
                     continue
                 presentation = expand_knot(base, Fraction(p, q))
-                value = det(presentation_matrix(presentation.derived_diagram))
+                value = fraction_det(framed_m(presentation.derived_diagram))
                 assert abs(value) == abs(q * tb + p), (tb, p, q)
 
 

@@ -21,9 +21,7 @@ from surgerycalc import (
     SurgeryDiagram,
     Unsupported,
     ValidationError,
-    build_general_matrices,
     chain_diagram,
-    det,
     dual_invariants,
     dual_invariants_closed_form,
     evaluate_negative_continued_fraction,
@@ -33,7 +31,14 @@ from surgerycalc.expansion import _knot_group
 from surgerycalc.invariants import _group_pairs
 from surgerycalc.selftest import _cofactor_det as cofactor_det
 
-from helpers import group_sweep, random_diagram, reverse_orientation, tail_continuants
+from helpers import (
+    fraction_det,
+    framed_matrices,
+    group_sweep,
+    random_diagram,
+    reverse_orientation,
+    tail_continuants,
+)
 
 
 def test_homological_order_values():
@@ -191,8 +196,7 @@ def test_matrix_path_matches_cofactor_oracle_randomized():
         if kind:
             seen[kind] += 1
         dual_index = oracle_diagram.component_index(dual_id)
-        m, m0, link_vector = build_general_matrices(oracle_diagram, dual_index)
-        rows = [list(row) for row in m.rows]
+        rows, m0, link_vector = framed_matrices(oracle_diagram, dual_id)
         det_m = cofactor_det(rows)
         if det_m == 0:
             seen["degenerate"] += 1
@@ -207,7 +211,7 @@ def test_matrix_path_matches_cofactor_oracle_randomized():
         dual = oracle_diagram.components[dual_index].knot
         rot_q = dual.rot - sum(c.knot.rot * value for c, value in zip(others, x))
         expected = DualKnotInvariants(
-            tb_q=dual.tb + cofactor_det(m0.rows) / det_m,
+            tb_q=dual.tb + cofactor_det(m0) / det_m,
             rot_q=rot_q,
             order=math.lcm(*(value.denominator for value in x)),
             euler_char=dual.euler_char,
@@ -260,8 +264,8 @@ def test_dual_invariants_keeps_integer_coefficients_unexpanded():
     # zigzags), so rot_Q differs there, while tb_Q and the order agree.
     diagram = _one_surgery_and_dual(Fraction(-3))
     invariants = dual_invariants(diagram, "L")
-    m, m0, _ = build_general_matrices(diagram, 1)
-    assert (m.rows, invariants.tb_q) == (((-4,),), -1 + det(m0) / det(m))
+    m, m0, _ = framed_matrices(diagram, "L")
+    assert (m, invariants.tb_q) == ([[-4]], -1 + fraction_det(m0) / fraction_det(m))
     assert invariants == DualKnotInvariants(
         tb_q=Fraction(-3, 4), rot_q=Fraction(0), order=4, euler_char=1
     )
