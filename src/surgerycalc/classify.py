@@ -6,7 +6,8 @@ rule identifiers carried by verdicts are:
 
 * ``thm1``: contact (+1/n)-surgery along a nullhomologous oriented
   Legendrian knot in a tight manifold is overtwisted when tb < 0 and
-  rot > -euler_char (with euler_char <= 0). The verdict re-executes
+  rot > -euler_char (with euler_char <= 0), tested as |rot| since
+  reversing the orientation negates rot only. The verdict re-executes
   the underlying mechanism: the surgery-dual knot violates the
   rational Bennequin inequality.
 * ``thm2``: contact (+1/n)-surgery along a Legendrian knot in an
@@ -125,11 +126,10 @@ class BennequinReport:
 
     lhs: Fraction
     rhs: Fraction
-    satisfied: bool
 
-    def __post_init__(self) -> None:
-        if self.satisfied != (self.lhs <= self.rhs):
-            raise ValidationError("satisfied must equal (lhs <= rhs)")
+    @property
+    def satisfied(self) -> bool:
+        return self.lhs <= self.rhs
 
 
 def bennequin_check(invariants: DualKnotInvariants) -> BennequinReport:
@@ -142,7 +142,7 @@ def bennequin_check(invariants: DualKnotInvariants) -> BennequinReport:
     """
     lhs = invariants.tb_q + abs(invariants.rot_q)
     rhs = Fraction(-invariants.euler_char, invariants.order)
-    return BennequinReport(lhs=lhs, rhs=rhs, satisfied=lhs <= rhs)
+    return BennequinReport(lhs=lhs, rhs=rhs)
 
 
 def verdict_from_bennequin(report: BennequinReport) -> Verdict:
@@ -175,18 +175,14 @@ def _inconclusive(*trace: str) -> Verdict:
 
 
 def classify_thm1(
-    ambient: AmbientStatus,
-    knot: LegendrianKnotData,
-    n: int,
-    both_orientations: bool = True,
+    ambient: AmbientStatus, knot: LegendrianKnotData, n: int
 ) -> Verdict:
     """Overtwisting criterion for contact (+1/n)-surgery in a tight manifold.
 
     Hypotheses: ambient tight, euler_char <= 0, tb < 0 and
-    rot > -euler_char. With ``both_orientations`` (the default) the
-    rotation number test is |rot| > -euler_char, since reversing the
-    knot's orientation negates rot but changes neither tb, euler_char
-    nor the surgered manifold.
+    |rot| > -euler_char: reversing the knot's orientation negates rot
+    but changes neither tb, euler_char nor the surgered manifold, and
+    the trace says when it was reversed.
 
     When the hypotheses hold the verdict is Overtwisted and the trace
     re-executes the mechanism: the dual knot's closed-form invariants
@@ -203,19 +199,18 @@ def classify_thm1(
         )
     if knot.tb >= 0:
         return _inconclusive(f"tb = {knot.tb} >= 0; criterion needs tb < 0")
-    rot_used = abs(knot.rot) if both_orientations else knot.rot
+    rot_used = abs(knot.rot)
     bound = -knot.euler_char
     if rot_used <= bound:
-        label = "|rot|" if both_orientations else "rot"
         return _inconclusive(
-            f"{label} = {rot_used} <= {bound} = -euler_char; criterion needs "
+            f"|rot| = {rot_used} <= {bound} = -euler_char; criterion needs "
             "strict inequality"
         )
     trace = [
         "ambient manifold is tight",
         f"tb = {knot.tb} < 0",
     ]
-    if both_orientations and knot.rot < 0:
+    if knot.rot < 0:
         trace.append(
             f"|rot| = {rot_used} > {bound} = -euler_char (orientation reversed: "
             "rot negates, tb and euler_char persist)"
@@ -345,11 +340,11 @@ def classify_lemma_tight(plus_one_known_tight: bool, p: int, q: int) -> Verdict:
     )
 
 
-def _with_component_prefix(verdict: Verdict, component_id: str) -> Verdict:
+def _with_component_prefix(verdict: Verdict, component_id: str, *notes: str) -> Verdict:
     return Verdict(
         conclusion=verdict.conclusion,
         rule=verdict.rule,
-        trace=(f"component {component_id!r}:",) + verdict.trace,
+        trace=(f"component {component_id!r}:",) + verdict.trace + notes,
     )
 
 
@@ -359,9 +354,13 @@ def classify_diagram(
     *,
     p: Optional[int] = None,
     q: int = 1,
-    both_orientations: bool = True,
 ) -> list[Verdict]:
     """Apply every applicable rule to a diagram.
+
+    Each surgered component gets one verdict: thm2 for +1/n in an
+    overtwisted ambient manifold, thm1 (on |rot|) for +1/n in a tight
+    one, and Inconclusive otherwise. Every verdict's trace starts with
+    the line "component 'ID':" naming the component it concerns.
 
     ``assumptions`` maps component ids to the known fact "contact
     (+1)-surgery along this component is tight"; assumed components
@@ -410,9 +409,7 @@ def classify_diagram(
             if diagram.ambient is AmbientStatus.OVERTWISTED:
                 verdict = classify_thm2(diagram.ambient, r)
             elif diagram.ambient is AmbientStatus.TIGHT:
-                verdict = classify_thm1(
-                    diagram.ambient, component.knot, r.denominator, both_orientations
-                )
+                verdict = classify_thm1(diagram.ambient, component.knot, r.denominator)
             else:
                 verdict = _inconclusive(
                     "ambient status unknown; no (+1/n) criterion applies"
@@ -439,27 +436,25 @@ def classify_diagram(
                 continue
             assumed = component.id in assumed_tight
             verdict = classify_lemma_tight(assumed, p, q)
-            trace = (f"component {component.id!r}:",) + verdict.trace
+            notes: tuple[str, ...] = ()
             if verdict.conclusion is Conclusion.TIGHT and q == 1 and p >= 2:
                 try:
                     tb = dual_invariants(diagram, component.id).tb_q
                 except (NonNullhomologousDual, MissingCoefficient, Unsupported) as error:
-                    trace += (
+                    notes = (
                         "Conway check skipped: tb in the surgered manifold is "
                         f"undefined: {error}",
                     )
                 else:
                     if tb.denominator == 1 and tb <= -2 and p < -tb:
-                        trace += (
+                        notes = (
                             f"{CONWAY_FLAG}: tb = {format_rational(tb)} <= -2 in "
                             f"the surgered manifold and 2 <= n = {p} < |tb| = "
                             f"{-int(tb)}, yet contact (+{p})-surgery is tight, "
                             "contradicting the conjecture that it must be "
                             "overtwisted",
                         )
-            verdicts.append(
-                Verdict(conclusion=verdict.conclusion, rule=verdict.rule, trace=trace)
-            )
+            verdicts.append(_with_component_prefix(verdict, component.id, *notes))
     return verdicts
 
 

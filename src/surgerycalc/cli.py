@@ -3,42 +3,38 @@
 Subcommands:
 
 * ``expand``: expand rational contact surgery coefficients into a
-  (+-1)-surgery presentation, either for a diagram file or for a
-  single knot given by --tb/--rot/--chi and a coefficient, which is
-  expanded as a one-component diagram. The output
-  holds the N x N linking matrix of the N derived curves, so it is
-  Theta(N^2). The matrix itself is never built: each text and JSON
-  row is written from the expansion's per-group blocks by string
-  repetition (``LinkingBlocks.row_texts``), one str per block, none
-  per entry. The component and step entries are written from the
-  expansion's curve records, with no per-curve knot or component
-  object, and ``json_text`` writes each list of them from one
-  template.
+  (+-1)-surgery presentation, for a diagram file or for a single knot
+  given by --tb/--rot/--chi and a coefficient (a one-component
+  diagram). The output holds the N x N linking matrix of the N derived
+  curves, written row by row from the expansion's per-group blocks
+  and curve records; no per-entry or per-curve object is built.
 * ``invariants``: rational invariants of a surgery-dual knot, from a
   diagram file plus --dual (``dual_invariants``) or from the closed
   forms (--chain --tb --rot --n, with no diagram and no --dual).
 * ``classify``: run every applicable tight/overtwisted rule on a
   diagram, optionally with (+1)-tight assumptions and a prospective
-  +p/q surgery query.
-* ``bennequin``: evaluate the rational Bennequin bound for a dual
-  knot.
+  +p/q surgery query. thm1 always tests |rot| > -euler_char.
+* ``bennequin``: the rational Bennequin bound for a dual knot; the
+  inputs and handler of ``invariants``, with its own payload.
 * ``selftest``: run the built-in verification grids.
 
-Reports go to standard output (deterministic text by default,
-``--format json`` for machine consumption with stable key order);
-diagnostics go to standard error, and a usage error names the
-subcommand's usage line. Exit codes: 0 success, 1 selftest
-failure, 2 malformed or invalid input, 3 mathematically undefined
-request (a non-nullhomologous dual). Commands that read a diagram
-accept a directory instead of a file and process every *.json inside
-it independently, in sorted order.
+A report is a dict of command, options, results and cited rules:
+``--format json`` writes it with stable key order, and the default
+text format renders it with the command's line renderer. Reports go
+to standard output, diagnostics to standard error, and a usage error
+names the subcommand's usage line. Exit codes: 0 success, 1 selftest
+failure, 2 malformed or invalid input or an unwritable report, 3
+mathematically undefined request (a non-nullhomologous dual). The
+four commands that read a diagram accept a directory instead of a
+file and process every *.json inside it independently, in sorted
+order; the exit code is the worst of the files'.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -83,7 +79,7 @@ from .invariants import (
 )
 from .selftest import SelfTestFailure, run_checks
 
-__all__ = ["entry", "main", "Report"]
+__all__ = ["entry", "main"]
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -102,32 +98,22 @@ _INPUT_ERRORS = (
 )
 
 
-@dataclass
-class Report:
-    """A deterministic, serializable command report."""
-
-    command: str
-    options: dict
-    results: object
-    citations: list[str] = field(default_factory=list)
-
-    def to_obj(self) -> dict:
-        return {
-            "command": self.command,
-            "options": self.options,
-            "results": self.results,
-            "citations": sorted(set(self.citations)),
-        }
-
-    def to_json(self) -> str:
-        return json_text(self.to_obj())
+def _report(args: argparse.Namespace, options: dict, results, citations=()) -> dict:
+    """The report of a command: the dict that ``--format json`` writes."""
+    return {
+        "command": args.command,
+        "options": {"format": args.format, **options},
+        "results": results,
+        "citations": sorted(set(citations)),
+    }
 
 
 # --------------------------------------------------------------------------
 # Payload builders
 
 
-def _invariants_obj(invariants: DualKnotInvariants) -> dict:
+def _invariants_obj(invariants: DualKnotInvariants, citations: list) -> dict:
+    """The ``invariants`` payload of a dual knot; it cites no rule."""
     # the order stays an int; an unprintable one is an input error here,
     # not a ValueError in the renderer
     format_rational(invariants.order)
@@ -137,6 +123,22 @@ def _invariants_obj(invariants: DualKnotInvariants) -> dict:
         "order": invariants.order,
         "euler_char": invariants.euler_char,
     }
+
+
+def _bennequin_obj(invariants: DualKnotInvariants, citations: list) -> dict:
+    """The ``bennequin`` payload of a dual knot: its invariants, both
+    sides of the bound and the verdict. A violation cites its rule."""
+    report = bennequin_check(invariants)
+    obj = {
+        "invariants": _invariants_obj(invariants, citations),
+        "lhs": format_rational(report.lhs),
+        "rhs": format_rational(report.rhs),
+        "satisfied": report.satisfied,
+        "verdict": verdict_to_obj(verdict_from_bennequin(report)),
+    }
+    if not report.satisfied:
+        citations.append(RULE_BENNEQUIN)
+    return obj
 
 
 def _expansion_obj(presentation: ExpandedPresentation) -> dict:
@@ -180,14 +182,15 @@ def _verdicts_text(verdict_objs: list[dict]) -> list[str]:
 # Input helpers
 
 
-def _run_diagrams(command: str, raw: str, handle) -> tuple[object, int]:
+def _run_diagrams(args: argparse.Namespace, handle) -> tuple[object, int]:
     """Results and exit code of ``handle(path) -> payload`` on a diagram.
 
-    ``raw`` names a diagram file, or a directory whose *.json files are
-    processed independently in sorted order; a failing file becomes an
-    error entry of the batch.
+    ``args.diagram`` names a diagram file, or a directory whose *.json
+    files are processed independently in sorted order; a failing file
+    becomes an error entry of the batch.
     """
-    key, _, keyed = _DIAGRAM_COMMANDS[command]
+    key, _, keyed = _COMMANDS[args.command]
+    raw = args.diagram
     if not Path(raw).is_dir():
         payload = handle(Path(raw))
         return ({key: payload} if keyed else payload), EXIT_OK
@@ -217,14 +220,20 @@ def _knot_from_args(args: argparse.Namespace, knot_id: str) -> LegendrianKnotDat
     return knot
 
 
-def _coefficient_from_args(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> Fraction:
+def _check_n(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """The --n rules of expand and classify: no --p/--q next to it, N >= 1."""
     if args.n is not None:
         if args.p is not None or args.q is not None:
             parser.error("give either --n or --p/--q, not both")
         if args.n < 1:
             parser.error("--n must be a positive integer")
+
+
+def _coefficient_from_args(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> Fraction:
+    _check_n(args, parser)
+    if args.n is not None:
         return Fraction(1, args.n)
     if args.p is None:
         parser.error("a coefficient is required: --n N for +1/N, or --p/--q")
@@ -236,11 +245,11 @@ def _coefficient_from_args(
 
 # --------------------------------------------------------------------------
 # Command handlers: each takes the parsed options and its subcommand's
-# parser, which reports usage errors, and returns (Report, exit_code)
+# parser, which reports usage errors, and returns (report, exit_code)
 
 
-def _cmd_expand(args, parser) -> tuple[Report, int]:
-    options = {"zigzag_policy": args.zigzag_policy, "format": args.format}
+def _cmd_expand(args, parser) -> tuple[dict, int]:
+    options = {"zigzag_policy": args.zigzag_policy}
 
     def expansion(diagram: SurgeryDiagram) -> dict:
         return _expansion_obj(
@@ -249,10 +258,8 @@ def _cmd_expand(args, parser) -> tuple[Report, int]:
 
     if args.diagram is not None:
         options["input"] = args.diagram
-        results, code = _run_diagrams(
-            "expand", args.diagram, lambda path: expansion(load_diagram(path))
-        )
-        return Report("expand", options, results), code
+        results, code = _run_diagrams(args, lambda path: expansion(load_diagram(path)))
+        return _report(args, options, results), code
     if args.tb is None or args.rot is None:
         parser.error("single-knot mode needs --tb and --rot")
     knot = _knot_from_args(args, args.id)
@@ -266,44 +273,42 @@ def _cmd_expand(args, parser) -> tuple[Report, int]:
         components=(SurgeryComponent(knot=knot, contact_coefficient=coefficient),),
         linking=((0,),),
     )
-    return Report("expand", options, expansion(diagram)), EXIT_OK
+    return _report(args, options, expansion(diagram)), EXIT_OK
 
 
-def _chain_invariants(args, parser) -> DualKnotInvariants:
-    if args.diagram is not None or args.dual is not None:
-        parser.error("--chain takes no diagram file and no --dual")
-    if args.tb is None or args.rot is None or args.n is None:
-        parser.error("--chain mode needs --tb, --rot and --n")
-    knot = _knot_from_args(args, "L")
-    return dual_invariants_closed_form(knot.tb, knot.rot, knot.euler_char, args.n)
-
-
-def _cmd_invariants(args, parser) -> tuple[Report, int]:
-    options = {"format": args.format}
+def _cmd_dual(args, parser) -> tuple[dict, int]:
+    """``invariants`` and ``bennequin``: ``args.payload`` of a dual knot's
+    invariants, from a diagram file or directory plus --dual, or from
+    the closed forms of a (+1/n) chain with --chain."""
+    citations: list[str] = []
     if args.chain:
-        options.update({"tb": args.tb, "rot": args.rot, "chi": args.chi, "n": args.n})
-        invariants = _chain_invariants(args, parser)
-        return Report("invariants", options, _invariants_obj(invariants)), EXIT_OK
-    if args.diagram is None:
-        parser.error("give a diagram file with --dual ID, or use --chain")
-    if args.dual is None:
-        parser.error("--dual ID is required with a diagram file")
-    options.update({"input": args.diagram, "dual": args.dual})
-    results, code = _run_diagrams(
-        "invariants",
-        args.diagram,
-        lambda path: _invariants_obj(dual_invariants(load_diagram(path), args.dual)),
-    )
-    return Report("invariants", options, results), code
+        if args.diagram is not None or args.dual is not None:
+            parser.error("--chain takes no diagram file and no --dual")
+        if args.tb is None or args.rot is None or args.n is None:
+            parser.error("--chain mode needs --tb, --rot and --n")
+        options = {"tb": args.tb, "rot": args.rot, "chi": args.chi, "n": args.n}
+        knot = _knot_from_args(args, "L")
+        invariants = dual_invariants_closed_form(
+            knot.tb, knot.rot, knot.euler_char, args.n
+        )
+        results, code = args.payload(invariants, citations), EXIT_OK
+    else:
+        if args.diagram is None:
+            parser.error("give a diagram file with --dual ID, or use --chain")
+        if args.dual is None:
+            parser.error("--dual ID is required with a diagram file")
+        options = {"input": args.diagram, "dual": args.dual}
+        results, code = _run_diagrams(
+            args,
+            lambda path: args.payload(
+                dual_invariants(load_diagram(path), args.dual), citations
+            ),
+        )
+    return _report(args, options, results, citations), code
 
 
-def _cmd_classify(args, parser) -> tuple[Report, int]:
-    if args.diagram is None:
-        parser.error("classify needs a diagram file or directory")
-    if args.n is not None and (args.p is not None or args.q is not None):
-        parser.error("give either --n or --p/--q, not both")
-    if args.n is not None and args.n < 1:
-        parser.error("--n must be a positive integer")
+def _cmd_classify(args, parser) -> tuple[dict, int]:
+    _check_n(args, parser)
     if args.q is not None and args.p is None:
         parser.error("--q needs --p")
     p = args.n if args.n is not None else args.p
@@ -314,58 +319,22 @@ def _cmd_classify(args, parser) -> tuple[Report, int]:
         except (ValidationError, NotCoprime) as error:
             parser.error(f"--p/--q: {error}")
     assumptions = {cid: True for cid in (args.assume_plus_one_tight or [])}
-    options = {
-        "input": args.diagram,
-        "format": args.format,
-        "assume_plus_one_tight": sorted(assumptions),
-        "both_orientations": args.both_orientations,
-    }
+    options = {"input": args.diagram, "assume_plus_one_tight": sorted(assumptions)}
     if p is not None:
         options.update({"p": p, "q": q})
     citations: list[str] = []
 
     def handle(path: Path) -> list[dict]:
-        verdicts = classify_diagram(
-            load_diagram(path),
-            assumptions,
-            p=p,
-            q=q,
-            both_orientations=args.both_orientations,
-        )
+        verdicts = classify_diagram(load_diagram(path), assumptions, p=p, q=q)
         objs = [verdict_to_obj(v) for v in verdicts]
         citations.extend(obj["rule"] for obj in objs if obj["rule"] != RULE_NONE)
         return objs
 
-    results, code = _run_diagrams("classify", args.diagram, handle)
-    return Report("classify", options, results, citations), code
+    results, code = _run_diagrams(args, handle)
+    return _report(args, options, results, citations), code
 
 
-def _cmd_bennequin(args, parser) -> tuple[Report, int]:
-    options = {"format": args.format}
-    if args.chain:
-        options.update({"tb": args.tb, "rot": args.rot, "chi": args.chi, "n": args.n})
-        invariants = _chain_invariants(args, parser)
-    else:
-        if args.diagram is None or args.dual is None:
-            parser.error("bennequin needs a diagram file with --dual ID, or --chain")
-        if Path(args.diagram).is_dir():
-            parser.error("bennequin takes a single diagram file")
-        options.update({"input": args.diagram, "dual": args.dual})
-        invariants = dual_invariants(load_diagram(args.diagram), args.dual)
-    report = bennequin_check(invariants)
-    verdict = verdict_from_bennequin(report)
-    results = {
-        "invariants": _invariants_obj(invariants),
-        "lhs": format_rational(report.lhs),
-        "rhs": format_rational(report.rhs),
-        "satisfied": report.satisfied,
-        "verdict": verdict_to_obj(verdict),
-    }
-    citations = [] if report.satisfied else [RULE_BENNEQUIN]
-    return Report("bennequin", options, results, citations), EXIT_OK
-
-
-def _cmd_selftest(args, parser) -> tuple[Report, int]:
+def _cmd_selftest(args, parser) -> tuple[dict, int]:
     checks = run_checks()
     results = {
         "checks": [
@@ -374,44 +343,28 @@ def _cmd_selftest(args, parser) -> tuple[Report, int]:
         ],
         "status": "pass",
     }
-    return Report("selftest", {"format": args.format}, results), EXIT_OK
+    return _report(args, {}, results), EXIT_OK
 
 
 # --------------------------------------------------------------------------
 # Rendering
 
 
-def _render_text(report: Report) -> str:
-    lines = [f"command: {report.command}"]
-    results = report.results
-    if report.command in _DIAGRAM_COMMANDS:
-        key, render, keyed = _DIAGRAM_COMMANDS[report.command]
-        if "batch" in results:
-            for entry in results["batch"]:
-                lines.append(f"file: {entry['file']}")
-                if "error" in entry:
-                    lines.append(f"  error: {entry['error']}")
-                else:
-                    lines.extend("  " + line for line in render(entry[key]))
-        else:
-            lines.extend(render(results[key] if keyed else results))
-    elif report.command == "bennequin":
-        lines.extend(
-            [
-                "dual invariants: "
-                + ", ".join(_invariants_lines(results["invariants"])),
-                f"lhs = tb_q + |rot_q| = {results['lhs']}",
-                f"rhs = -euler_char/order = {results['rhs']}",
-                f"satisfied = {'yes' if results['satisfied'] else 'no'}",
-            ]
-        )
-        lines.extend(_verdicts_text([results["verdict"]]))
-    elif report.command == "selftest":
-        for check in results["checks"]:
-            lines.append(f"{check['name']}: {check['status']} ({check['cases']} cases)")
-        lines.append("all checks passed")
-    if report.citations:
-        lines.append("rules fired: " + ", ".join(sorted(set(report.citations))))
+def _render_text(report: dict) -> str:
+    key, render, keyed = _COMMANDS[report["command"]]
+    results = report["results"]
+    lines = [f"command: {report['command']}"]
+    if "batch" in results:
+        for entry in results["batch"]:
+            lines.append(f"file: {entry['file']}")
+            if "error" in entry:
+                lines.append(f"  error: {entry['error']}")
+            else:
+                lines.extend("  " + line for line in render(entry[key]))
+    else:
+        lines.extend(render(results[key] if keyed else results))
+    if report["citations"]:
+        lines.append("rules fired: " + ", ".join(report["citations"]))
     lines.append("")  # the final newline, without copying the text once more
     return "\n".join(lines)
 
@@ -422,6 +375,16 @@ def _invariants_lines(obj: dict) -> list[str]:
         f"rot_q = {obj['rot_q']}",
         f"order = {obj['order']}",
         f"euler_char = {obj['euler_char']}",
+    ]
+
+
+def _bennequin_lines(obj: dict) -> list[str]:
+    return [
+        "dual invariants: " + ", ".join(_invariants_lines(obj["invariants"])),
+        f"lhs = tb_q + |rot_q| = {obj['lhs']}",
+        f"rhs = -euler_char/order = {obj['rhs']}",
+        f"satisfied = {'yes' if obj['satisfied'] else 'no'}",
+        *_verdicts_text([obj["verdict"]]),
     ]
 
 
@@ -437,11 +400,7 @@ def _expand_lines(obj: dict) -> list[str]:
         )
     lines.append(f"derived diagram ({len(obj['components'])} components):")
     for component in obj["components"]:
-        coefficient = (
-            component["contact_coefficient"]
-            if component["contact_coefficient"] is not None
-            else "none"
-        )
+        coefficient = component["contact_coefficient"] or "none"
         lines.append(
             f"  {component['id']}: tb={component['tb']} rot={component['rot']} "
             f"euler_char={component['euler_char']} coefficient={coefficient}"
@@ -451,25 +410,27 @@ def _expand_lines(obj: dict) -> list[str]:
     return lines
 
 
-# Commands that read a diagram file or directory: command -> (payload key
-# of a batch entry, line renderer of one payload, whether a single file's
-# results keep the key). Only classify keeps it: {"verdicts": [...]}.
-_DIAGRAM_COMMANDS = {
+def _selftest_lines(results: dict) -> list[str]:
+    return [
+        f"{check['name']}: {check['status']} ({check['cases']} cases)"
+        for check in results["checks"]
+    ] + ["all checks passed"]
+
+
+# command -> (payload key of a batch entry, line renderer of one payload,
+# whether a single file's results keep the key). Only classify keeps it:
+# {"verdicts": [...]}. selftest reads no diagram, so it has no key.
+_COMMANDS = {
     "expand": ("expansion", _expand_lines, False),
     "invariants": ("invariants", _invariants_lines, False),
     "classify": ("verdicts", _verdicts_text, True),
+    "bennequin": ("bennequin", _bennequin_lines, False),
+    "selftest": (None, _selftest_lines, False),
 }
 
 
 # --------------------------------------------------------------------------
 # Parser
-
-
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
-    )
 
 
 def _add_knot_options(parser: argparse.ArgumentParser) -> None:
@@ -481,6 +442,18 @@ def _add_knot_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_dual_options(parser: argparse.ArgumentParser) -> None:
+    """The options of ``invariants`` and ``bennequin``."""
+    parser.add_argument("diagram", nargs="?", help="diagram file or directory")
+    parser.add_argument("--dual", help="id of the unsurgered dual component")
+    parser.add_argument(
+        "--chain", action="store_true",
+        help="closed forms for a (+1/n) chain given by --tb/--rot/--n",
+    )
+    _add_knot_options(parser)
+    parser.add_argument("--n", type=int, help="chain length n (with --chain)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="surgerycalc",
@@ -489,8 +462,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    expand = subparsers.add_parser(
-        "expand", help="expand rational coefficients into (+-1)-surgeries"
+    def command(name: str, help: str, handler, **defaults) -> argparse.ArgumentParser:
+        sub = subparsers.add_parser(name, help=help)
+        sub.set_defaults(handler=handler, command_parser=sub, **defaults)
+        return sub
+
+    expand = command(
+        "expand", "expand rational coefficients into (+-1)-surgeries", _cmd_expand
     )
     expand.add_argument("diagram", nargs="?", help="diagram file or directory")
     _add_knot_options(expand)
@@ -502,25 +480,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--zigzag-policy", choices=ZIGZAG_POLICIES, default="all-negative",
         help="stabilization sign policy (default: all-negative)",
     )
-    _add_format(expand)
-    expand.set_defaults(handler=_cmd_expand, command_parser=expand)
 
-    invariants = subparsers.add_parser(
-        "invariants", help="rational invariants of a surgery-dual knot"
+    _add_dual_options(
+        command(
+            "invariants", "rational invariants of a surgery-dual knot", _cmd_dual,
+            payload=_invariants_obj,
+        )
     )
-    invariants.add_argument("diagram", nargs="?", help="diagram file or directory")
-    invariants.add_argument("--dual", help="id of the unsurgered dual component")
-    invariants.add_argument(
-        "--chain", action="store_true",
-        help="closed forms for a (+1/n) chain given by --tb/--rot/--n",
-    )
-    _add_knot_options(invariants)
-    invariants.add_argument("--n", type=int, help="chain length n (with --chain)")
-    _add_format(invariants)
-    invariants.set_defaults(handler=_cmd_invariants, command_parser=invariants)
 
-    classify = subparsers.add_parser(
-        "classify", help="run tight/overtwisted rules on a diagram"
+    classify = command(
+        "classify", "run tight/overtwisted rules on a diagram", _cmd_classify
     )
     classify.add_argument("diagram", help="diagram file or directory")
     classify.add_argument(
@@ -531,36 +500,21 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--n", type=int, help="query a prospective +N surgery")
     classify.add_argument("--p", type=int, help="query numerator of +P/Q")
     classify.add_argument("--q", type=int, help="query denominator of +P/Q")
-    classify.add_argument(
-        "--both-orientations",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="test |rot| > -chi instead of the literal rot > -chi "
-        "(default: on)",
-    )
-    _add_format(classify)
-    classify.set_defaults(handler=_cmd_classify, command_parser=classify)
 
-    bennequin = subparsers.add_parser(
-        "bennequin", help="evaluate the rational Bennequin bound for a dual knot"
+    _add_dual_options(
+        command(
+            "bennequin", "evaluate the rational Bennequin bound for a dual knot",
+            _cmd_dual, payload=_bennequin_obj,
+        )
     )
-    bennequin.add_argument("diagram", nargs="?", help="diagram file")
-    bennequin.add_argument("--dual", help="id of the unsurgered dual component")
-    bennequin.add_argument(
-        "--chain", action="store_true",
-        help="closed forms for a (+1/n) chain given by --tb/--rot/--n",
-    )
-    _add_knot_options(bennequin)
-    bennequin.add_argument("--n", type=int, help="chain length n (with --chain)")
-    _add_format(bennequin)
-    bennequin.set_defaults(handler=_cmd_bennequin, command_parser=bennequin)
 
-    selftest = subparsers.add_parser(
-        "selftest", help="run the built-in verification grids"
-    )
-    _add_format(selftest)
-    selftest.set_defaults(handler=_cmd_selftest, command_parser=selftest)
+    command("selftest", "run the built-in verification grids", _cmd_selftest)
 
+    for sub in subparsers.choices.values():
+        sub.add_argument(
+            "--format", choices=("text", "json"), default="text",
+            help="report format (default: text)",
+        )
     return parser
 
 
@@ -579,12 +533,22 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _INPUT_ERRORS as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_INPUT
-    if args.format == "json":
-        sys.stdout.write(report.to_json())
-    else:
-        sys.stdout.write(_render_text(report))
+    text = json_text(report) if args.format == "json" else _render_text(report)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as error:  # a full disk or a closed pipe, for instance
+        print(f"error: cannot write the report: {error}", file=sys.stderr)
+        return EXIT_INPUT
     return code
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # What main could not write is still buffered, and the interpreter
+        # would fail to flush it again at exit, with a second message.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)

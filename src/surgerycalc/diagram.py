@@ -305,37 +305,29 @@ class LinkingBlocks:
         )
 
 
-def chain_diagram(
-    tb: int, rot: int, euler_char: int, n: int, *, dual_id: Optional[str] = "dual"
-) -> SurgeryDiagram:
+def chain_diagram(tb: int, rot: int, euler_char: int, n: int) -> SurgeryDiagram:
     """Contact (+1)-surgeries along ``n`` successive push-offs of one knot.
 
     This is the standard presentation of contact (+1/n)-surgery along
     a Legendrian knot with invariants (tb, rot, euler_char). The
-    diagram has ``n`` surgered push-offs L#1, ..., L#n and, when
-    ``dual_id`` is given, one extra unsurgered push-off, last, whose
-    surgery-dual invariants can then be computed. All pairwise linking
-    numbers equal tb, so the chain's framed linking matrix M has
-    tb + 1 on its diagonal (det n*tb + 1), and bordered with the
-    dual's linking numbers and corner 0 it has det -n*tb^2.
+    diagram has ``n`` surgered push-offs L#1, ..., L#n and one extra
+    unsurgered push-off "dual", last, whose surgery-dual invariants
+    can then be computed. All pairwise linking numbers equal tb, so
+    the chain's framed linking matrix M has tb + 1 on its diagonal
+    (det n*tb + 1), and bordered with the dual's linking numbers and
+    corner 0 it has det -n*tb^2.
 
     The arguments are checked once, with the errors the validating
     constructors raise, in their order: n, then tb, rot and euler_char
-    as one knot's, then ``dual_id`` (a non-empty str other than every
-    L#i). The n + 1 knots, their components and the diagram are then
-    built without re-validation, which is sound because they come from
-    these checked numbers and from no parsed input.
+    as one knot's. The n + 1 knots, their components and the diagram
+    are then built without re-validation, which is sound because they
+    come from these checked numbers and from no parsed input.
     """
     _check_positive(n, "n")
     LegendrianKnotData(id="L#1", tb=tb, rot=rot, euler_char=euler_char)
     plus_one = Fraction(1)
     coefficients = {f"L#{i}": plus_one for i in range(1, n + 1)}
-    if dual_id is not None:
-        if not isinstance(dual_id, str) or not dual_id:
-            raise ValidationError("knot id must be a non-empty string")
-        if dual_id in coefficients:
-            raise ValidationError(f"duplicate component id {dual_id!r}")
-        coefficients[dual_id] = None
+    coefficients["dual"] = None
     components = tuple(
         _prebuilt(
             SurgeryComponent,

@@ -104,15 +104,15 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
     return sign * upper[-1][0]
 
 
-def _bordered(diagram: SurgeryDiagram, dual_id: str) -> tuple[list, list]:
+def _bordered(diagram: SurgeryDiagram, dual: str) -> tuple[list, list]:
     """``M`` and the bordered ``M0`` of a diagram whose surgery
     coefficients are all integers (so no row of its system is scaled).
 
     ``M`` is the framed linking matrix of the components other than the
-    unsurgered ``dual_id``; ``M0`` borders it with corner 0 and their
+    unsurgered ``dual``; ``M0`` borders it with corner 0 and their
     linking numbers with the dual.
     """
-    others, link_vector = _dual_links(diagram, diagram.component_index(dual_id))
+    others, link_vector = _dual_links(diagram, diagram.component_index(dual))
     system = _framed_matrix(diagram, others, link_vector)
     m = [row[:-1] for row in system]
     return m, [[0, *link_vector]] + [row[-1:] + row[:-1] for row in system]

@@ -20,31 +20,34 @@ from surgerycalc import (
 from surgerycalc.selftest import _cofactor_det as cofactor_det
 
 
-def run_python(*argv, text=True, timeout=None):
+def run_python(*argv, text=True, timeout=None, stdout=subprocess.PIPE, env=None):
     """Run ``python *argv`` in a child process that can import the package.
 
     The child gets the source root of the imported package prepended to
     its PYTHONPATH, so the suite also runs from a source checkout in
-    which the package is not installed.  With ``text=False`` stdout and
-    stderr are the raw bytes the child wrote.  A child still running
-    after ``timeout`` seconds is killed and raises TimeoutExpired.
+    which the package is not installed, and the variables in ``env`` on
+    top of this environment.  With ``text=False`` stdout and stderr are
+    the raw bytes the child wrote; ``stdout`` may name a file or
+    descriptor to write to instead.  A child still running after
+    ``timeout`` seconds is killed and raises TimeoutExpired.
     """
     source_root = str(Path(surgerycalc.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = source_root + (os.pathsep + inherited if inherited else "")
+    child_env = dict(os.environ, **(env or {}))
+    child_env["PYTHONPATH"] = source_root + (os.pathsep + inherited if inherited else "")
     return subprocess.run(
         [sys.executable, *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=text,
-        env=env,
+        env=child_env,
         timeout=timeout,
     )
 
 
-def run_cli(*argv, text=True, timeout=None):
+def run_cli(*argv, **options):
     """Run ``python -m surgerycalc`` in a child process (see ``run_python``)."""
-    return run_python("-m", "surgerycalc", *argv, text=text, timeout=timeout)
+    return run_python("-m", "surgerycalc", *argv, **options)
 
 
 def euclid_subtractive_steps(p: int, q: int) -> int:

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import surgerycalc.data as bundled
 from surgerycalc import (
@@ -28,9 +30,15 @@ from surgerycalc import (
     verdict_to_obj,
 )
 from surgerycalc.classify import CONWAY_FLAG, RULE_NONE
-from surgerycalc.invariants import DualKnotInvariants
+from surgerycalc.diagram import MissingCoefficient
+from surgerycalc.expansion import Unsupported
+from surgerycalc.invariants import (
+    DualKnotInvariants,
+    NonNullhomologousDual,
+    dual_invariants,
+)
 
-from helpers import random_diagram
+from helpers import random_diagram, reverse_orientation
 
 
 def knot(tb, rot, chi, cid="L"):
@@ -93,16 +101,15 @@ def test_thm1_unknown_ambient_inconclusive():
     assert verdict.conclusion is Conclusion.INCONCLUSIVE
 
 
-def test_thm1_orientation_flag():
-    negative_rotation = knot(-2, -2, -1)
-    assert (
-        classify_thm1(AmbientStatus.TIGHT, negative_rotation, 1).conclusion
-        is Conclusion.OVERTWISTED
-    )
-    literal = classify_thm1(
-        AmbientStatus.TIGHT, negative_rotation, 1, both_orientations=False
-    )
-    assert literal.conclusion is Conclusion.INCONCLUSIVE
+def test_thm1_tests_absolute_rotation():
+    # rot = -2 fails the literal rot > -chi = 1, but the reversed knot
+    # has rot 2: the same surgery, so the same verdict, and the trace
+    # says the orientation was reversed.
+    negative = classify_thm1(AmbientStatus.TIGHT, knot(-2, -2, -1), 1)
+    positive = classify_thm1(AmbientStatus.TIGHT, knot(-2, 2, -1), 1)
+    assert negative.conclusion is positive.conclusion is Conclusion.OVERTWISTED
+    assert any("orientation reversed" in line for line in negative.trace)
+    assert not any("orientation reversed" in line for line in positive.trace)
 
 
 def test_thm1_soundness_coupling():
@@ -261,6 +268,85 @@ def test_classify_empty_diagram():
         ambient=AmbientStatus.TIGHT, components=(), linking=()
     )
     assert classify_diagram(diagram) == []
+
+
+def _outcomes(diagram, assumptions, p, q):
+    """classify_diagram's (conclusion, rule) list, or the error it raises,
+    and each unsurgered component's (tb_Q, order), or the error."""
+    try:
+        verdicts = [
+            (v.conclusion, v.rule)
+            for v in classify_diagram(diagram, assumptions, p=p, q=q)
+        ]
+    except InconsistentAssumptions as error:
+        verdicts = str(error)
+    duals = {}
+    for component in diagram.components:
+        if not component.is_surgered:
+            try:
+                invariants = dual_invariants(diagram, component.id)
+            except (NonNullhomologousDual, MissingCoefficient, Unsupported) as error:
+                duals[component.id] = str(error)
+            else:
+                duals[component.id] = (invariants.tb_q, invariants.order)
+    return verdicts, duals
+
+
+# Coefficients that reach every rule: +1/n for thm1 and thm2, others
+# for the inconclusive branch, rational ones for the dual's expansion.
+_COEFFICIENTS = [None, Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(-1),
+                 Fraction(2), Fraction(5, 2), Fraction(-5, 3)]
+
+
+@st.composite
+def _diagrams_with_assumptions(draw):
+    """A diagram, tight half of the time, and (+1)-tight assumptions on
+    some of its unsurgered components."""
+    count = draw(st.integers(1, 4))
+    components = tuple(
+        SurgeryComponent(
+            knot=LegendrianKnotData(
+                id=f"C{index}",
+                tb=draw(st.integers(-5, 1)),
+                rot=draw(st.integers(-5, 5)),
+                euler_char=draw(st.sampled_from((1, -1, -3))),
+            ),
+            contact_coefficient=draw(st.sampled_from(_COEFFICIENTS)),
+        )
+        for index in range(count)
+    )
+    linking = [[0] * count for _ in range(count)]
+    for i in range(count):
+        for j in range(i + 1, count):
+            linking[i][j] = linking[j][i] = draw(st.integers(-3, 3))
+    ambient = draw(st.sampled_from([AmbientStatus.TIGHT] * 3 + list(AmbientStatus)))
+    assumptions = {
+        c.id: True for c in components if not c.is_surgered and draw(st.booleans())
+    }
+    return SurgeryDiagram(ambient, components, linking), assumptions
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=_diagrams_with_assumptions(),
+    query=st.sampled_from([None, (2, 1), (3, 1), (5, 2)]),
+)
+def test_reversing_every_orientation_changes_no_verdict(case, query):
+    # Reversing every component negates every rot and keeps every
+    # linking number: the surgered manifold is the same, so neither the
+    # verdicts, in order, nor any dual's tb_Q or order may change.
+    diagram, assumptions = case
+    reversed_diagram = diagram
+    for component in diagram.components:
+        reversed_diagram = reverse_orientation(reversed_diagram, component.id)
+    assert reversed_diagram.linking == diagram.linking
+    assert [c.knot.rot for c in reversed_diagram.components] == [
+        -c.knot.rot for c in diagram.components
+    ]
+    p, q = query or (None, 1)
+    assert _outcomes(reversed_diagram, assumptions, p, q) == _outcomes(
+        diagram, assumptions, p, q
+    )
 
 
 def test_classify_counterexample_all_n():

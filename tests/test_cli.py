@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import sys
 
 import pytest
@@ -156,7 +158,7 @@ def test_classify_thm1_json(tmp_path, capsys):
     assert payload["citations"] == ["thm1"]
 
 
-def test_classify_orientation_flag(tmp_path, capsys):
+def test_classify_thm1_on_negative_rotation(tmp_path, capsys):
     path = tmp_path / "neg_rot.json"
     path.write_text(
         json.dumps(
@@ -175,10 +177,13 @@ def test_classify_orientation_flag(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "overtwisted (rule: thm1)" in out
-    code = main(["classify", str(path), "--no-both-orientations"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "inconclusive" in out and "thm1" not in out
+    assert "|rot| = 2 > 1 = -euler_char (orientation reversed" in out
+    # thm1 always tests |rot|: there is no option for the literal rot
+    for option in ("--both-orientations", "--no-both-orientations"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["classify", str(path), option])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def test_classify_malformed_file_exit_2(tmp_path):
@@ -535,7 +540,10 @@ def test_classify_n_with_q_exit_2(tmp_path, capsys):
         (["expand", "--tb", "-2", "--rot", "1", "--n", "2", "--p", "5", "--q", "2"],
          "give either --n or --p/--q, not both"),
         (["invariants", "--chain", "--tb", "-2"], "--chain mode needs --tb, --rot and --n"),
-        (["bennequin", "FIG"], "bennequin needs a diagram file with --dual ID, or --chain"),
+        (["invariants"], "give a diagram file with --dual ID, or use --chain"),
+        (["invariants", "FIG"], "--dual ID is required with a diagram file"),
+        (["bennequin"], "give a diagram file with --dual ID, or use --chain"),
+        (["bennequin", "FIG"], "--dual ID is required with a diagram file"),
     ],
 )
 def test_usage_error_in_handler_prints_subcommand_usage(tmp_path, capsys, argv, message):
@@ -728,6 +736,7 @@ def test_expand_single_knot_matches_one_component_diagram(
         ("expand", ["--zigzag-policy", "balanced"], "expansion"),
         ("invariants", ["--dual", "L"], "invariants"),
         ("classify", ["--assume-plus-one-tight", "L", "--n", "2"], "verdicts"),
+        ("bennequin", ["--dual", "L"], "bennequin"),
     ],
 )
 def test_batch_entries_match_single_file_results(
@@ -1019,3 +1028,72 @@ def test_result_too_large_to_print_is_one_batch_entry(tmp_path, capsys, case):
         "file": "huge.json",
         "error": TOO_LARGE,
     }
+
+
+# --------------------------------------------------------------------------
+# a report that cannot be written: exit 2 and one error line, no traceback
+
+# one small write, and 2.6 MB of linking rows
+WRITE_ARGVS = [
+    ["invariants", "--chain", "--tb", "-2", "--rot", "1", "--n", "3"],
+    ["expand", "--tb", "-2", "--rot", "1", "--p", "-801", "--q", "800"],
+]
+
+
+def _write_error_line(code: int) -> str:
+    return f"error: cannot write the report: [Errno {code}] {os.strerror(code)}\n"
+
+
+class _FailingStdout:
+    """A stdout whose ``failing`` method raises ``error``."""
+
+    def __init__(self, failing: str, error: OSError) -> None:
+        self.failing, self.error = failing, error
+
+    def write(self, text: str) -> int:
+        if self.failing == "write":
+            raise self.error
+        return len(text)
+
+    def flush(self) -> None:
+        if self.failing == "flush":
+            raise self.error
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("error_class, code", [
+    (OSError, errno.ENOSPC), (BrokenPipeError, errno.EPIPE),
+])
+def test_failed_report_write_is_one_error_line(
+    monkeypatch, capsys, failing, error_class, code
+):
+    error = error_class(code, os.strerror(code))
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(failing, error))
+    assert main(WRITE_ARGVS[0]) == 2
+    assert capsys.readouterr().err == _write_error_line(code)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", WRITE_ARGVS, ids=lambda argv: argv[0])
+def test_full_disk_exit_2_without_traceback(argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        result = run_cli(*argv, stdout=full, env={"PYTHONUNBUFFERED": unbuffered})
+    assert result.returncode == 2
+    assert result.stderr == _write_error_line(errno.ENOSPC)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX pipe semantics")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", WRITE_ARGVS, ids=lambda argv: argv[0])
+def test_closed_pipe_exit_2_without_traceback(argv, unbuffered):
+    # With buffered stdout the interpreter would flush what main could
+    # not write once more at exit, and print "Exception ignored".
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = run_cli(*argv, stdout=write_end, env={"PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr == _write_error_line(errno.EPIPE)

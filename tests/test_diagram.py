@@ -342,7 +342,7 @@ def test_row_scaled_system_solves_like_lambda():
 
 def chain_m(tb, rot, chi, n):
     """The chain's n x n linking matrix M."""
-    return framed_matrices(chain_diagram(tb, rot, chi, n, dual_id=None))[0]
+    return framed_matrices(chain_diagram(tb, rot, chi, n), "dual")[0]
 
 
 def chain_m0(tb, rot, chi, n):
@@ -379,7 +379,7 @@ def test_determinant_identities_on_grid():
             assert det(m0) == fraction_det(m0) == -n * tb * tb
 
 
-def validated_chain(tb, rot, euler_char, n, dual_id="dual"):
+def validated_chain(tb, rot, euler_char, n):
     """The chain built through the validating constructors."""
     _check_positive(n, "n")
     components = [
@@ -389,12 +389,11 @@ def validated_chain(tb, rot, euler_char, n, dual_id="dual"):
         )
         for i in range(1, n + 1)
     ]
-    if dual_id is not None:
-        components.append(
-            SurgeryComponent(
-                knot=LegendrianKnotData(id=dual_id, tb=tb, rot=rot, euler_char=euler_char)
-            )
+    components.append(
+        SurgeryComponent(
+            knot=LegendrianKnotData(id="dual", tb=tb, rot=rot, euler_char=euler_char)
         )
+    )
     size = len(components)
     return SurgeryDiagram(
         ambient=AmbientStatus.UNKNOWN,
@@ -408,14 +407,13 @@ def test_chain_diagram_equals_the_validated_chain():
         for n in range(1, 9):
             for rot in (-3, 0, 2, 7):
                 for euler_char in (1, -1):
-                    for dual_id in (None, "dual"):
-                        built = chain_diagram(tb, rot, euler_char, n, dual_id=dual_id)
-                        oracle = validated_chain(tb, rot, euler_char, n, dual_id)
-                        assert built == oracle and hash(built) == hash(oracle)
-                        assert type(built.components) is tuple
-                        assert type(built.linking) is tuple
-                        assert set(map(type, built.linking)) == {tuple}
-                        assert serialize_diagram(built) == serialize_diagram(oracle)
+                    built = chain_diagram(tb, rot, euler_char, n)
+                    oracle = validated_chain(tb, rot, euler_char, n)
+                    assert built == oracle and hash(built) == hash(oracle)
+                    assert type(built.components) is tuple
+                    assert type(built.linking) is tuple
+                    assert set(map(type, built.linking)) == {tuple}
+                    assert serialize_diagram(built) == serialize_diagram(oracle)
 
 
 def test_only_chain_diagram_builds_without_validation():
@@ -439,30 +437,25 @@ def test_only_chain_diagram_builds_without_validation():
 
 
 @pytest.mark.parametrize(
-    "args, dual_id, message",
+    "args, message",
     [
-        ((True, 0, 1, 2), "dual", "L#1.tb must be an integer, got True"),
-        ((-2.0, 0, 1, 2), "dual", "L#1.tb must be an integer, got -2.0"),
-        (("-2", 0, 1, 2), "dual", "L#1.tb must be an integer, got '-2'"),
-        ((-2, False, 1, 2), "dual", "L#1.rot must be an integer, got False"),
-        ((-2, 0.0, 1, 2), "dual", "L#1.rot must be an integer, got 0.0"),
-        ((-2, "0", 1, 2), "dual", "L#1.rot must be an integer, got '0'"),
-        ((-2, 0, 2, 2), "dual",
+        ((True, 0, 1, 2), "L#1.tb must be an integer, got True"),
+        ((-2.0, 0, 1, 2), "L#1.tb must be an integer, got -2.0"),
+        (("-2", 0, 1, 2), "L#1.tb must be an integer, got '-2'"),
+        ((-2, False, 1, 2), "L#1.rot must be an integer, got False"),
+        ((-2, 0.0, 1, 2), "L#1.rot must be an integer, got 0.0"),
+        ((-2, "0", 1, 2), "L#1.rot must be an integer, got '0'"),
+        ((-2, 0, 2, 2),
          "L#1.euler_char = 2 exceeds 1, impossible for a surface with boundary"),
-        ((-2, 0, 1, 0), "dual", "n must be a positive integer, got 0"),
-        ((-2, 0, 1, True), "dual", "n must be a positive integer, got True"),
-        ((True, 0, 1, 0), 5, "n must be a positive integer, got 0"),
-        ((-2, 0, 1, 2), "", "knot id must be a non-empty string"),
-        ((-2, 0, 1, 2), 5, "knot id must be a non-empty string"),
-        ((-2, 0, 1, 2), "L#1", "duplicate component id 'L#1'"),
-        ((-2, 0, 2, 2), "L#1", "L#1.euler_char = 2 exceeds 1, impossible for a "
-         "surface with boundary"),
+        ((-2, 0, 1, 0), "n must be a positive integer, got 0"),
+        ((-2, 0, 1, True), "n must be a positive integer, got True"),
+        ((True, 0, 1, 0), "n must be a positive integer, got 0"),
     ],
 )
-def test_chain_diagram_rejects_what_the_constructors_reject(args, dual_id, message):
+def test_chain_diagram_rejects_what_the_constructors_reject(args, message):
     for build in (chain_diagram, validated_chain):
         with pytest.raises(ValidationError) as raised:
-            build(*args, dual_id=dual_id)
+            build(*args)
         assert type(raised.value) is ValidationError and str(raised.value) == message
 
 

@@ -167,9 +167,7 @@ def test_unit_fraction_three_pushoffs():
     presentation = expand_knot(knot(tb=-2), Fraction(1, 3))
     assert steps(presentation) == [("L", 1, ())] * 3
     matrix = framed_m(presentation.derived_diagram)
-    assert matrix == framed_m(
-        chain_diagram(-2, 1, -1, 3, dual_id=None)
-    )
+    assert matrix == framed_matrices(chain_diagram(-2, 1, -1, 3), "dual")[0]
     assert fraction_det(matrix) == -5
 
 

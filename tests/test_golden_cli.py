@@ -69,6 +69,7 @@ def golden_argvs() -> list[list[str]]:
         ["expand", "diagrams"],
         ["invariants", "diagrams", "--dual", "L"],
         ["classify", "diagrams", "--assume-plus-one-tight", "L", "--n", "2"],
+        ["bennequin", "diagrams", "--dual", "L"],
     ]
     for chain in (
         ["--tb", "-2", "--rot", "1", "--n", "3"],
