@@ -22,12 +22,19 @@ A report is a dict of command, options, results and cited rules:
 ``--format json`` writes it with stable key order, and the default
 text format renders it with the command's line renderer. Reports go
 to standard output, diagnostics to standard error, and a usage error
-names the subcommand's usage line. Exit codes: 0 success, 1 selftest
-failure, 2 malformed or invalid input or an unwritable report, 3
-mathematically undefined request (a non-nullhomologous dual). The
-four commands that read a diagram accept a directory instead of a
-file and process every *.json inside it independently, in sorted
-order; the exit code is the worst of the files'.
+names the subcommand's usage line. A handler runs to completion, and
+raises every input error, before the first byte is written; the
+report is then written as it is rendered, a piece at a time, so an
+expansion's memory is O(N) plus one linking row rather than its
+O(N^2) text. Only writing can fail midway, which may leave a partial
+report on stdout before the one error line. Exit codes: 0 success, 1
+selftest failure, 2 malformed or invalid input or an unwritable
+report, 3 mathematically undefined request (a non-nullhomologous
+dual). The four commands that read a diagram accept a directory
+instead of a file and process every *.json inside it independently,
+in sorted order; the exit code is the worst of the files'. With a
+diagram, the options that describe a knot or a chain are usage
+errors.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -59,8 +67,8 @@ from .diagram import (
     SurgeryDiagram,
     ValidationError,
     _diagram_obj,
+    _json_pieces,
     _warn_even_euler_char,
-    json_text,
     load_diagram,
 )
 from .exact import TooManyDigits, format_rational
@@ -145,6 +153,12 @@ def _expansion_obj(presentation: ExpandedPresentation) -> dict:
     """The expansion payload, written from the presentation's records."""
     texts = {None: None, 1: format_rational(1), -1: format_rational(-1)}
     records = presentation.records
+    # Stabilizing can carry a tb or rot past CPython's int-string digit
+    # limit. The report is rendered as it is written, so this raises
+    # TooManyDigits before its first byte rather than stopping it midway.
+    curves = list(map(itemgetter(2), records))
+    for field in ("tb", "rot"):
+        format_rational(max(map(abs, map(attrgetter(field), curves)), default=0))
     obj = _diagram_obj(
         presentation.ambient,
         (
@@ -165,17 +179,6 @@ def _expansion_obj(presentation: ExpandedPresentation) -> dict:
     ]
     obj["zigzag_policy"] = presentation.zigzag_policy
     return obj
-
-
-def _verdicts_text(verdict_objs: list[dict]) -> list[str]:
-    lines = []
-    for index, obj in enumerate(verdict_objs, start=1):
-        lines.append(f"[{index}] {obj['conclusion']} (rule: {obj['rule']})")
-        for entry in obj["trace"]:
-            lines.append(f"    {entry}")
-    if not verdict_objs:
-        lines.append("no verdicts (no components to classify)")
-    return lines
 
 
 # --------------------------------------------------------------------------
@@ -211,19 +214,36 @@ def _run_diagrams(args: argparse.Namespace, handle) -> tuple[object, int]:
     return {"batch": entries}, worst
 
 
+#: The options that describe a knot or a chain instead of a diagram file,
+#: as far as a command has them. None of them has a default, so that one
+#: given next to a diagram is seen.
+_KNOT_OPTIONS = ("tb", "rot", "chi", "id", "n", "p", "q")
+
+
+def _check_no_knot_options(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> None:
+    """A diagram brings its own knots: a knot or chain option next to it
+    is a usage error, naming the option."""
+    for name in _KNOT_OPTIONS:
+        if getattr(args, name, None) is not None:
+            parser.error(f"--{name} does not apply to a diagram file")
+
+
 def _knot_from_args(args: argparse.Namespace, knot_id: str) -> LegendrianKnotData:
     """The knot given by --tb/--rot/--chi, checked as a diagram's knots are."""
     knot = LegendrianKnotData(
-        id=knot_id, tb=args.tb, rot=args.rot, euler_char=args.chi
+        id=knot_id, tb=args.tb, rot=args.rot,
+        euler_char=1 if args.chi is None else args.chi,
     )
     _warn_even_euler_char(knot)
     return knot
 
 
 def _check_n(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """The --n rules of expand and classify: no --p/--q next to it, N >= 1."""
+    """The --n rules of every command: no --p/--q next to it, N >= 1."""
     if args.n is not None:
-        if args.p is not None or args.q is not None:
+        if getattr(args, "p", None) is not None or getattr(args, "q", None) is not None:
             parser.error("give either --n or --p/--q, not both")
         if args.n < 1:
             parser.error("--n must be a positive integer")
@@ -257,12 +277,13 @@ def _cmd_expand(args, parser) -> tuple[dict, int]:
         )
 
     if args.diagram is not None:
+        _check_no_knot_options(args, parser)
         options["input"] = args.diagram
         results, code = _run_diagrams(args, lambda path: expansion(load_diagram(path)))
         return _report(args, options, results), code
     if args.tb is None or args.rot is None:
         parser.error("single-knot mode needs --tb and --rot")
-    knot = _knot_from_args(args, args.id)
+    knot = _knot_from_args(args, "L" if args.id is None else args.id)
     coefficient = _coefficient_from_args(args, parser)
     options.update(
         {"tb": knot.tb, "rot": knot.rot, "chi": knot.euler_char,
@@ -286,8 +307,9 @@ def _cmd_dual(args, parser) -> tuple[dict, int]:
             parser.error("--chain takes no diagram file and no --dual")
         if args.tb is None or args.rot is None or args.n is None:
             parser.error("--chain mode needs --tb, --rot and --n")
-        options = {"tb": args.tb, "rot": args.rot, "chi": args.chi, "n": args.n}
+        _check_n(args, parser)
         knot = _knot_from_args(args, "L")
+        options = {"tb": knot.tb, "rot": knot.rot, "chi": knot.euler_char, "n": args.n}
         invariants = dual_invariants_closed_form(
             knot.tb, knot.rot, knot.euler_char, args.n
         )
@@ -295,6 +317,7 @@ def _cmd_dual(args, parser) -> tuple[dict, int]:
     else:
         if args.diagram is None:
             parser.error("give a diagram file with --dual ID, or use --chain")
+        _check_no_knot_options(args, parser)
         if args.dual is None:
             parser.error("--dual ID is required with a diagram file")
         options = {"input": args.diagram, "dual": args.dual}
@@ -350,26 +373,39 @@ def _cmd_selftest(args, parser) -> tuple[dict, int]:
 # Rendering
 
 
-def _render_text(report: dict) -> str:
+def _render_text(report: dict):
+    """The text report as a stream of pieces, each of whole lines."""
     key, render, keyed = _COMMANDS[report["command"]]
     results = report["results"]
-    lines = [f"command: {report['command']}"]
+    yield f"command: {report['command']}\n"
     if "batch" in results:
         for entry in results["batch"]:
-            lines.append(f"file: {entry['file']}")
+            yield f"file: {entry['file']}\n"
             if "error" in entry:
-                lines.append(f"  error: {entry['error']}")
+                yield f"  error: {entry['error']}\n"
             else:
-                lines.extend("  " + line for line in render(entry[key]))
+                yield from render(entry[key], "  ")
     else:
-        lines.extend(render(results[key] if keyed else results))
+        yield from render(results[key] if keyed else results, "")
     if report["citations"]:
-        lines.append("rules fired: " + ", ".join(report["citations"]))
-    lines.append("")  # the final newline, without copying the text once more
-    return "\n".join(lines)
+        yield "rules fired: " + ", ".join(report["citations"]) + "\n"
 
 
-def _invariants_lines(obj: dict) -> list[str]:
+# A line renderer takes one payload and the indent of its lines, and
+# returns its text as pieces of whole lines, each line ending in "\n".
+
+
+def _verdicts_lines(verdict_objs: list[dict], indent: str) -> list[str]:
+    lines = []
+    for index, obj in enumerate(verdict_objs, start=1):
+        lines.append(f"{indent}[{index}] {obj['conclusion']} (rule: {obj['rule']})\n")
+        lines += [f"{indent}    {entry}\n" for entry in obj["trace"]]
+    if not verdict_objs:
+        lines.append(f"{indent}no verdicts (no components to classify)\n")
+    return lines
+
+
+def _invariants_fields(obj: dict) -> list[str]:
     return [
         f"tb_q = {obj['tb_q']}",
         f"rot_q = {obj['rot_q']}",
@@ -378,43 +414,48 @@ def _invariants_lines(obj: dict) -> list[str]:
     ]
 
 
-def _bennequin_lines(obj: dict) -> list[str]:
+def _invariants_lines(obj: dict, indent: str) -> list[str]:
+    return [f"{indent}{field}\n" for field in _invariants_fields(obj)]
+
+
+def _bennequin_lines(obj: dict, indent: str) -> list[str]:
     return [
-        "dual invariants: " + ", ".join(_invariants_lines(obj["invariants"])),
-        f"lhs = tb_q + |rot_q| = {obj['lhs']}",
-        f"rhs = -euler_char/order = {obj['rhs']}",
-        f"satisfied = {'yes' if obj['satisfied'] else 'no'}",
-        *_verdicts_text([obj["verdict"]]),
+        f"{indent}dual invariants: {', '.join(_invariants_fields(obj['invariants']))}\n",
+        f"{indent}lhs = tb_q + |rot_q| = {obj['lhs']}\n",
+        f"{indent}rhs = -euler_char/order = {obj['rhs']}\n",
+        f"{indent}satisfied = {'yes' if obj['satisfied'] else 'no'}\n",
+        *_verdicts_lines([obj["verdict"]], indent),
     ]
 
 
-def _expand_lines(obj: dict) -> list[str]:
-    lines = [f"zigzag policy: {obj['zigzag_policy']}", "steps:"]
+def _expand_lines(obj: dict, indent: str):
+    """Every line but the linking rows as one piece, then one piece per row."""
+    lines = [f"{indent}zigzag policy: {obj['zigzag_policy']}\n", f"{indent}steps:\n"]
     for index, step in enumerate(obj["steps"], start=1):
         signs = ",".join(f"{s:+d}" for s in step["stabilization_signs"])
         lines.append(
-            f"  {index}. source={step['source_id']} "
+            f"{indent}  {index}. source={step['source_id']} "
             f"coefficient={step['coefficient']} "
             f"stabilizations={step['stabilizations']}"
-            + (f" signs={signs}" if signs else "")
+            + (f" signs={signs}\n" if signs else "\n")
         )
-    lines.append(f"derived diagram ({len(obj['components'])} components):")
+    lines.append(f"{indent}derived diagram ({len(obj['components'])} components):\n")
     for component in obj["components"]:
         coefficient = component["contact_coefficient"] or "none"
         lines.append(
-            f"  {component['id']}: tb={component['tb']} rot={component['rot']} "
-            f"euler_char={component['euler_char']} coefficient={coefficient}"
+            f"{indent}  {component['id']}: tb={component['tb']} rot={component['rot']} "
+            f"euler_char={component['euler_char']} coefficient={coefficient}\n"
         )
-    lines.append("linking:")
-    lines.extend(obj["linking"].row_texts(", ", "  [", "]"))
-    return lines
+    lines.append(f"{indent}linking:\n")
+    yield "".join(lines)
+    yield from obj["linking"].row_texts(", ", indent + "  [", "]\n")
 
 
-def _selftest_lines(results: dict) -> list[str]:
+def _selftest_lines(results: dict, indent: str) -> list[str]:
     return [
-        f"{check['name']}: {check['status']} ({check['cases']} cases)"
+        f"{indent}{check['name']}: {check['status']} ({check['cases']} cases)\n"
         for check in results["checks"]
-    ] + ["all checks passed"]
+    ] + [f"{indent}all checks passed\n"]
 
 
 # command -> (payload key of a batch entry, line renderer of one payload,
@@ -423,7 +464,7 @@ def _selftest_lines(results: dict) -> list[str]:
 _COMMANDS = {
     "expand": ("expansion", _expand_lines, False),
     "invariants": ("invariants", _invariants_lines, False),
-    "classify": ("verdicts", _verdicts_text, True),
+    "classify": ("verdicts", _verdicts_lines, True),
     "bennequin": ("bennequin", _bennequin_lines, False),
     "selftest": (None, _selftest_lines, False),
 }
@@ -437,7 +478,7 @@ def _add_knot_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tb", type=int, help="Thurston-Bennequin invariant")
     parser.add_argument("--rot", type=int, help="rotation number")
     parser.add_argument(
-        "--chi", type=int, default=1,
+        "--chi", type=int,
         help="Euler characteristic of a Seifert surface (default: 1)",
     )
 
@@ -472,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     expand.add_argument("diagram", nargs="?", help="diagram file or directory")
     _add_knot_options(expand)
-    expand.add_argument("--id", default="L", help="knot id label (default: L)")
+    expand.add_argument("--id", help="knot id label (default: L)")
     expand.add_argument("--n", type=int, help="expand coefficient +1/N")
     expand.add_argument("--p", type=int, help="coefficient numerator (signed)")
     expand.add_argument("--q", type=int, help="coefficient denominator (positive)")
@@ -533,9 +574,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _INPUT_ERRORS as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_INPUT
-    text = json_text(report) if args.format == "json" else _render_text(report)
+    # Every error of the input has been raised by now; the report is
+    # rendered while it is written, so only writing can fail from here.
+    pieces = _json_pieces(report) if args.format == "json" else _render_text(report)
     try:
-        sys.stdout.write(text)
+        write = sys.stdout.write
+        for piece in pieces:
+            write(piece)
         sys.stdout.flush()
     except OSError as error:  # a full disk or a closed pipe, for instance
         print(f"error: cannot write the report: {error}", file=sys.stderr)

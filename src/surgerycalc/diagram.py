@@ -458,11 +458,20 @@ def _diagram_obj(ambient: AmbientStatus, rows, linking) -> dict:
 def json_text(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
+    The join of ``_json_pieces(obj)``, which the CLI writes piece by
+    piece instead.
+    """
+    return "".join(_json_pieces(obj))
+
+
+def _json_pieces(obj):
+    """The text of ``json_text(obj)`` as a stream of pieces, in order.
+
     Dict keys must be strs (a report's always are; any other key raises
     TypeError). CPython's C encoder is used only without ``indent``, so
-    this writes dicts and lists/tuples itself and joins the pieces, and
-    the trailing newline, once at the end: an expansion's text is
-    megabytes, and every further copy of it costs. Three shapes keep
+    this writes dicts and lists/tuples itself. An expansion's text is
+    megabytes and grows as the square of its curves, so it is never
+    held whole: the largest piece is one linking row. Three shapes keep
     their work at C level:
 
     * a list of plain ints (bools excluded), written with one
@@ -477,10 +486,8 @@ def json_text(obj) -> str:
     writes them, and empty containers as ``[]`` and ``{}``; every other
     scalar goes through ``json.dumps``.
     """
-    chunks: list[str] = []
-    _json_chunks(obj, "\n", chunks)
-    chunks.append("\n")
-    return "".join(chunks)
+    yield from _json_chunks(obj, "\n")
+    yield "\n"
 
 
 #: The scalars written the way the encoder writes them, by exact type
@@ -493,59 +500,66 @@ _SCALAR_TEXT = {
 }
 
 
-def _json_chunks(obj, newline: str, chunks: list[str]) -> None:
-    """Append the pieces of ``obj`` written at the indent ``newline`` ends in."""
+def _json_chunks(obj, newline: str):
+    """The pieces of ``obj`` written at the indent ``newline`` ends in."""
     write = _SCALAR_TEXT.get(type(obj))
     if write is not None:
-        chunks.append(write(obj))
+        yield write(obj)
         return
     inner = newline + "  "
     if isinstance(obj, dict):
         if not obj:
-            chunks.append("{}")
+            yield "{}"
             return
         opener = "{"
         for key, value in sorted(obj.items()):
-            chunks += (opener, inner, encode_basestring_ascii(key), ": ")
-            _json_chunks(value, inner, chunks)
+            head = opener + inner + encode_basestring_ascii(key) + ": "
+            write = _SCALAR_TEXT.get(type(value))
+            if write is not None:  # one piece with its key
+                yield head + write(value)
+            else:
+                yield head
+                yield from _json_chunks(value, inner)
             opener = ","
-        chunks += (newline, "}")
+        yield newline + "}"
     elif type(obj) is LinkingBlocks:
-        # each row is one chunk, its list separator in front; the first
-        # row's separator becomes the list's "[", so the rows are never
-        # joined into one text of their own
+        # each row is one piece, its list separator in front; the first
+        # row's separator becomes the list's "["
         deeper = inner + "  "
-        start = len(chunks)
-        chunks += obj.row_texts("," + deeper, "," + inner + "[" + deeper, inner + "]")
-        if len(chunks) == start:
-            chunks.append("[]")
-        else:
-            chunks[start] = "[" + chunks[start][1:]
-            chunks += (newline, "]")
+        rows = obj.row_texts("," + deeper, "," + inner + "[" + deeper, inner + "]")
+        first = next(rows, None)
+        if first is None:
+            yield "[]"
+            return
+        yield "[" + first[1:]
+        yield from rows
+        yield newline + "]"
     elif isinstance(obj, (list, tuple)):
         if not obj:
-            chunks.append("[]")
+            yield "[]"
             return
         kinds = set(map(type, obj))
         if kinds == {int}:
             text = {value: str(value) for value in set(obj)}
-            row = ("," + inner).join(map(text.__getitem__, obj))
-            chunks += ("[", inner, row, newline, "]")
+            yield "[" + inner
+            yield ("," + inner).join(map(text.__getitem__, obj))
+            yield newline + "]"
             return
         if kinds == {dict} and obj[0]:
             keys = obj[0].keys()
             if all(map(keys.__eq__, map(dict.keys, obj))):
-                chunks += ("[", inner, _records_text(obj, sorted(keys), inner))
-                chunks += (newline, "]")
+                yield "[" + inner
+                yield _records_text(obj, sorted(keys), inner)
+                yield newline + "]"
                 return
         opener = "["
         for value in obj:
-            chunks += (opener, inner)
-            _json_chunks(value, inner, chunks)
+            yield opener + inner
+            yield from _json_chunks(value, inner)
             opener = ","
-        chunks += (newline, "]")
+        yield newline + "]"
     else:
-        chunks.append(json.dumps(obj))
+        yield json.dumps(obj)
 
 
 def _records_text(records, names: list[str], newline: str) -> str:
@@ -575,12 +589,7 @@ def _column_texts(values: list, newline: str) -> list[str]:
     write = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
     if write is not None:
         return list(map(write, values))
-    texts = []
-    for value in values:
-        chunks: list[str] = []
-        _json_chunks(value, newline, chunks)
-        texts.append("".join(chunks))
-    return texts
+    return ["".join(_json_chunks(value, newline)) for value in values]
 
 
 def serialize_diagram(diagram: SurgeryDiagram) -> str:

@@ -20,27 +20,33 @@ from surgerycalc import (
 from surgerycalc.selftest import _cofactor_det as cofactor_det
 
 
+def child_env(env=None) -> dict:
+    """This environment, the variables in ``env`` on top, with the source
+    root of the imported package prepended to PYTHONPATH: a child then
+    imports the package also from a source checkout in which it is not
+    installed."""
+    source_root = str(Path(surgerycalc.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    merged = dict(os.environ, **(env or {}))
+    merged["PYTHONPATH"] = source_root + (os.pathsep + inherited if inherited else "")
+    return merged
+
+
 def run_python(*argv, text=True, timeout=None, stdout=subprocess.PIPE, env=None):
     """Run ``python *argv`` in a child process that can import the package.
 
-    The child gets the source root of the imported package prepended to
-    its PYTHONPATH, so the suite also runs from a source checkout in
-    which the package is not installed, and the variables in ``env`` on
-    top of this environment.  With ``text=False`` stdout and stderr are
-    the raw bytes the child wrote; ``stdout`` may name a file or
-    descriptor to write to instead.  A child still running after
-    ``timeout`` seconds is killed and raises TimeoutExpired.
+    The child's environment is ``child_env(env)``.  With ``text=False``
+    stdout and stderr are the raw bytes the child wrote; ``stdout`` may
+    name a file or descriptor to write to instead.  A child still
+    running after ``timeout`` seconds is killed and raises
+    TimeoutExpired.
     """
-    source_root = str(Path(surgerycalc.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    child_env = dict(os.environ, **(env or {}))
-    child_env["PYTHONPATH"] = source_root + (os.pathsep + inherited if inherited else "")
     return subprocess.run(
         [sys.executable, *argv],
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=text,
-        env=child_env,
+        env=child_env(env),
         timeout=timeout,
     )
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import errno
 import json
 import os
+import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -17,7 +19,7 @@ from surgerycalc.diagram import LinkingBlocks, load_diagram
 from surgerycalc.expansion import expand_diagram
 from surgerycalc.selftest import SelfTestFailure, run_checks
 
-from helpers import entrywise_linking, run_cli
+from helpers import child_env, entrywise_linking, run_cli
 
 
 def figure1_path(tmp_path):
@@ -544,6 +546,14 @@ def test_classify_n_with_q_exit_2(tmp_path, capsys):
         (["invariants", "FIG"], "--dual ID is required with a diagram file"),
         (["bennequin"], "give a diagram file with --dual ID, or use --chain"),
         (["bennequin", "FIG"], "--dual ID is required with a diagram file"),
+        (["invariants", "--chain", "--tb", "-2", "--rot", "1", "--n", "0"],
+         "--n must be a positive integer"),
+        (["bennequin", "--chain", "--tb", "-2", "--rot", "1", "--n", "0"],
+         "--n must be a positive integer"),
+        (["expand", "FIG", "--n", "3", "--tb", "5", "--rot", "9"],
+         "--tb does not apply to a diagram file"),
+        (["invariants", "FIG", "--dual", "L", "--tb", "7", "--n", "2"],
+         "--tb does not apply to a diagram file"),
     ],
 )
 def test_usage_error_in_handler_prints_subcommand_usage(tmp_path, capsys, argv, message):
@@ -596,6 +606,36 @@ def test_chain_rejects_diagram_and_dual(capsys, command, extra):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--chain takes no diagram file and no --dual" in captured.err
+
+
+# each diagram command with the knot and chain options it has
+KNOT_OPTIONS = {
+    "expand": ["--tb", "--rot", "--chi", "--id", "--n", "--p", "--q"],
+    "invariants": ["--tb", "--rot", "--chi", "--n"],
+    "bennequin": ["--tb", "--rot", "--chi", "--n"],
+}
+
+
+@pytest.mark.parametrize("target", ["file", "directory"])
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, option) for command, options in KNOT_OPTIONS.items() for option in options],
+)
+def test_diagram_rejects_knot_and_chain_options(tmp_path, capsys, target, command, option):
+    # A diagram brings its own knots: an option that describes a knot or a
+    # chain next to it would be silently ignored. "--chi 1" is rejected
+    # too, although 1 is the default.
+    figure1_path(tmp_path)
+    diagram = tmp_path / "figure1.json" if target == "file" else tmp_path
+    dual = [] if command == "expand" else ["--dual", "L"]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(diagram), *dual, option, "1"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"surgerycalc {command}: error: {option} does not apply to a diagram file\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["invariants", "bennequin"])
@@ -1028,6 +1068,138 @@ def test_result_too_large_to_print_is_one_batch_entry(tmp_path, capsys, case):
         "file": "huge.json",
         "error": TOO_LARGE,
     }
+
+
+# a tb or rot of as many digits as CPython prints: stabilizing gives it one more
+PAST_THE_LIMIT = {
+    "tb": ("-" + "9" * sys.get_int_max_str_digits(), "0"),
+    "rot": ("-1", "-" + "9" * sys.get_int_max_str_digits()),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("field", sorted(PAST_THE_LIMIT))
+def test_expand_past_the_digit_limit_exit_2(capsys, fmt, field):
+    tb, rot = PAST_THE_LIMIT[field]
+    code = main(["expand", "--tb", tb, "--rot", rot, "--p", "-2", "--format", fmt])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {TOO_LARGE}\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("field", sorted(PAST_THE_LIMIT))
+def test_expand_diagram_past_the_digit_limit(tmp_path, capsys, fmt, field):
+    tb, rot = PAST_THE_LIMIT[field]
+    path = tmp_path / "wide.json"
+    path.write_text(
+        '{"ambient": "unknown", "components": [{"id": "K", "tb": %s, "rot": %s, '
+        '"euler_char": 1, "contact_coefficient": "-2"}], "linking": [[0]]}'
+        % (tb, rot),
+        encoding="utf-8",
+    )
+    assert main(["expand", str(path), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {TOO_LARGE}\n"
+    # in a batch it is the file's error entry, and the other file expands
+    figure1_path(tmp_path)
+    assert main(["expand", str(tmp_path), "--format", "json"]) == 2
+    batch = json.loads(capsys.readouterr().out)["results"]["batch"]
+    assert [sorted(entry) for entry in batch] == [["expansion", "file"], ["error", "file"]]
+    assert batch[1] == {"file": "wide.json", "error": TOO_LARGE}
+
+
+# --------------------------------------------------------------------------
+# reports are written as they are rendered
+
+# 3,000 curves: 36 MB of text and 109 MB of JSON, nearly all linking rows
+STREAMED_EXPAND = ["expand", "--tb", "-2", "--rot", "0", "--p", "-3001", "--q", "3000"]
+
+
+class _CountingStdout:
+    """A stdout with only ``write`` and ``flush``, like a benchmark's
+    stand-in; it counts the writes and their characters and keeps none."""
+
+    def __init__(self) -> None:
+        self.writes = self.chars = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_expand_streams_in_bounded_memory(monkeypatch, fmt):
+    # Held whole before the first write, the report would trace a peak
+    # of 71 MB in text and 209 MB in JSON. Streamed, the peak is the
+    # expansion's O(N) records plus one linking row.
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        code = main([*STREAMED_EXPAND, "--format", fmt])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.chars > 30 * 2**20
+    assert out.writes > 100
+    assert peak < 6 * 2**20
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["expand", "--tb", PAST_THE_LIMIT["tb"][0], "--rot", "0", "--p", "-2"], 2),
+        (["expand", "--tb", "-2", "--rot", "1", "--p", "2", "--q", "5"], 2),
+        (["expand", "/nonexistent.json", "--format", "json"], 2),
+        (["invariants", "--chain", "--tb", "-1", "--rot", "0", "--n", "1"], 3),
+        (["expand", "--tb", "-2", "--rot", "1", "--n", "0"], "usage"),
+    ],
+)
+def test_input_error_writes_nothing(monkeypatch, capsys, argv, code):
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    if code == "usage":
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+    else:
+        assert main(argv) == code
+    assert out.writes == 0
+    assert capsys.readouterr().err.count("error: ") == 1
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX pipe semantics")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_reader_closing_midway_exit_2_without_traceback(unbuffered):
+    # The reader stops after 100 bytes of 109 MB. One write of the whole
+    # report to an unbuffered stdout would lose the rest silently (the
+    # text layer ignores a short write) and exit 0; in pieces, the next
+    # write fails and says so.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "surgerycalc", *STREAMED_EXPAND, "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env({"PYTHONUNBUFFERED": unbuffered}),
+    )
+    try:
+        head = child.stdout.read(100)
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+        child.wait(timeout=120)
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert head.startswith(b'{\n  "citations": []')
+    assert child.returncode == 2
+    assert stderr == _write_error_line(errno.EPIPE)
 
 
 # --------------------------------------------------------------------------

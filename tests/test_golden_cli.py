@@ -27,7 +27,9 @@ from pathlib import Path
 import pytest
 
 import surgerycalc.data as bundled
-from surgerycalc.cli import main
+from surgerycalc.cli import build_parser, main
+from surgerycalc.diagram import json_text
+from surgerycalc.invariants import NonNullhomologousDual
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_cli.json"
 
@@ -157,6 +159,49 @@ def test_cli_output_matches_golden(tmp_path, golden, argv):
 def test_large_expand_output_matches_golden_digest(tmp_path, golden, argv):
     write_bundled(tmp_path)
     assert digest(run_in(tmp_path, argv)) == golden[" ".join(argv)]
+
+
+class Pieces:
+    """A stdout with only ``write`` and ``flush`` that keeps each write."""
+
+    def __init__(self) -> None:
+        self.pieces: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.pieces.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv in golden_argvs() + large_argvs() if argv[-1] == "json"],
+    ids=" ".join,
+)
+def test_written_pieces_join_to_the_report_json(tmp_path, monkeypatch, argv):
+    # main writes the report as it renders it; the pieces are json_text of
+    # the report that the command's handler returns, and nothing at all
+    # when the handler raises (a non-nullhomologous dual)
+    write_bundled(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    out = Pieces()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+        args = build_parser().parse_args(argv)
+        try:
+            report, handler_code = args.handler(args, args.command_parser)
+            expected = json_text(report)
+        except NonNullhomologousDual:
+            handler_code, expected = 3, None
+    assert code == handler_code
+    if expected is None:
+        assert out.pieces == []
+    else:
+        # compared as one bool: pytest's diff of megabyte strings takes minutes
+        joined = "".join(out.pieces) == expected
+        assert joined
 
 
 if __name__ == "__main__":
