@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import operator
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -54,6 +56,36 @@ def run_python(*argv, text=True, timeout=None, stdout=subprocess.PIPE, env=None)
 def run_cli(*argv, **options):
     """Run ``python -m surgerycalc`` in a child process (see ``run_python``)."""
     return run_python("-m", "surgerycalc", *argv, **options)
+
+
+# Each relation a trace line may state, as its exact test.
+RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_RATIONAL = r"-?\d+(?:/\d+)?"
+
+
+def stated_comparisons(line: str) -> list[tuple[Fraction, str, Fraction]]:
+    """Each comparison a trace line states between two printed
+    rationals, as (lhs, relation, rhs).
+
+    A relation compares the rational just before it with the rational
+    just after it, or with the value that follows the expression just
+    after it ("> -euler_char/order = 1/3"). So the chain
+    "4 >= (euler_char + 2*rot)/order = 3 > -euler_char/order = 1"
+    states 4 >= 3 and 3 > 1, and "criterion needs tb < 0", with no
+    rational before its relation, states nothing.
+    """
+    found = []
+    for match in re.finditer(r"<=|>=|<|>", line):
+        left = re.search(rf"(?:^|\s)({_RATIONAL})\s*$", line[: match.start()])
+        right = re.match(
+            rf"\s*(?:[^;:,<>=]*?=\s*)??({_RATIONAL})(?=$|[\s;:,)])",
+            line[match.end() :],
+        )
+        if left and right:
+            found.append(
+                (Fraction(left.group(1)), match.group(), Fraction(right.group(1)))
+            )
+    return found
 
 
 def euclid_subtractive_steps(p: int, q: int) -> int:

@@ -38,7 +38,7 @@ from surgerycalc.invariants import (
     dual_invariants,
 )
 
-from helpers import random_diagram, reverse_orientation
+from helpers import RELATIONS, random_diagram, reverse_orientation, stated_comparisons
 
 
 def knot(tb, rot, chi, cid="L"):
@@ -257,6 +257,281 @@ def test_one_positive_integer_check(value):
         with pytest.raises(ValidationError) as raised:
             call()
         assert str(raised.value) == f"{name} must be a positive integer, got {value!r}"
+
+
+# --------------------------------------------------------------------------
+# Every branch of the four rules, with its whole trace
+
+
+_TIGHT, _OVERTWISTED, _UNKNOWN = (
+    AmbientStatus.TIGHT, AmbientStatus.OVERTWISTED, AmbientStatus.UNKNOWN
+)
+_NOTE = (
+    "rational Bennequin bound used: tb_q + |rot_q| <= -euler_char/order "
+    "(reconstructed generalization of tb + |rot| <= -euler_char)"
+)
+_THM1_END = (
+    _NOTE,
+    "the dual knot violates the bound, so the surgered manifold is overtwisted",
+)
+_THM2_FAILS = (
+    " is not +1/n for a positive integer n; the criterion does not apply (a "
+    "(-1)-surgery on a nonloose knot can be tight)"
+)
+_BENNEQUIN_HOLDS = "the inequality holds; nothing follows about the ambient manifold"
+
+
+def _bennequin(tb_q, rot_q, order, chi):
+    return verdict_from_bennequin(
+        bennequin_check(DualKnotInvariants(Fraction(tb_q), Fraction(rot_q), order, chi))
+    )
+
+
+_TRACE_TABLE = {
+    "thm1 overtwisted ambient": (
+        lambda: classify_thm1(_OVERTWISTED, knot(-2, 2, -1), 1),
+        "INCONCLUSIVE", "none",
+        ("ambient manifold is overtwisted, criterion needs tight",),
+    ),
+    "thm1 unknown ambient": (
+        lambda: classify_thm1(_UNKNOWN, knot(-2, 2, -1), 1),
+        "INCONCLUSIVE", "none",
+        ("ambient manifold is unknown, criterion needs tight",),
+    ),
+    "thm1 euler_char > 0": (
+        lambda: classify_thm1(_TIGHT, knot(-1, 0, 1), 1),
+        "INCONCLUSIVE", "none",
+        ("euler_char = 1 > 0; criterion needs euler_char <= 0",),
+    ),
+    "thm1 tb = 0": (
+        lambda: classify_thm1(_TIGHT, knot(0, 3, -1), 1),
+        "INCONCLUSIVE", "none",
+        ("tb = 0 >= 0; criterion needs tb < 0",),
+    ),
+    "thm1 |rot| = -euler_char": (
+        lambda: classify_thm1(_TIGHT, knot(-2, -1, -1), 1),
+        "INCONCLUSIVE", "none",
+        ("|rot| = 1 <= 1 = -euler_char; criterion needs strict inequality",),
+    ),
+    "thm1 rot > 0": (
+        lambda: classify_thm1(_TIGHT, knot(-2, 2, -1), 2),
+        "OVERTWISTED", "thm1",
+        (
+            "ambient manifold is tight",
+            "tb = -2 < 0",
+            "rot = 2 > 1 = -euler_char",
+            "contact (+1/2)-surgery: n = 2",
+            "surgery-dual invariants (closed form): tb_q = 2/3, rot_q = -2/3, "
+            "order = 3, euler_char = -1",
+            "tb_q + |rot_q| = 4/3 >= (euler_char + 2*rot)/order = 1 > "
+            "-euler_char/order = 1/3",
+            "violation: 4/3 > 1/3",
+            *_THM1_END,
+        ),
+    ),
+    "thm1 rot < 0": (
+        lambda: classify_thm1(_TIGHT, knot(-2, -2, -1), 1),
+        "OVERTWISTED", "thm1",
+        (
+            "ambient manifold is tight",
+            "tb = -2 < 0",
+            "|rot| = 2 > 1 = -euler_char (orientation reversed: rot negates, tb "
+            "and euler_char persist)",
+            "contact (+1/1)-surgery: n = 1",
+            "surgery-dual invariants (closed form): tb_q = 2, rot_q = -2, "
+            "order = 1, euler_char = -1",
+            "tb_q + |rot_q| = 4 >= (euler_char + 2*rot)/order = 3 > "
+            "-euler_char/order = 1",
+            "violation: 4 > 1",
+            *_THM1_END,
+        ),
+    ),
+    "thm1 n*tb + 1 = 0": (
+        lambda: classify_thm1(_TIGHT, knot(-1, 2, -1), 1),
+        "OVERTWISTED", "thm1",
+        (
+            "ambient manifold is tight",
+            "tb = -1 < 0",
+            "rot = 2 > 1 = -euler_char",
+            "contact (+1/1)-surgery: n = 1",
+            "n*tb + 1 = 0: the dual knot is not rationally nullhomologous, so the "
+            "Bennequin mechanism cannot be re-executed; the verdict rests on the "
+            "criterion alone",
+        ),
+    ),
+    "thm1 tb + |rot| > -euler_char": (
+        lambda: classify_thm1(_TIGHT, knot(-1, 3, -1), 2),
+        "OVERTWISTED", "thm1",
+        (
+            "ambient manifold is tight",
+            "tb = -1 < 0",
+            "rot = 3 > 1 = -euler_char",
+            "contact (+1/2)-surgery: n = 2",
+            "surgery-dual invariants (closed form): tb_q = 1, rot_q = -3, "
+            "order = 1, euler_char = -1",
+            "tb + |rot| = 2 > 1 = -euler_char: the inputs themselves break the "
+            "classical bound, so no such knot exists in a tight manifold",
+            "violation: 4 > 1",
+            *_THM1_END,
+        ),
+    ),
+    "thm2 tight ambient": (
+        lambda: classify_thm2(_TIGHT, Fraction(1, 4)),
+        "INCONCLUSIVE", "none",
+        ("ambient manifold is tight, criterion needs overtwisted",),
+    ),
+    "thm2 unknown ambient": (
+        lambda: classify_thm2(_UNKNOWN, Fraction(1, 4)),
+        "INCONCLUSIVE", "none",
+        ("ambient manifold is unknown, criterion needs overtwisted",),
+    ),
+    "thm2 -1": (
+        lambda: classify_thm2(_OVERTWISTED, Fraction(-1)),
+        "INCONCLUSIVE", "none",
+        ("coefficient -1" + _THM2_FAILS,),
+    ),
+    "thm2 +2/3": (
+        lambda: classify_thm2(_OVERTWISTED, Fraction(2, 3)),
+        "INCONCLUSIVE", "none",
+        ("coefficient 2/3" + _THM2_FAILS,),
+    ),
+    "thm2 +1/4": (
+        lambda: classify_thm2(_OVERTWISTED, Fraction(1, 4)),
+        "OVERTWISTED", "thm2",
+        (
+            "ambient manifold is overtwisted",
+            "coefficient +1/4 expands into 4 successive (+1)-surgeries along "
+            "push-offs",
+            "a (+1)-surgery in an overtwisted manifold is overtwisted: a tight "
+            "result would be turned back into the overtwisted manifold by a "
+            "Legendrian (-1)-surgery, contradicting preservation of tightness",
+        ),
+    ),
+    "lemma-tight no premise": (
+        lambda: classify_lemma_tight(False, 2, 1),
+        "INCONCLUSIVE", "none",
+        (
+            "premise missing: contact (+1)-surgery along the knot is not known to "
+            "be tight",
+        ),
+    ),
+    "lemma-tight p < q": (
+        lambda: classify_lemma_tight(True, 2, 3),
+        "INCONCLUSIVE", "none",
+        ("q - p = 1 >= 0; the persistence rule needs p > q",),
+    ),
+    "lemma-tight p = q": (
+        lambda: classify_lemma_tight(True, 1, 1),
+        "INCONCLUSIVE", "none",
+        ("q - p = 0 >= 0; the persistence rule needs p > q",),
+    ),
+    "lemma-tight +5/2": (
+        lambda: classify_lemma_tight(True, 5, 2),
+        "TIGHT", "lemma-tight",
+        (
+            "premise: contact (+1)-surgery along the knot is tight",
+            "coefficient +5/2 with q - p = -3 < 0",
+            "decomposition: contact (+1)-surgery, then contact (-5/3)-surgery "
+            "along a push-off, realized by Legendrian (-1)-surgeries",
+            "Legendrian surgery preserves tightness (axiom), so the result is "
+            "tight",
+        ),
+    ),
+    "bennequin violation": (
+        lambda: _bennequin(2, -1, 1, -1),
+        "OVERTWISTED", "bennequin-violation",
+        (
+            "tb_q + |rot_q| = 3 > 1 = -euler_char/order",
+            _NOTE,
+            "a violation is impossible in a tight manifold, so the ambient contact "
+            "manifold is overtwisted",
+        ),
+    ),
+    "bennequin lhs < rhs": (
+        lambda: _bennequin(-3, Fraction(1, 3), 3, 1),
+        "INCONCLUSIVE", "none",
+        ("tb_q + |rot_q| = -8/3 <= -1/3 = -euler_char/order", _BENNEQUIN_HOLDS),
+    ),
+    "bennequin lhs = rhs": (
+        lambda: _bennequin(-1, 0, 1, 1),
+        "INCONCLUSIVE", "none",
+        ("tb_q + |rot_q| = -1 <= -1 = -euler_char/order", _BENNEQUIN_HOLDS),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _TRACE_TABLE)
+def test_rule_branch_trace(case):
+    # the whole verdict of each branch, the branches classify_diagram
+    # never reaches included; every relation a line states holds
+    call, conclusion, rule, trace = _TRACE_TABLE[case]
+    verdict = call()
+    assert (verdict.conclusion, verdict.rule, verdict.trace) == (
+        Conclusion[conclusion], rule, trace
+    )
+    for line in trace:
+        for lhs, relation, rhs in stated_comparisons(line):
+            assert RELATIONS[relation](lhs, rhs), line
+
+
+# One test per rule boundary that a one-token change of its comparison
+# would move: each fails on that change.
+
+
+def test_thm1_stops_at_tb_zero():
+    verdict = classify_thm1(AmbientStatus.TIGHT, knot(0, 3, -1), 1)
+    assert verdict.conclusion is Conclusion.INCONCLUSIVE
+    assert verdict.trace == ("tb = 0 >= 0; criterion needs tb < 0",)
+
+
+def test_thm1_fires_at_euler_char_zero():
+    # euler_char = 0 is even, so no Seifert surface has it; the criterion
+    # still covers it, as euler_char <= 0
+    verdict = classify_thm1(AmbientStatus.TIGHT, knot(-2, 1, 0), 1)
+    assert verdict.conclusion is Conclusion.OVERTWISTED
+    assert "rot = 1 > 0 = -euler_char" in verdict.trace
+
+
+def test_stated_comparisons_reads_chains_and_skips_words():
+    assert stated_comparisons(
+        "tb_q + |rot_q| = 4/3 >= (euler_char + 2*rot)/order = 1 > "
+        "-euler_char/order = 1/3"
+    ) == [(Fraction(4, 3), ">=", 1), (1, ">", Fraction(1, 3))]
+    assert stated_comparisons("tb = 0 >= 0; criterion needs tb < 0") == [
+        (0, ">=", 0)
+    ]
+    assert stated_comparisons(_NOTE) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    query=st.sampled_from([None, (1, 1), (2, 1), (3, 1), (5, 2), (2, 3)]),
+)
+def test_every_stated_relation_holds(seed, query):
+    # Every comparison between two printed rationals in a trace holds
+    # under exact Fraction comparison: classify verdicts, with and
+    # without a +p/q query, and each unsurgered component's Bennequin
+    # verdict.
+    rng = random.Random(seed)
+    diagram = random_diagram(rng)
+    unsurgered = [c.id for c in diagram.components if not c.is_surgered]
+    assumptions = {cid: rng.random() < 0.5 for cid in unsurgered}
+    p, q = query or (None, 1)
+    try:
+        verdicts = classify_diagram(diagram, assumptions, p=p, q=q)
+    except InconsistentAssumptions:
+        verdicts = classify_diagram(diagram, p=p, q=q)
+    for cid in unsurgered:
+        try:
+            invariants = dual_invariants(diagram, cid)
+        except (NonNullhomologousDual, MissingCoefficient, Unsupported):
+            continue
+        verdicts.append(verdict_from_bennequin(bennequin_check(invariants)))
+    for verdict in verdicts:
+        for line in verdict.trace:
+            for lhs, relation, rhs in stated_comparisons(line):
+                assert RELATIONS[relation](lhs, rhs), line
 
 
 # --------------------------------------------------------------------------

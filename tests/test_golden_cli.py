@@ -3,7 +3,8 @@
 ``tests/data/golden_cli.json`` maps each argv (joined with spaces) to
 the exit code and the exact stdout of ``surgerycalc.cli.main``, run in
 a directory that holds copies of the bundled diagrams under
-``diagrams/`` and one large diagram under ``large/``. Outputs of the
+``diagrams/``, small diagrams that reach every trace line of the rules
+under ``rules/``, and one large diagram under ``large/``. Outputs of the
 large ``expand`` requests (600 to 801 curves, megabytes of linking
 rows) are kept as the SHA-256 and byte length of stdout instead of the
 text. A change meant to keep stdout byte-identical must leave this
@@ -55,6 +56,42 @@ LARGE_DIAGRAM = {
 }
 
 
+def unlinked(ambient: str, *rows) -> dict:
+    """A diagram of unlinked components, each row (id, tb, rot,
+    euler_char, contact coefficient or None)."""
+    return {
+        "ambient": ambient,
+        "components": [
+            {"id": cid, "tb": tb, "rot": rot, "euler_char": chi,
+             "contact_coefficient": coefficient}
+            for cid, tb, rot, chi, coefficient in rows
+        ],
+        "linking": [[0] * len(rows) for _ in rows],
+    }
+
+
+# Every trace branch of the rules that classify reaches, by component.
+RULE_DIAGRAMS = {
+    "tight.json": unlinked(
+        "tight",
+        ("A", -2, 2, -1, "1/2"),  # thm1 fires: rot > 0, the bound chain
+        ("B", -2, -2, -1, "1"),  # thm1 fires: orientation reversed
+        ("C", -1, 2, -1, "1"),  # thm1 fires: n*tb + 1 = 0
+        ("D", -1, 3, -1, "1/2"),  # thm1 fires: tb + |rot| > -euler_char
+        ("E", 0, 3, -1, "1"),  # thm1 stops at tb = 0
+        ("F", -2, 1, -1, "1"),  # thm1 stops at |rot| = -euler_char
+        ("G", -1, 0, 1, "1/3"),  # thm1 stops at euler_char > 0
+        ("H", -2, 0, 1, "-1"),  # no rule covers
+    ),
+    "unknown.json": unlinked(
+        "unknown", ("A", -2, 2, -1, "1"), ("B", -1, 0, 1, "2")
+    ),
+    "overtwisted.json": unlinked(
+        "overtwisted", ("A", -1, 0, 1, "1/3"), ("B", -1, 0, 1, "-1/2")
+    ),
+}
+
+
 def golden_argvs() -> list[list[str]]:
     """Every argv the golden file covers, in text and in JSON."""
     argvs = []
@@ -79,6 +116,17 @@ def golden_argvs() -> list[list[str]]:
         ["--tb", "-1", "--rot", "0", "--n", "1"],
     ):
         argvs += [["invariants", "--chain", *chain], ["bennequin", "--chain", *chain]]
+    argvs += [["classify", f"rules/{name}"] for name in RULE_DIAGRAMS]
+    # lemma-tight: no premise, p < q, +p/q fires, p = q
+    argvs.append(["classify", "diagrams/figure1.json", "--n", "2"])
+    for query in (["--p", "2", "--q", "3"], ["--p", "5", "--q", "2"], ["--n", "1"]):
+        argvs.append(
+            ["classify", "diagrams/figure1.json", "--assume-plus-one-tight", "L", *query]
+        )
+    # the Conway check skipped: the dual is not rationally nullhomologous
+    argvs.append(
+        ["classify", "diagrams/s1xs2.json", "--assume-plus-one-tight", "U", "--n", "2"]
+    )
     return [argv + ["--format", fmt] for argv in argvs for fmt in ("text", "json")]
 
 
@@ -124,6 +172,9 @@ def write_bundled(directory: Path) -> None:
         (directory / "diagrams" / name).write_text(
             bundled.read_text(name), encoding="utf-8"
         )
+    (directory / "rules").mkdir()
+    for name, diagram in RULE_DIAGRAMS.items():
+        (directory / "rules" / name).write_text(json.dumps(diagram), encoding="utf-8")
     (directory / "large").mkdir()
     (directory / "large" / "three_groups.json").write_text(
         json.dumps(LARGE_DIAGRAM), encoding="utf-8"
