@@ -24,6 +24,11 @@ rule identifiers carried by verdicts are:
   violation certifies the ambient manifold is overtwisted.
 * ``none``: no rule applies; the verdict is Inconclusive.
 
+Each rule is one evaluation of its hypothesis rows. A numeric
+hypothesis is evaluated once, by one exact comparison that also writes
+its trace line with the relation that is true ("tb = 0 >= 0"), so a
+trace cannot state a relation its test did not find.
+
 The diagram-level dispatcher additionally flags "conway-counterexample"
 situations: a knot whose tb in the surgered manifold is <= -2 while a
 tight (+n)-surgery with 2 <= n < |tb| is certified, contradicting the
@@ -33,10 +38,11 @@ conjecture that such surgeries are always overtwisted.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .diagram import (
     AmbientStatus,
@@ -145,38 +151,67 @@ def bennequin_check(invariants: DualKnotInvariants) -> BennequinReport:
     return BennequinReport(lhs=lhs, rhs=rhs)
 
 
-def verdict_from_bennequin(report: BennequinReport) -> Verdict:
-    """Wrap a Bennequin comparison as a verdict on the ambient manifold."""
-    lhs = format_rational(report.lhs)
-    rhs = format_rational(report.rhs)
-    if not report.satisfied:
-        return Verdict(
-            conclusion=Conclusion.OVERTWISTED,
-            rule=RULE_BENNEQUIN,
-            trace=(
-                f"tb_q + |rot_q| = {lhs} > {rhs} = -euler_char/order",
-                BENNEQUIN_FORM_NOTE,
-                "a violation is impossible in a tight manifold, so the ambient "
-                "contact manifold is overtwisted",
-            ),
-        )
-    return Verdict(
-        conclusion=Conclusion.INCONCLUSIVE,
-        rule=RULE_NONE,
-        trace=(
-            f"tb_q + |rot_q| = {lhs} <= {rhs} = -euler_char/order",
-            "the inequality holds; nothing follows about the ambient manifold",
-        ),
-    )
+# The exact test of each relation a hypothesis states, and the relation
+# that is true when the test fails.
+_TESTS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_NEGATION = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+
+
+def _compare(name, lhs, relation, rhs, rhs_name=None) -> tuple[bool, str]:
+    """(holds, line): ``lhs relation rhs`` evaluated exactly, once, and
+    the line "name = lhs R rhs[ = rhs_name]" whose R is the relation
+    that is true: ``relation`` when it holds, its negation otherwise."""
+    holds = _TESTS[relation](lhs, rhs)
+    written = relation if holds else _NEGATION[relation]
+    line = f"{name} = {format_rational(lhs)} {written} {format_rational(rhs)}"
+    return holds, line if rhs_name is None else f"{line} = {rhs_name}"
+
+
+def _evaluate(rule: str, conclusion: Conclusion, hypotheses, lines) -> Verdict:
+    """A rule's verdict from its rows (holds, line if it holds or None,
+    *lines if it fails): Inconclusive with the lines of the first row that
+    fails, else ``conclusion`` traced by the rows, then by ``lines``."""
+    trace = []
+    for holds, held, *failed in hypotheses:
+        if not holds:
+            return _inconclusive(*failed)
+        trace += [held] if held else []
+    return Verdict(conclusion=conclusion, rule=rule, trace=(*trace, *lines))
 
 
 def _inconclusive(*trace: str) -> Verdict:
     return Verdict(conclusion=Conclusion.INCONCLUSIVE, rule=RULE_NONE, trace=trace)
 
 
-def classify_thm1(
-    ambient: AmbientStatus, knot: LegendrianKnotData, n: int
-) -> Verdict:
+def _ambient_is(ambient: AmbientStatus, needed: AmbientStatus) -> tuple:
+    """The row "the ambient manifold is ``needed``" of thm1 and thm2."""
+    needs = f"ambient manifold is {ambient.value}, criterion needs {needed.value}"
+    return ambient is needed, f"ambient manifold is {needed.value}", needs
+
+
+def _criterion(name: str, lhs: int, relation: str, rhs: int, traced=True) -> tuple:
+    """thm1's row ``name relation rhs``, traced when it holds if ``traced``."""
+    holds, line = _compare(name, lhs, relation, rhs)
+    needs = f"{line}; criterion needs {name} {relation} {rhs}"
+    return holds, line if traced else None, needs
+
+
+def verdict_from_bennequin(report: BennequinReport) -> Verdict:
+    """Wrap a Bennequin comparison as a verdict on the ambient manifold."""
+    violated, line = _compare(
+        "tb_q + |rot_q|", report.lhs, ">", report.rhs, "-euler_char/order"
+    )
+    nothing = "the inequality holds; nothing follows about the ambient manifold"
+    lines = (
+        BENNEQUIN_FORM_NOTE,
+        "a violation is impossible in a tight manifold, so the ambient contact "
+        "manifold is overtwisted",
+    )
+    hypotheses = [(violated, line, line, nothing)]
+    return _evaluate(RULE_BENNEQUIN, Conclusion.OVERTWISTED, hypotheses, lines)
+
+
+def classify_thm1(ambient: AmbientStatus, knot: LegendrianKnotData, n: int) -> Verdict:
     """Overtwisting criterion for contact (+1/n)-surgery in a tight manifold.
 
     Hypotheses: ambient tight, euler_char <= 0, tb < 0 and
@@ -189,79 +224,59 @@ def classify_thm1(
     violate the rational Bennequin bound.
     """
     _check_positive(n, "n")
-    if ambient is not AmbientStatus.TIGHT:
-        return _inconclusive(
-            f"ambient manifold is {ambient.value}, criterion needs tight"
-        )
-    if knot.euler_char > 0:
-        return _inconclusive(
-            f"euler_char = {knot.euler_char} > 0; criterion needs euler_char <= 0"
-        )
-    if knot.tb >= 0:
-        return _inconclusive(f"tb = {knot.tb} >= 0; criterion needs tb < 0")
-    rot_used = abs(knot.rot)
-    bound = -knot.euler_char
-    if rot_used <= bound:
-        return _inconclusive(
-            f"|rot| = {rot_used} <= {bound} = -euler_char; criterion needs "
-            "strict inequality"
-        )
-    trace = [
-        "ambient manifold is tight",
-        f"tb = {knot.tb} < 0",
+    rot, line = _compare("|rot|", abs(knot.rot), ">", -knot.euler_char, "-euler_char")
+    reversal = " (orientation reversed: rot negates, tb and euler_char persist)"
+    # |rot| is rot itself for rot >= 0, and the held line says rot
+    held =line + reversal if knot.rot < 0 else line.replace("|rot|", "rot", 1)
+    hypotheses = [
+        _ambient_is(ambient, AmbientStatus.TIGHT),
+        _criterion("euler_char", knot.euler_char, "<=", 0, traced=False),
+        _criterion("tb", knot.tb, "<", 0),
+        (rot, held, f"{line}; criterion needs strict inequality"),
     ]
-    if knot.rot < 0:
-        trace.append(
-            f"|rot| = {rot_used} > {bound} = -euler_char (orientation reversed: "
-            "rot negates, tb and euler_char persist)"
-        )
-    else:
-        trace.append(f"rot = {rot_used} > {bound} = -euler_char")
-    trace.append(f"contact (+1/{n})-surgery: n = {n}")
-    r = n * knot.tb + 1
-    if r == 0:
-        trace.append(
-            f"n*tb + 1 = 0: the dual knot is not rationally nullhomologous, so "
+    lines = _thm1_mechanism(knot, n)
+    return _evaluate(RULE_THM1, Conclusion.OVERTWISTED, hypotheses, lines)
+
+
+def _thm1_mechanism(knot: LegendrianKnotData, n: int) -> Iterator[str]:
+    """thm1's conclusion lines: the surgery, then how the dual knot's
+    closed-form invariants violate the rational Bennequin bound."""
+    yield f"contact (+1/{n})-surgery: n = {n}"
+    if n * knot.tb + 1 == 0:
+        yield (
+            "n*tb + 1 = 0: the dual knot is not rationally nullhomologous, so "
             "the Bennequin mechanism cannot be re-executed; the verdict rests "
             "on the criterion alone"
         )
+        return
+    rot = abs(knot.rot)
+    invariants = dual_invariants_closed_form(knot.tb, rot, knot.euler_char, n)
+    report = bennequin_check(invariants)
+    lhs, rhs = format_rational(report.lhs), format_rational(report.rhs)
+    yield (
+        "surgery-dual invariants (closed form): "
+        f"tb_q = {format_rational(invariants.tb_q)}, "
+        f"rot_q = {format_rational(invariants.rot_q)}, "
+        f"order = {invariants.order}, euler_char = {invariants.euler_char}"
+    )
+    classical, line = _compare(
+        "tb + |rot|", knot.tb + rot, "<=", -knot.euler_char, "-euler_char"
+    )
+    if classical:
+        # the chain's middle step consumes the classical bound just compared
+        mid = format_rational(Fraction(knot.euler_char + 2 * rot, invariants.order))
+        yield (
+            f"tb_q + |rot_q| = {lhs} >= (euler_char + 2*rot)/order = {mid} "
+            f"> -euler_char/order = {rhs}"
+        )
     else:
-        invariants = dual_invariants_closed_form(
-            knot.tb, rot_used, knot.euler_char, n
+        yield (
+            f"{line}: the inputs themselves break the classical bound, so no "
+            "such knot exists in a tight manifold"
         )
-        report = bennequin_check(invariants)
-        order = invariants.order
-        trace.append(
-            "surgery-dual invariants (closed form): "
-            f"tb_q = {format_rational(invariants.tb_q)}, "
-            f"rot_q = {format_rational(invariants.rot_q)}, "
-            f"order = {order}, euler_char = {invariants.euler_char}"
-        )
-        if knot.tb + rot_used <= -knot.euler_char:
-            # The middle step of the bound chain consumes the classical
-            # bound tb + |rot| <= -euler_char for the source knot.
-            chain_mid = Fraction(knot.euler_char + 2 * rot_used, order)
-            trace.append(
-                f"tb_q + |rot_q| = {format_rational(report.lhs)} "
-                f">= (euler_char + 2*rot)/order = {format_rational(chain_mid)} "
-                f"> -euler_char/order = {format_rational(report.rhs)}"
-            )
-        else:
-            trace.append(
-                f"tb + |rot| = {knot.tb + rot_used} > {-knot.euler_char} = "
-                "-euler_char: the inputs themselves break the classical bound, "
-                "so no such knot exists in a tight manifold"
-            )
-        trace.extend(
-            [
-                f"violation: {format_rational(report.lhs)} > "
-                f"{format_rational(report.rhs)}",
-                BENNEQUIN_FORM_NOTE,
-                "the dual knot violates the bound, so the surgered manifold is "
-                "overtwisted",
-            ]
-        )
-    return Verdict(conclusion=Conclusion.OVERTWISTED, rule=RULE_THM1, trace=tuple(trace))
+    yield f"violation: {lhs} > {rhs}"
+    yield BENNEQUIN_FORM_NOTE
+    yield "the dual knot violates the bound, so the surgered manifold is overtwisted"
 
 
 def classify_thm2(ambient: AmbientStatus, coefficient: RationalLike) -> Verdict:
@@ -274,29 +289,21 @@ def classify_thm2(ambient: AmbientStatus, coefficient: RationalLike) -> Verdict:
     under Legendrian surgery.
     """
     r = as_rational(coefficient)
-    if ambient is not AmbientStatus.OVERTWISTED:
-        return _inconclusive(
-            f"ambient manifold is {ambient.value}, criterion needs overtwisted"
-        )
-    if r <= 0 or r.numerator != 1:
-        return _inconclusive(
-            f"coefficient {format_rational(r)} is not +1/n for a positive "
-            "integer n; the criterion does not apply (a (-1)-surgery on a "
-            "nonloose knot can be tight)"
-        )
-    n = r.denominator
-    return Verdict(
-        conclusion=Conclusion.OVERTWISTED,
-        rule=RULE_THM2,
-        trace=(
-            "ambient manifold is overtwisted",
-            f"coefficient +1/{n} expands into {n} successive (+1)-surgeries "
-            "along push-offs",
-            "a (+1)-surgery in an overtwisted manifold is overtwisted: a tight "
-            "result would be turned back into the overtwisted manifold by a "
-            "Legendrian (-1)-surgery, contradicting preservation of tightness",
-        ),
+    hypotheses = [
+        _ambient_is(ambient, AmbientStatus.OVERTWISTED),
+        # +1/n: a Fraction keeps its sign in its numerator
+        (r.numerator == 1, None, f"coefficient {format_rational(r)} is not +1/n "
+         "for a positive integer n; the criterion does not apply (a (-1)-surgery "
+         "on a nonloose knot can be tight)"),
+    ]
+    lines = (
+        f"coefficient +1/{r.denominator} expands into {r.denominator} successive "
+        "(+1)-surgeries along push-offs",
+        "a (+1)-surgery in an overtwisted manifold is overtwisted: a tight result "
+        "would be turned back into the overtwisted manifold by a Legendrian "
+        "(-1)-surgery, contradicting preservation of tightness",
     )
+    return _evaluate(RULE_THM2, Conclusion.OVERTWISTED, hypotheses, lines)
 
 
 def _check_coprime_positive(p: int, q: int) -> None:
@@ -316,28 +323,20 @@ def classify_lemma_tight(plus_one_known_tight: bool, p: int, q: int) -> Verdict:
     (-1)-surgeries, which preserve tightness (used as an axiom).
     """
     _check_coprime_positive(p, q)
-    if not plus_one_known_tight:
-        return _inconclusive(
-            "premise missing: contact (+1)-surgery along the knot is not known "
-            "to be tight"
-        )
-    if q - p >= 0:
-        return _inconclusive(
-            f"q - p = {q - p} >= 0; the persistence rule needs p > q"
-        )
-    return Verdict(
-        conclusion=Conclusion.TIGHT,
-        rule=RULE_LEMMA_TIGHT,
-        trace=(
-            "premise: contact (+1)-surgery along the knot is tight",
-            f"coefficient +{p}/{q} with q - p = {q - p} < 0",
-            f"decomposition: contact (+1)-surgery, then contact "
-            f"(-{p}/{p - q})-surgery along a push-off, realized by Legendrian "
-            "(-1)-surgeries",
-            "Legendrian surgery preserves tightness (axiom), so the result is "
-            "tight",
-        ),
+    p_above_q, line = _compare("q - p", q - p, "<", 0)
+    premise = "contact (+1)-surgery along the knot is"
+    hypotheses = [
+        (plus_one_known_tight, f"premise: {premise} tight",
+         f"premise missing: {premise} not known to be tight"),
+        (p_above_q, f"coefficient +{p}/{q} with {line}",
+         f"{line}; the persistence rule needs p > q"),
+    ]
+    lines = (
+        f"decomposition: contact (+1)-surgery, then contact (-{p}/{p - q})-surgery "
+        "along a push-off, realized by Legendrian (-1)-surgeries",
+        "Legendrian surgery preserves tightness (axiom), so the result is tight",
     )
+    return _evaluate(RULE_LEMMA_TIGHT, Conclusion.TIGHT, hypotheses, lines)
 
 
 def _with_component_prefix(verdict: Verdict, component_id: str, *notes: str) -> Verdict:
@@ -401,11 +400,11 @@ def classify_diagram(
 
     verdicts: list[Verdict] = []
     derived_overtwisted = False
-    for index, component in enumerate(diagram.components):
+    for component in diagram.components:
         r = component.contact_coefficient
         if r is None:
             continue
-        if r > 0 and r.numerator == 1:
+        if r.numerator == 1:
             if diagram.ambient is AmbientStatus.OVERTWISTED:
                 verdict = classify_thm2(diagram.ambient, r)
             elif diagram.ambient is AmbientStatus.TIGHT:
@@ -434,8 +433,7 @@ def classify_diagram(
         for component in diagram.components:
             if component.is_surgered:
                 continue
-            assumed = component.id in assumed_tight
-            verdict = classify_lemma_tight(assumed, p, q)
+            verdict = classify_lemma_tight(component.id in assumed_tight, p, q)
             notes: tuple[str, ...] = ()
             if verdict.conclusion is Conclusion.TIGHT and q == 1 and p >= 2:
                 try:
@@ -459,7 +457,7 @@ def classify_diagram(
 
 
 def verdict_to_obj(verdict: Verdict) -> dict:
-    """JSON-ready form: conclusion, rule, trace (rationals as 'p/q' strings)."""
+    """JSON-ready form: the conclusion's value, the rule id and the trace lines."""
     return {
         "conclusion": verdict.conclusion.value,
         "rule": verdict.rule,
