@@ -346,6 +346,24 @@ _TRACE_TABLE = {
             *_THM1_END,
         ),
     ),
+    # euler_char = 0 is even, so no Seifert surface has it; the criterion
+    # still covers it, as euler_char <= 0
+    "thm1 euler_char = 0": (
+        lambda: classify_thm1(_TIGHT, knot(-2, 1, 0), 1),
+        "OVERTWISTED", "thm1",
+        (
+            "ambient manifold is tight",
+            "tb = -2 < 0",
+            "rot = 1 > 0 = -euler_char",
+            "contact (+1/1)-surgery: n = 1",
+            "surgery-dual invariants (closed form): tb_q = 2, rot_q = -1, "
+            "order = 1, euler_char = 0",
+            "tb_q + |rot_q| = 3 >= (euler_char + 2*rot)/order = 2 > "
+            "-euler_char/order = 0",
+            "violation: 3 > 0",
+            *_THM1_END,
+        ),
+    ),
     "thm1 n*tb + 1 = 0": (
         lambda: classify_thm1(_TIGHT, knot(-1, 2, -1), 1),
         "OVERTWISTED", "thm1",
@@ -463,7 +481,9 @@ _TRACE_TABLE = {
 @pytest.mark.parametrize("case", _TRACE_TABLE)
 def test_rule_branch_trace(case):
     # the whole verdict of each branch, the branches classify_diagram
-    # never reaches included; every relation a line states holds
+    # never reaches included; every relation a line states holds. The
+    # boundary rows (tb = 0, euler_char = 0, p = q, lhs = rhs) fail when
+    # one token of their comparison flips.
     call, conclusion, rule, trace = _TRACE_TABLE[case]
     verdict = call()
     assert (verdict.conclusion, verdict.rule, verdict.trace) == (
@@ -472,24 +492,6 @@ def test_rule_branch_trace(case):
     for line in trace:
         for lhs, relation, rhs in stated_comparisons(line):
             assert RELATIONS[relation](lhs, rhs), line
-
-
-# One test per rule boundary that a one-token change of its comparison
-# would move: each fails on that change.
-
-
-def test_thm1_stops_at_tb_zero():
-    verdict = classify_thm1(AmbientStatus.TIGHT, knot(0, 3, -1), 1)
-    assert verdict.conclusion is Conclusion.INCONCLUSIVE
-    assert verdict.trace == ("tb = 0 >= 0; criterion needs tb < 0",)
-
-
-def test_thm1_fires_at_euler_char_zero():
-    # euler_char = 0 is even, so no Seifert surface has it; the criterion
-    # still covers it, as euler_char <= 0
-    verdict = classify_thm1(AmbientStatus.TIGHT, knot(-2, 1, 0), 1)
-    assert verdict.conclusion is Conclusion.OVERTWISTED
-    assert "rot = 1 > 0 = -euler_char" in verdict.trace
 
 
 def test_stated_comparisons_reads_chains_and_skips_words():

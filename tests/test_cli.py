@@ -123,21 +123,6 @@ def test_classify_counterexample(tmp_path, capsys):
     assert "rules fired: lemma-tight" in out
 
 
-def test_classify_query_p_equal_q_is_inconclusive(tmp_path, capsys):
-    # +1/1 is the assumed (+1)-surgery itself: the persistence rule needs
-    # p > q, so it certifies nothing
-    path = figure1_path(tmp_path)
-    code = main(["classify", str(path), "--n", "1", "--assume-plus-one-tight", "L"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.endswith(
-        "[3] inconclusive (rule: none)\n"
-        "    component 'L':\n"
-        "    q - p = 0 >= 0; the persistence rule needs p > q\n"
-    )
-    assert "rules fired" not in out
-
-
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_classify_conway_check_gives_up_in_trace(tmp_path, capsys, fmt):
     path = s1xs2_path(tmp_path)
