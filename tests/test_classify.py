@@ -489,6 +489,10 @@ def test_rule_branch_trace(case):
     assert (verdict.conclusion, verdict.rule, verdict.trace) == (
         Conclusion[conclusion], rule, trace
     )
+    _assert_stated_relations_hold(trace)
+
+
+def _assert_stated_relations_hold(trace):
     for line in trace:
         for lhs, relation, rhs in stated_comparisons(line):
             assert RELATIONS[relation](lhs, rhs), line
@@ -531,9 +535,7 @@ def test_every_stated_relation_holds(seed, query):
             continue
         verdicts.append(verdict_from_bennequin(bennequin_check(invariants)))
     for verdict in verdicts:
-        for line in verdict.trace:
-            for lhs, relation, rhs in stated_comparisons(line):
-                assert RELATIONS[relation](lhs, rhs), line
+        _assert_stated_relations_hold(verdict.trace)
 
 
 # --------------------------------------------------------------------------
