@@ -127,6 +127,7 @@ def golden_argvs() -> list[list[str]]:
     argvs.append(
         ["classify", "diagrams/s1xs2.json", "--assume-plus-one-tight", "U", "--n", "2"]
     )
+    argvs.append(["selftest"])
     return [argv + ["--format", fmt] for argv in argvs for fmt in ("text", "json")]
 
 
