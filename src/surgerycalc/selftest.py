@@ -7,8 +7,15 @@ oracle), agreement of the (+1/n) closed forms with ``dual_invariants``
 (the path every command runs) on the chain diagrams, the Bennequin
 bound chain with its strictness boundary, the bundled counterexample
 reproduction, continued-fraction round trips and the degenerate
-non-nullhomologous case. Any mismatch raises SelfTestFailure naming
-the first failed identity. The run is pure, so repeated executions
+non-nullhomologous case.
+
+Each check is a named sequence of rows ``(case, got, expected)``, and
+one runner, ``_run``, compares them: the first row whose ``got`` differs
+from its ``expected`` raises SelfTestFailure naming the check and the
+case, and the rows compared are the check's cases. A row that asserts
+several facts of one case compares tuples. The three determinant checks
+share one pass over the chain grid (tb, n), which builds each chain
+diagram and its M and M0 once. The run is pure, so repeated executions
 produce identical results.
 """
 
@@ -16,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 from . import exact
 from .classify import (
@@ -55,10 +62,6 @@ __all__ = ["SelfTestFailure", "run_checks"]
 
 class SelfTestFailure(Exception):
     """A built-in identity check failed; the message names the identity."""
-
-
-def _fail(name: str, detail: str) -> None:
-    raise SelfTestFailure(f"{name}: {detail}")
 
 
 def _cofactor_det(rows: Sequence[Sequence[exact.RationalLike]]) -> Fraction:
@@ -118,71 +121,53 @@ def _bordered(diagram: SurgeryDiagram, dual: str) -> tuple[list, list]:
     return m, [[0, *link_vector]] + [row[-1:] + row[:-1] for row in system]
 
 
-def _check_det_chain_grid() -> dict:
-    name = "det(M) = n*tb+1 grid"
+def _run(name: str, rows: Iterable[tuple[str, object, object]]) -> dict:
+    """Compare each row ``(case, got, expected)``; the first row whose
+    ``got != expected`` raises SelfTestFailure naming the check and the
+    case. The rows compared are the check's cases."""
     cases = 0
+    for case, got, expected in rows:
+        if got != expected:
+            raise SelfTestFailure(f"{name}: {case}: got {got}, expected {expected}")
+        cases += 1
+    return {"name": name, "cases": cases}
+
+
+def _chain_rows() -> tuple[list, list, list]:
+    """The rows of det(M), det(M0) and the cofactor cross-check (n <= 6)
+    from one pass over tb in -10..-1, n in 1..10: each chain diagram and
+    its ``_bordered`` pair are built once, and the cross-check compares
+    the oracle with the same ``_det`` values the grids compare."""
+    det_m, det_m0, cofactor = [], [], []
     for tb in range(-10, 0):
         for n in range(1, 11):
-            value = _det(_bordered(chain_diagram(tb, 0, 1, n), "dual")[0])
-            if value != n * tb + 1:
-                _fail(name, f"tb={tb}, n={n}: det={value}, expected {n * tb + 1}")
-            cases += 1
-    return {"name": name, "cases": cases}
+            case = f"tb={tb}, n={n}"
+            pair = _bordered(chain_diagram(tb, 0, 1, n), "dual")
+            dets = [_det(rows) for rows in pair]
+            det_m.append((case, dets[0], n * tb + 1))
+            det_m0.append((case, dets[1], -n * tb * tb))
+            if n <= 6:
+                cofactor += [
+                    (f"{case}, dim={len(rows)}", value, _cofactor_det(rows))
+                    for rows, value in zip(pair, dets)
+                ]
+    return det_m, det_m0, cofactor
 
 
-def _check_det_extended_grid() -> dict:
-    name = "det(M0) = -n*tb^2 grid"
-    cases = 0
-    for tb in range(-10, 0):
-        for n in range(1, 11):
-            value = _det(_bordered(chain_diagram(tb, 0, 1, n), "dual")[1])
-            if value != -n * tb * tb:
-                _fail(name, f"tb={tb}, n={n}: det={value}, expected {-n * tb * tb}")
-            cases += 1
-    return {"name": name, "cases": cases}
-
-
-def _check_cofactor_cross() -> dict:
-    name = "cofactor oracle cross-check (n <= 6)"
-    cases = 0
-    for tb in range(-10, 0):
-        for n in range(1, 7):
-            for rows in _bordered(chain_diagram(tb, 0, 1, n), "dual"):
-                bareiss = _det(rows)
-                oracle = _cofactor_det(rows)
-                if bareiss != oracle:
-                    _fail(
-                        name,
-                        f"tb={tb}, n={n}, dim={len(rows)}: "
-                        f"bareiss={bareiss}, cofactor={oracle}",
-                    )
-                cases += 1
-    return {"name": name, "cases": cases}
-
-
-def _check_closed_matrix_agreement() -> dict:
-    name = "closed-form vs matrix-path dual invariants"
-    cases = 0
+def _closed_form_rows():
     for tb in range(-10, 0):
         for n in range(1, 9):
             if n * tb + 1 == 0:
                 continue
             for rot in range(-10, 11):
-                via_matrix = dual_invariants(chain_diagram(tb, rot, 1, n), "dual")
-                closed = dual_invariants_closed_form(tb, rot, 1, n)
-                if via_matrix != closed:
-                    _fail(
-                        name,
-                        f"tb={tb}, rot={rot}, n={n}: matrix path {via_matrix}, "
-                        f"closed form {closed}",
-                    )
-                cases += 1
-    return {"name": name, "cases": cases}
+                yield (
+                    f"tb={tb}, rot={rot}, n={n}",
+                    dual_invariants(chain_diagram(tb, rot, 1, n), "dual"),
+                    dual_invariants_closed_form(tb, rot, 1, n),
+                )
 
 
-def _check_bennequin_chain() -> dict:
-    name = "Bennequin bound chain and strictness boundary"
-    cases = 0
+def _bennequin_rows():
     for euler_char in (-1, -3, -5):
         for tb in range(-6, 0):
             for n in range(1, 7):
@@ -190,86 +175,60 @@ def _check_bennequin_chain() -> dict:
                     continue
                 order = abs(n * tb + 1)
                 # Realizable rotation numbers: rot > -euler_char together
-                # with the classical bound tb + rot <= -euler_char.
+                # with the classical bound tb + rot <= -euler_char. Each
+                # violates the bound through the chain lhs >= mid > rhs.
                 for rot in range(-euler_char + 1, -euler_char - tb + 1):
                     invariants = dual_invariants_closed_form(tb, rot, euler_char, n)
                     report = bennequin_check(invariants)
                     mid = Fraction(euler_char + 2 * rot, order)
-                    if report.satisfied:
-                        _fail(
-                            name,
-                            f"tb={tb}, rot={rot}, chi={euler_char}, n={n}: "
-                            "expected a violation",
-                        )
-                    if not (report.lhs >= mid > report.rhs):
-                        _fail(
-                            name,
-                            f"tb={tb}, rot={rot}, chi={euler_char}, n={n}: chain "
-                            f"{report.lhs} >= {mid} > {report.rhs} broken",
-                        )
-                    cases += 1
+                    yield (
+                        f"tb={tb}, rot={rot}, chi={euler_char}, n={n}: "
+                        "(satisfied, lhs >= mid > rhs)",
+                        (report.satisfied, report.lhs >= mid > report.rhs),
+                        (False, True),
+                    )
                 # Boundary rot = -euler_char: the chain endpoints collapse and
                 # no violation is certified by it.
                 boundary = -euler_char
-                mid = Fraction(euler_char + 2 * boundary, order)
-                rhs = Fraction(-euler_char, order)
-                if mid != rhs:
-                    _fail(
-                        name,
-                        f"tb={tb}, chi={euler_char}, n={n}: boundary chain "
-                        f"endpoints {mid} != {rhs}",
-                    )
                 knot_data = LegendrianKnotData(
                     id="b", tb=tb, rot=boundary, euler_char=euler_char
                 )
                 verdict = classify_thm1(AmbientStatus.TIGHT, knot_data, n)
-                if verdict.conclusion is not Conclusion.INCONCLUSIVE:
-                    _fail(
-                        name,
-                        f"tb={tb}, rot={boundary}, chi={euler_char}, n={n}: "
-                        "boundary must be inconclusive",
-                    )
-                cases += 1
-    return {"name": name, "cases": cases}
+                yield (
+                    f"tb={tb}, rot={boundary}, chi={euler_char}, n={n}: "
+                    "(boundary mid, conclusion)",
+                    (Fraction(euler_char + 2 * boundary, order), verdict.conclusion),
+                    (Fraction(-euler_char, order), Conclusion.INCONCLUSIVE),
+                )
 
 
-def _check_counterexample_diagram() -> dict:
-    name = "bundled counterexample reproduction (tb = -3)"
+def _counterexample_rows():
     diagram = load_bundled("figure1.json")
     m, m0 = _bordered(diagram, "L")
-    det_m = _det(m)
-    det_m0 = _det(m0)
-    if det_m != -1 or det_m0 != 2:
-        _fail(name, f"det(M)={det_m} (expected -1), det(M0)={det_m0} (expected 2)")
-    invariants = dual_invariants(diagram, "L")
-    if invariants.tb_q != -3:
-        _fail(name, f"tb_q={invariants.tb_q}, expected -3")
+    yield "det(M)", _det(m), -1
+    yield "det(M0)", _det(m0), 2
+    yield "tb_q", dual_invariants(diagram, "L").tb_q, -3
     verdicts = classify_diagram(diagram, {"L": True}, p=2, q=1)
-    flagged = [
-        v
+    flagged = any(
+        v.conclusion is Conclusion.TIGHT and any(CONWAY_FLAG in line for line in v.trace)
         for v in verdicts
-        if v.conclusion is Conclusion.TIGHT
-        and any(CONWAY_FLAG in line for line in v.trace)
-    ]
-    if not flagged:
-        _fail(name, "expected a tight verdict flagged as a conway counterexample")
-    return {"name": name, "cases": 4}
+    )
+    yield "a tight verdict flagged as a conway counterexample", flagged, True
 
 
-def _check_expansion_roundtrip() -> dict:
-    name = "negative continued fraction round trip (p, q <= 40)"
-    cases = 0
+def _expansion_rows():
     for p in range(2, 41):
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
             r = Fraction(-p, q)
             digits = negative_continued_fraction(r)
-            if digits[0] > -1 or any(a > -2 for a in digits[1:]):
-                _fail(name, f"r={r}: digits {digits} break the normal form")
-            if evaluate_negative_continued_fraction(digits) != r:
-                _fail(name, f"r={r}: digits {digits} do not evaluate back")
-            cases += 1
+            normal = digits[0] <= -1 and all(a <= -2 for a in digits[1:])
+            yield (
+                f"r={r}, digits {digits}: (normal form, value)",
+                (normal, evaluate_negative_continued_fraction(digits)),
+                (True, r),
+            )
     knot = LegendrianKnotData(id="b", tb=-2, rot=1, euler_char=-1)
     presentation = expand_diagram(
         SurgeryDiagram(
@@ -279,51 +238,40 @@ def _check_expansion_roundtrip() -> dict:
         )
     )
     coefficients = tuple(curve.coefficient for _, _, curve in presentation.records)
-    if coefficients != (1, -1, -1):
-        _fail(name, f"+5/2 expansion coefficients {coefficients}")
+    yield "+5/2 expansion coefficients", coefficients, (1, -1, -1)
     digits = negative_continued_fraction(Fraction(-5, 3))
-    if digits != (-2, -3):
-        _fail(name, f"-5/3 digits {digits}, expected (-2, -3)")
-    if stabilization_counts(digits) != (1, 1):
-        _fail(name, f"-5/3 stabilization counts {stabilization_counts(digits)}")
-    return {"name": name, "cases": cases + 2}
+    yield (
+        "-5/3: (digits, stabilization counts)",
+        (digits, stabilization_counts(digits)),
+        ((-2, -3), (1, 1)),
+    )
 
 
-def _check_degenerate_dual() -> dict:
-    name = "degenerate dual (det M = 0)"
-    diagram = load_bundled("s1xs2.json")
+def _degenerate_rows():
     try:
-        dual_invariants(diagram, "U")
+        got = dual_invariants(load_bundled("s1xs2.json"), "U")
     except NonNullhomologousDual:
-        return {"name": name, "cases": 1}
-    _fail(name, "expected NonNullhomologousDual")
-    raise AssertionError("unreachable")
+        got = "NonNullhomologousDual"
+    yield "s1xs2.json, dual U", got, "NonNullhomologousDual"
 
 
-def _check_serialization_roundtrip() -> dict:
-    name = "diagram serialization round trip"
-    cases = 0
+def _serialization_rows():
     for bundled in ("figure1.json", "s1xs2.json"):
         diagram = load_bundled(bundled)
-        if parse_diagram(serialize_diagram(diagram)) != diagram:
-            _fail(name, f"{bundled} does not round-trip")
-        cases += 1
-    return {"name": name, "cases": cases}
-
-
-_CHECKS: tuple[Callable[[], dict], ...] = (
-    _check_det_chain_grid,
-    _check_det_extended_grid,
-    _check_cofactor_cross,
-    _check_closed_matrix_agreement,
-    _check_bennequin_chain,
-    _check_counterexample_diagram,
-    _check_expansion_roundtrip,
-    _check_degenerate_dual,
-    _check_serialization_roundtrip,
-)
+        yield bundled, parse_diagram(serialize_diagram(diagram)), diagram
 
 
 def run_checks() -> list[dict]:
     """Run all checks in order; raise SelfTestFailure on the first mismatch."""
-    return [check() for check in _CHECKS]
+    det_m, det_m0, cofactor = _chain_rows()
+    return [
+        _run("det(M) = n*tb+1 grid", det_m),
+        _run("det(M0) = -n*tb^2 grid", det_m0),
+        _run("cofactor oracle cross-check (n <= 6)", cofactor),
+        _run("closed-form vs matrix-path dual invariants", _closed_form_rows()),
+        _run("Bennequin bound chain and strictness boundary", _bennequin_rows()),
+        _run("bundled counterexample reproduction (tb = -3)", _counterexample_rows()),
+        _run("negative continued fraction round trip (p, q <= 40)", _expansion_rows()),
+        _run("degenerate dual (det M = 0)", _degenerate_rows()),
+        _run("diagram serialization round trip", _serialization_rows()),
+    ]

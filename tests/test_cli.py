@@ -5,18 +5,22 @@ from __future__ import annotations
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 import surgerycalc.data as bundled
 import surgerycalc.invariants
 import surgerycalc.selftest
+from surgerycalc.classify import RULE_THM1, BennequinReport, Conclusion
 from surgerycalc.cli import main
-from surgerycalc.diagram import LinkingBlocks, load_diagram
+from surgerycalc.diagram import AmbientStatus, LinkingBlocks, load_diagram
 from surgerycalc.expansion import expand_diagram
+from surgerycalc.invariants import NonNullhomologousDual
 from surgerycalc.selftest import SelfTestFailure, run_checks
 
 from helpers import child_env, entrywise_linking, run_cli
@@ -485,6 +489,93 @@ def test_selftest_fault_injection_group_pairs(monkeypatch):
         run_checks()
 
 
+def _cornered(true_bordered):
+    # M0 with corner 1 instead of 0: det(M0) moves by det(M), M is kept
+    def perturbed(diagram, dual):
+        m, m0 = true_bordered(diagram, dual)
+        return m, [[1, *m0[0][1:]], *m0[1:]]
+
+    return perturbed
+
+
+def _swapped_bound(true_check):
+    # lhs and rhs of the Bennequin comparison swapped: a violation reads
+    # as satisfied
+    def perturbed(invariants):
+        report = true_check(invariants)
+        return BennequinReport(lhs=report.rhs, rhs=report.lhs)
+
+    return perturbed
+
+
+def _overtwisted(true_thm1):
+    # thm1 fires at the strictness boundary |rot| = -euler_char
+    def perturbed(ambient, knot, n):
+        verdict = true_thm1(ambient, knot, n)
+        return replace(verdict, conclusion=Conclusion.OVERTWISTED, rule=RULE_THM1)
+
+    return perturbed
+
+
+def _quiet_degenerate(true_dual):
+    # a non-nullhomologous dual yields None instead of raising
+    def perturbed(diagram, dual):
+        try:
+            return true_dual(diagram, dual)
+        except NonNullhomologousDual:
+            return None
+
+    return perturbed
+
+
+# selftest name patched -> perturbation of the true function (or a new
+# value), and the message prefix: the check's name and its first failing case
+SELFTEST_FAULTS = {
+    "_bordered": (_cornered, "det(M0) = -n*tb^2 grid: tb=-10, n=1: "),
+    "_cofactor_det": (
+        lambda true: lambda rows: -true(rows),
+        "cofactor oracle cross-check (n <= 6): tb=-10, n=1, dim=1: ",
+    ),
+    "bennequin_check": (
+        _swapped_bound,
+        "Bennequin bound chain and strictness boundary: tb=-6, rot=2, chi=-1, n=1: ",
+    ),
+    "classify_thm1": (
+        _overtwisted,
+        "Bennequin bound chain and strictness boundary: tb=-6, rot=1, chi=-1, n=1: ",
+    ),
+    "CONWAY_FLAG": (
+        lambda true: "no such flag",
+        "bundled counterexample reproduction (tb = -3): "
+        "a tight verdict flagged as a conway counterexample: ",
+    ),
+    "evaluate_negative_continued_fraction": (
+        lambda true: lambda digits: true(digits) - 1,
+        "negative continued fraction round trip (p, q <= 40): r=-2, digits (-2,): ",
+    ),
+    "dual_invariants": (
+        _quiet_degenerate,
+        "degenerate dual (det M = 0): s1xs2.json, dual U: ",
+    ),
+    "parse_diagram": (
+        lambda true: lambda text: replace(true(text), ambient=AmbientStatus.UNKNOWN),
+        "diagram serialization round trip: figure1.json: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SELFTEST_FAULTS)
+def test_selftest_fault_injection_every_check(monkeypatch, name):
+    # Each check reads the patched name; a fault there fails that check at
+    # its first case, after every earlier check has passed.
+    perturb, prefix = SELFTEST_FAULTS[name]
+    monkeypatch.setattr(
+        surgerycalc.selftest, name, perturb(getattr(surgerycalc.selftest, name))
+    )
+    with pytest.raises(SelfTestFailure, match="^" + re.escape(prefix)):
+        run_checks()
+
+
 def test_selftest_grid_sizes():
     # A faster selftest must not come from a smaller grid.
     assert [(check["name"], check["cases"]) for check in run_checks()] == [
@@ -498,6 +589,23 @@ def test_selftest_grid_sizes():
         ("degenerate dual (det M = 0)", 1),
         ("diagram serialization round trip", 2),
     ]
+
+
+def test_selftest_builds_each_chain_once(monkeypatch):
+    # The three determinant checks share one pass over (tb, n) that builds
+    # each of their 100 chain diagrams once; the closed-form grid builds
+    # its 1659 after it.
+    calls = []
+    true_chain = surgerycalc.selftest.chain_diagram
+
+    def counted(*args):
+        calls.append(args)
+        return true_chain(*args)
+
+    monkeypatch.setattr(surgerycalc.selftest, "chain_diagram", counted)
+    run_checks()
+    assert len(set(calls[:100])) == 100
+    assert len(calls) == 100 + 1659
 
 
 def test_selftest_failure_exit_code(monkeypatch, capsys):
