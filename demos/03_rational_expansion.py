@@ -8,8 +8,10 @@ push-off). ``expand_diagram`` expands every surgered component of a
 diagram, so a single knot is expanded as a one-component diagram. The
 expansion is checked here against first homology: for a surgery with
 topological coefficient a/b on a knot in the 3-sphere, |H1| = |a| must
-equal |det| of the derived presentation matrix, read off as |d| from
-``solve_integral`` (d is the determinant of the system up to sign).
+equal |det| of the derived presentation matrix. That matrix is built
+here from the expansion's curve records by the linking rule, and its
+|det| is read off as |d| from ``solve_integral`` (d is the determinant
+of the system up to sign).
 """
 
 from fractions import Fraction
@@ -44,13 +46,15 @@ def expand(knot, r, policy="all-negative"):
     return expand_diagram(diagram, zigzag_policy=policy)
 
 
-def abs_det(diagram):
-    """|det| of the framed linking matrix of a (+-1)-surgered diagram:
-    tb + coefficient on the diagonal, linking numbers elsewhere."""
+def abs_det(presentation):
+    """|det| of the framed linking matrix of a one-knot expansion, from its
+    records: tb + coefficient on the diagonal, and off it the linking
+    rule, by which an earlier curve links a later one by its own tb."""
+    curves = presentation.records
     rows = [
-        [c.knot.tb + int(c.contact_coefficient) if i == j else lk for j, lk in enumerate(row)]
-        + [0]
-        for i, (c, row) in enumerate(zip(diagram.components, diagram.linking))
+        [curves[min(i, j)].tb + (curve.coefficient if i == j else 0)
+         for j in range(len(curves))] + [0]
+        for i, curve in enumerate(curves)
     ]
     return abs(solve_integral(rows)[1])
 
@@ -60,21 +64,21 @@ def signed(value):
 
 
 # Contact (+1/3)-surgery: three (+1)-surgered push-offs, no zigzags.
-# Each record holds the source's id and Euler characteristic and the curve.
+# Each curve's record names its source knot.
 presentation = expand(unknot, Fraction(1, 3))
 print("\n+1/3 on the tb=-1 unknot:")
-for source_id, _, curve in presentation.records:
-    print(f"  ({signed(curve.coefficient)}) on a push-off of {source_id}, "
+for curve in presentation.records:
+    print(f"  ({signed(curve.coefficient)}) on a push-off of {curve.source_id}, "
           f"{len(curve.signs)} stabilizations")
 
 # Contact (+5/2)-surgery: (+1) on L, then the expansion of -5/3 = [-2, -3]
 # along push-offs, one stabilization each.
 presentation = expand(unknot, Fraction(5, 2))
 print("\n+5/2 on the tb=-1 unknot:")
-for _, _, curve in presentation.records:
+for curve in presentation.records:
     print(f"  {curve.id}: coefficient {signed(curve.coefficient)}, "
           f"{len(curve.signs)} stabilizations, tb={curve.tb}")
-print(f"  |det| of the derived presentation = {abs_det(presentation.derived_diagram)}  "
+print(f"  |det| of the derived presentation = {abs_det(presentation)}  "
       f"(topological coefficient tb + 5/2 = 3/2, so |H1| = 3)")
 
 # The same homology cross-check over a grid of negative coefficients.
@@ -85,12 +89,12 @@ for p in range(1, 9):
         if gcd(p, q) != 1:
             continue
         ep = expand(unknot, Fraction(-p, q))
-        assert abs_det(ep.derived_diagram) == abs(-q - p)
+        assert abs_det(ep) == abs(-q - p)
         checked += 1
 print(f"  {checked} expansions match |q*tb - p|")
 
 # Zigzag signs are a recorded policy; tb bookkeeping is sign-independent.
 for policy in ("all-negative", "all-positive", "balanced"):
     ep = expand(unknot, Fraction(-8, 3), policy)
-    rots = [c.knot.rot for c in ep.derived_diagram.components]
+    rots = [curve.rot for curve in ep.records]
     print(f"\npolicy {ep.zigzag_policy}: chain rot values {rots}")

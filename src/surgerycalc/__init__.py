@@ -22,7 +22,8 @@ Modules:
   the one expander of rational coefficients into (+-1)-surgeries with
   stabilization bookkeeping, through one private coefficient-shape
   dispatch; a single knot is a one-component diagram. An expansion is
-  kept as one record per derived curve and its linking matrix as
+  kept as one named record per derived curve, which carries its source
+  knot's id and Euler characteristic, and its linking matrix as
   per-group blocks; the per-curve components and the matrix are built
   only when ``derived_diagram`` is first read.
 * ``invariants``: invariants of surgery-dual knots; ``dual_invariants``

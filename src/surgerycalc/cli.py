@@ -43,14 +43,13 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
 from .classify import (
     InconsistentAssumptions,
     NotCoprime,
-    RULE_BENNEQUIN,
     RULE_NONE,
     bennequin_check,
     classify_diagram,
@@ -73,6 +72,7 @@ from .diagram import (
 )
 from .exact import TooManyDigits, format_rational
 from .expansion import (
+    DEFAULT_ZIGZAG_POLICY,
     ExpandedPresentation,
     RangeError,
     Unsupported,
@@ -135,7 +135,7 @@ def _invariants_obj(invariants: DualKnotInvariants, citations: list) -> dict:
 
 def _bennequin_obj(invariants: DualKnotInvariants, citations: list) -> dict:
     """The ``bennequin`` payload of a dual knot: its invariants, both
-    sides of the bound and the verdict. A violation cites its rule."""
+    sides of the bound and the verdict, whose rule is cited when it fires."""
     report = bennequin_check(invariants)
     obj = {
         "invariants": _invariants_obj(invariants, citations),
@@ -144,8 +144,8 @@ def _bennequin_obj(invariants: DualKnotInvariants, citations: list) -> dict:
         "satisfied": report.satisfied,
         "verdict": verdict_to_obj(verdict_from_bennequin(report)),
     }
-    if not report.satisfied:
-        citations.append(RULE_BENNEQUIN)
+    if obj["verdict"]["rule"] != RULE_NONE:
+        citations.append(obj["verdict"]["rule"])
     return obj
 
 
@@ -156,25 +156,24 @@ def _expansion_obj(presentation: ExpandedPresentation) -> dict:
     # Stabilizing can carry a tb or rot past CPython's int-string digit
     # limit. The report is rendered as it is written, so this raises
     # TooManyDigits before its first byte rather than stopping it midway.
-    curves = list(map(itemgetter(2), records))
     for field in ("tb", "rot"):
-        format_rational(max(map(abs, map(attrgetter(field), curves)), default=0))
+        format_rational(max(map(abs, map(attrgetter(field), records)), default=0))
     obj = _diagram_obj(
         presentation.ambient,
         (
-            (curve.id, curve.tb, curve.rot, euler_char, texts[curve.coefficient])
-            for _, euler_char, curve in records
+            (curve.id, curve.tb, curve.rot, curve.euler_char, texts[curve.coefficient])
+            for curve in records
         ),
         presentation.linking_blocks,
     )
     obj["steps"] = [
         {
-            "source_id": source_id,
+            "source_id": curve.source_id,
             "coefficient": texts[curve.coefficient],
             "stabilizations": len(curve.signs),
             "stabilization_signs": list(curve.signs),
         }
-        for source_id, _, curve in records
+        for curve in records
         if curve.coefficient is not None
     ]
     obj["zigzag_policy"] = presentation.zigzag_policy
@@ -518,8 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     expand.add_argument("--p", type=int, help="coefficient numerator (signed)")
     expand.add_argument("--q", type=int, help="coefficient denominator (positive)")
     expand.add_argument(
-        "--zigzag-policy", choices=ZIGZAG_POLICIES, default="all-negative",
-        help="stabilization sign policy (default: all-negative)",
+        "--zigzag-policy", choices=ZIGZAG_POLICIES, default=DEFAULT_ZIGZAG_POLICY,
+        help=f"stabilization sign policy (default: {DEFAULT_ZIGZAG_POLICY})",
     )
 
     _add_dual_options(

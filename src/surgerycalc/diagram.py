@@ -215,10 +215,6 @@ class SurgeryDiagram:
                             f"linking[{i}][{j}] != linking[{j}][{i}]"
                         )
 
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(component.id for component in self.components)
-
     def component_index(self, component_id: str) -> int:
         for index, component in enumerate(self.components):
             if component.id == component_id:
@@ -227,9 +223,6 @@ class SurgeryDiagram:
 
     def component(self, component_id: str) -> SurgeryComponent:
         return self.components[self.component_index(component_id)]
-
-    def linking_number(self, i: int, j: int) -> int:
-        return self.linking[i][j]
 
 
 def _check_unique_ids(components) -> None:
@@ -261,37 +254,18 @@ class LinkingBlocks:
     tbs: tuple[tuple[int, ...], ...]
     source: tuple[tuple[int, ...], ...]
 
-    def _rows(self, before, after, zero, join, opener, closer):
-        """Each row as ``join`` of its blocks, between ``opener`` and ``closer``.
-
-        ``before(v)`` is the piece of one entry v left of the diagonal,
-        ``after(v)`` one right of it and ``zero`` the diagonal entry: a
-        block of count entries is one piece repeated count times.
-        """
-        for g, tbs in enumerate(self.tbs):
-            row = self.source[g]
-            left = join([before(row[h]) * len(self.tbs[h]) for h in range(g)])
-            right = join(
-                [after(row[h]) * len(self.tbs[h]) for h in range(g + 1, len(self.tbs))]
-            )
-            pieces = [before(tb) for tb in tbs]
-            earlier = join(pieces)
-            offset = 0
-            for i, tb in enumerate(tbs):
-                yield join(
-                    (opener, left, earlier[:offset], zero,
-                     after(tb) * (len(tbs) - i - 1), right, closer)
-                )
-                offset += len(pieces[i])
-
     def matrix(self) -> tuple[tuple[int, ...], ...]:
         """The linking matrix as a tuple of int tuples."""
-        return tuple(
-            self._rows(
-                lambda value: (value,), lambda value: (value,), (0,),
-                lambda parts: sum(parts, ()), (), (),
-            )
-        )
+        rows = []
+        for g, tbs in enumerate(self.tbs):
+            blocks = [
+                (entry,) * len(self.tbs[h]) for h, entry in enumerate(self.source[g])
+            ]
+            left = sum(blocks[:g], ())
+            right = sum(blocks[g + 1 :], ())
+            for i, tb in enumerate(tbs):
+                rows.append(left + tbs[:i] + (0,) + (tb,) * (len(tbs) - i - 1) + right)
+        return tuple(rows)
 
     def row_texts(self, sep: str, opener: str, closer: str):
         """Each row's entries joined by ``sep``, between ``opener`` and ``closer``.
@@ -299,10 +273,22 @@ class LinkingBlocks:
         One str per block and per curve, and none per entry: a block is
         one string repeated.
         """
-        return self._rows(
-            lambda value: str(value) + sep, lambda value: sep + str(value), "0",
-            "".join, opener, closer,
-        )
+        for g, tbs in enumerate(self.tbs):
+            row = self.source[g]
+            left = "".join([(str(row[h]) + sep) * len(self.tbs[h]) for h in range(g)])
+            right = "".join(
+                [(sep + str(row[h])) * len(self.tbs[h])
+                 for h in range(g + 1, len(self.tbs))]
+            )
+            pieces = [str(tb) + sep for tb in tbs]
+            earlier = "".join(pieces)
+            offset = 0
+            for i, tb in enumerate(tbs):
+                yield "".join(
+                    (opener, left, earlier[:offset], "0",
+                     (sep + str(tb)) * (len(tbs) - i - 1), right, closer)
+                )
+                offset += len(pieces[i])
 
 
 def chain_diagram(tb: int, rot: int, euler_char: int, n: int) -> SurgeryDiagram:

@@ -27,9 +27,12 @@ Positive coefficients +p/q in lowest terms with 1 < p < q are outside
 the shapes the expansion rules above certify and raise Unsupported.
 ``expand_diagram`` is the only expander; a single knot is expanded as
 a one-component diagram. One private dispatch, ``_knot_group``, picks
-the shape of each surgered component, so +1 and -1 pass through as the
-knot itself. Its shape test is one predicate, ``_check_expandable``,
-which ``invariants`` shares.
+the shape of each surgered component; it alone passes +1 and -1
+through as the knot itself, and every other shape gets curves named
+"<id>#<position>". Its shape test is one predicate,
+``_check_expandable``, which ``invariants`` shares. The expansion is
+kept as one named record per derived curve, which carries the id and
+the Euler characteristic of its source knot.
 
 Stabilization sign choices ("zigzags") are not canonical and genuinely
 change the resulting contact structure. They are fixed by a named
@@ -42,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 from .diagram import (
@@ -86,25 +89,28 @@ class Unsupported(ValueError):
 class ExpandedPresentation:
     """The result of expanding rational coefficients into (+-1)-surgeries.
 
-    The expansion is kept as ``expand_diagram`` derives it, one record
-    per derived curve in order. ``records[i]`` holds the id and the
-    Euler characteristic of the curve's source knot and the curve
-    itself: its id, tb and rot, its coefficient (+1 or -1, or None for
-    an unsurgered component passing through) and the zigzag signs that
-    reached it. ``linking_blocks`` holds the linking matrix as
-    per-group blocks (``LinkingBlocks``), from which the CLI writes the
-    rows without building the matrix; ``zigzag_policy`` records how
-    stabilization signs were chosen. The CLI writes its report from
-    these fields alone.
+    The expansion is kept as ``expand_diagram`` derives it, one named
+    record per derived curve in order. ``records[i]`` is a ``_Curve``
+    read by field name: the curve's ``id``, ``tb`` and ``rot``, the
+    ``euler_char`` and ``source_id`` of its source knot, its
+    ``coefficient`` (+1 or -1, or None for an unsurgered component
+    passing through) and the zigzag ``signs`` that reached it.
+    ``linking_blocks`` holds the linking matrix as per-group blocks
+    (``LinkingBlocks``), from which the CLI writes the rows without
+    building the matrix; ``zigzag_policy`` records how stabilization
+    signs were chosen. The CLI writes its report from these fields
+    alone.
 
     ``derived_diagram`` realizes the records, with the N x N matrix, as
     an ordinary surgery diagram whose surgered components all carry +1
-    or -1. It is built and validated on first access; every check that
-    can fail on input has run in ``expand_diagram`` before it returned,
-    so building it cannot fail.
+    or -1. No command reads it: its one reader is the benchmark's span
+    hook on ``expand_diagram``, which counts its components. It is
+    built and validated on first access; every check that can fail on
+    input has run in ``expand_diagram`` before it returned, so building
+    it cannot fail.
     """
 
-    records: tuple[_Record, ...]
+    records: tuple[_Curve, ...]
     zigzag_policy: str
     ambient: AmbientStatus
     linking_blocks: LinkingBlocks
@@ -114,13 +120,13 @@ class ExpandedPresentation:
         components = tuple(
             SurgeryComponent(
                 knot=LegendrianKnotData(
-                    id=curve.id, tb=curve.tb, rot=curve.rot, euler_char=euler_char
+                    id=curve.id, tb=curve.tb, rot=curve.rot, euler_char=curve.euler_char
                 ),
                 contact_coefficient=(
                     None if curve.coefficient is None else Fraction(curve.coefficient)
                 ),
             )
-            for _, euler_char, curve in self.records
+            for curve in self.records
         )
         return SurgeryDiagram(
             ambient=self.ambient,
@@ -204,8 +210,10 @@ def _signs_for(count: int, policy: str) -> tuple[int, ...]:
 
 
 class _Curve(NamedTuple):
-    """Internal: one derived curve of a group, before it becomes a component.
+    """One derived curve of an expansion, as ``ExpandedPresentation`` keeps it.
 
+    ``id``, ``tb`` and ``rot`` are the curve's own; ``euler_char`` and
+    ``source_id`` are those of the source knot it was derived from.
     ``coefficient`` is +1 or -1 for an expanded curve and None for an
     unsurgered component passing through; ``signs`` are the zigzags
     applied to reach this curve from its predecessor. ``invariants``
@@ -216,42 +224,46 @@ class _Curve(NamedTuple):
     id: str
     tb: int
     rot: int
+    euler_char: int
     coefficient: Optional[int]
     signs: tuple[int, ...]
+    source_id: str
 
 
-#: One derived curve with the id and the Euler characteristic of its
-#: source knot, as ``ExpandedPresentation`` keeps it: a plain tuple, built
-#: at C speed.
-_Record = tuple[str, int, _Curve]
+def _unstabilized(
+    knot: LegendrianKnotData, coefficient: Optional[int], curve_id: Optional[str] = None
+) -> _Curve:
+    """The knot itself, or its push-off ``curve_id``, with ``coefficient``."""
+    return _Curve(
+        knot.id if curve_id is None else curve_id,
+        knot.tb, knot.rot, knot.euler_char, coefficient, (), knot.id,
+    )
 
 
 def _negative_chain(
-    source: LegendrianKnotData,
-    r: Fraction,
-    zigzag_policy: str,
-    *,
-    first_is_pushoff: bool,
+    source: LegendrianKnotData, r: Fraction, zigzag_policy: str
 ) -> list[_Curve]:
-    """Build the (-1)-surgered chain expanding contact (r)-surgery, r < 0.
+    """The (-1)-surgered chain expanding contact (r)-surgery, r < 0, r != -1.
 
-    When ``first_is_pushoff`` is false the first curve is the source
-    knot itself (stabilized as needed); otherwise it is a push-off of
-    the source. Either way tb and rot bookkeeping is identical because
-    a push-off copies both.
+    Curve i is ``{source.id}#i``. The first curve is the source knot
+    itself (stabilized as needed) or, in a +p/q tail, a push-off of it:
+    the tb and rot bookkeeping is the same either way, because a
+    push-off copies both.
     """
     digits = negative_continued_fraction(r)
-    counts = stabilization_counts(digits)
-    identity = len(digits) == 1 and counts[0] == 0 and not first_is_pushoff
     curves = []
     tb = source.tb
     rot = source.rot
-    for position, count in enumerate(counts, start=1):
+    for position, count in enumerate(stabilization_counts(digits), start=1):
         signs = _signs_for(count, zigzag_policy)
         tb -= count
         rot += sum(signs)
-        curve_id = source.id if identity else f"{source.id}#{position}"
-        curves.append(_Curve(curve_id, tb, rot, -1, signs))
+        curves.append(
+            _Curve(
+                f"{source.id}#{position}", tb, rot, source.euler_char, -1, signs,
+                source.id,
+            )
+        )
     return curves
 
 
@@ -273,24 +285,22 @@ def _knot_group(
     """The curves expanding contact (r)-surgery along one knot, in chain order.
 
     This is the only place that maps a coefficient shape to its
-    expansion; +1 and -1 expand to the knot itself. Every curve is a
+    expansion; +1 and -1 are the knot itself. Every curve is a
     (+1)-surgery along an unstabilized push-off or a (-1)-surgery.
     """
     _check_expandable(knot, r)
+    if abs(r) == 1:
+        return [_unstabilized(knot, r.numerator)]
     if r < 0:
-        return _negative_chain(knot, r, zigzag_policy, first_is_pushoff=False)
+        return _negative_chain(knot, r, zigzag_policy)
     p, q = r.numerator, r.denominator
     if p == 1:
         return [
-            _Curve(
-                knot.id if q == 1 else f"{knot.id}#{position}", knot.tb, knot.rot, 1, ()
-            )
+            _unstabilized(knot, 1, f"{knot.id}#{position}")
             for position in range(1, q + 1)
         ]
-    tail = _negative_chain(
-        knot, Fraction(-p, p - q), zigzag_policy, first_is_pushoff=True
-    )
-    return [_Curve(knot.id, knot.tb, knot.rot, 1, ())] + tail
+    tail = _negative_chain(knot, Fraction(-p, p - q), zigzag_policy)
+    return [_unstabilized(knot, 1)] + tail
 
 
 # --------------------------------------------------------------------------
@@ -307,16 +317,16 @@ def expand_diagram(
     Each surgered component becomes its group of curves through the
     shape dispatch ``_knot_group``, so +1 and -1 pass through
     unchanged; an unsurgered component passes through as it is. Each
-    curve becomes one record with its source's id and Euler
-    characteristic. Curves from different groups link as their sources
-    do. Within a group a later curve is a parallel copy of a push-off
-    of an earlier one, so the two link by the earlier curve's contact
-    framing: its tb. That is the rule ``LinkingBlocks`` describes, so
-    the linking matrix is kept as the groups' tbs and the diagram's own
-    k x k linking matrix.
+    curve is one named record (``_Curve``) that carries its source's
+    id and Euler characteristic. Curves from different groups link as
+    their sources do. Within a group a later curve is a parallel copy
+    of a push-off of an earlier one, so the two link by the earlier
+    curve's contact framing: its tb. That is the rule
+    ``LinkingBlocks`` describes, so the linking matrix is kept as the
+    groups' tbs and the diagram's own k x k linking matrix.
 
-    No per-curve object is built. The checks that can fail on input
-    run here, in the order the objects' constructors and
+    No knot, component or matrix is built. The checks that can fail on
+    input run here, in the order the objects' constructors and
     ``SurgeryDiagram`` would make them: the policy name, the
     coefficient shape (``_check_expandable``) while the groups are
     built, then unique ids on the curves. Every other check those
@@ -331,20 +341,14 @@ def expand_diagram(
             f"unknown zigzag policy {zigzag_policy!r}; expected one of "
             f"{ZIGZAG_POLICIES}"
         )
-    knots = [component.knot for component in diagram.components]
     groups = [
-        [_Curve(knot.id, knot.tb, knot.rot, None, ())]
+        [_unstabilized(component.knot, None)]
         if component.contact_coefficient is None
-        else _knot_group(knot, component.contact_coefficient, zigzag_policy)
-        for knot, component in zip(knots, diagram.components)
+        else _knot_group(component.knot, component.contact_coefficient, zigzag_policy)
+        for component in diagram.components
     ]
-    _check_unique_ids(chain.from_iterable(groups))
-    records = tuple(
-        chain.from_iterable(
-            zip(repeat(knot.id), repeat(knot.euler_char), group)
-            for knot, group in zip(knots, groups)
-        )
-    )
+    records = tuple(chain.from_iterable(groups))
+    _check_unique_ids(records)
     blocks = LinkingBlocks(
         tbs=tuple(tuple(curve.tb for curve in group) for group in groups),
         source=diagram.linking,

@@ -237,7 +237,7 @@ def _expansion_rows():
             linking=((0,),),
         )
     )
-    coefficients = tuple(curve.coefficient for _, _, curve in presentation.records)
+    coefficients = tuple(curve.coefficient for curve in presentation.records)
     yield "+5/2 expansion coefficients", coefficients, (1, -1, -1)
     digits = negative_continued_fraction(Fraction(-5, 3))
     yield (

@@ -164,18 +164,19 @@ def reverse_orientation(diagram: SurgeryDiagram, component_id: str) -> SurgeryDi
     return SurgeryDiagram(diagram.ambient, tuple(components), linking)
 
 
-def entrywise_linking(derived, source_linking):
+def entrywise_linking(components, source_linking):
     """The linking rule entry by entry: the oracle for expanded linking matrices.
 
     A derived curve belongs to the source its id names before any "#".
     Two curves of one source link by the earlier curve's tb; curves of
-    different sources inherit ``source_linking`` of their sources.
+    different sources g and h link by ``source_linking[g][h]``, the
+    k x k linking matrix of the sources in order.
     """
-    sources = [component.id.split("#")[0] for component in derived.components]
+    sources = [component.id.split("#")[0] for component in components]
     order = list(dict.fromkeys(sources))
     flat = [
         (order.index(source), component.knot.tb)
-        for source, component in zip(sources, derived.components)
+        for source, component in zip(sources, components)
     ]
     size = len(flat)
     linking = [[0] * size for _ in range(size)]
@@ -183,10 +184,30 @@ def entrywise_linking(derived, source_linking):
         ga, tb_a = flat[a]
         for b in range(a + 1, size):
             gb = flat[b][0]
-            value = tb_a if ga == gb else source_linking(ga, gb)
+            value = tb_a if ga == gb else source_linking[ga][gb]
             linking[a][b] = value
             linking[b][a] = value
     return tuple(map(tuple, linking))
+
+
+def dense_diagram(presentation) -> SurgeryDiagram:
+    """An expansion as a validated surgery diagram: one knot and component
+    per curve record, and the N x N linking matrix entry by entry
+    (``entrywise_linking``) from the sources' k x k matrix. The dense
+    oracle of the expanded presentation."""
+    components = tuple(
+        SurgeryComponent(
+            knot=LegendrianKnotData(
+                id=curve.id, tb=curve.tb, rot=curve.rot, euler_char=curve.euler_char
+            ),
+            contact_coefficient=(
+                None if curve.coefficient is None else Fraction(curve.coefficient)
+            ),
+        )
+        for curve in presentation.records
+    )
+    linking = entrywise_linking(components, presentation.linking_blocks.source)
+    return SurgeryDiagram(presentation.ambient, components, linking)
 
 
 def tail_continuants(curves):
@@ -245,8 +266,9 @@ def framed_matrices(diagram: SurgeryDiagram, dual_id=None):
     holds their linking numbers with the dual, and M0 borders M with
     corner 0 and lk; without a dual, M0 is None and lk is ().
     """
-    ids = diagram.ids
-    others = [i for i, component_id in enumerate(ids) if component_id != dual_id]
+    others = [
+        i for i, component in enumerate(diagram.components) if component.id != dual_id
+    ]
     m = [
         [framing(diagram.components[i]) if i == j else diagram.linking[i][j] for j in others]
         for i in others

@@ -161,7 +161,7 @@ def test_criterion_7_expansion_round_trips():
     presentation = expand_diagram(
         SurgeryDiagram(AmbientStatus.UNKNOWN, (component,), ((0,),))
     )
-    curves = [curve for _, _, curve in presentation.records]
+    curves = presentation.records
     assert [curve.coefficient for curve in curves] == [1, -1, -1]
     assert negative_continued_fraction(Fraction(-5, 3)) == (-2, -3)
     assert [len(curve.signs) for curve in curves] == [0, 1, 1]

@@ -23,7 +23,7 @@ from surgerycalc.expansion import expand_diagram
 from surgerycalc.invariants import NonNullhomologousDual
 from surgerycalc.selftest import SelfTestFailure, run_checks
 
-from helpers import child_env, entrywise_linking, run_cli
+from helpers import child_env, dense_diagram, run_cli
 
 
 def figure1_path(tmp_path):
@@ -1009,8 +1009,8 @@ def test_large_expand_output_matches_entrywise_rule(tmp_path, capsys, policy):
     path.write_text(json.dumps(_large_diagram(296)), encoding="utf-8")
     source = load_diagram(path)
     presentation = expand_diagram(source, zigzag_policy=policy)
-    derived = presentation.derived_diagram
-    oracle = [list(row) for row in entrywise_linking(derived, source.linking_number)]
+    derived = dense_diagram(presentation)
+    oracle = [list(row) for row in derived.linking]
     argv = ["expand", str(path), "--zigzag-policy", policy]
     assert main([*argv, "--format", "json"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]

@@ -502,7 +502,8 @@ def test_general_matrices_match_chain_builders():
             assert m0 == chain_m0(tb, 2, -1, n) == m0_rows
             assert link_vector == (tb,) * n
             assert dual_system(diagram, "dual") == [row + [tb] for row in m_rows]
-            assert diagram.ids == tuple(f"L#{i}" for i in range(1, n + 1)) + ("dual",)
+            ids = [c.id for c in diagram.components]
+            assert ids == [f"L#{i}" for i in range(1, n + 1)] + ["dual"]
 
 
 def test_dual_system_table():
@@ -603,14 +604,14 @@ def test_framed_matrix_requires_all_surgered():
 
 def test_bundled_diagrams_parse():
     figure = bundled.load("figure1.json")
-    assert figure.ids == ("L", "U", "V")
+    assert [c.id for c in figure.components] == ["L", "U", "V"]
     assert figure.ambient is AmbientStatus.TIGHT
     assert figure.component("U").contact_coefficient == 1
     assert figure.component("V").contact_coefficient == -1
     assert figure.component("L").contact_coefficient is None
 
     s1xs2 = bundled.load("s1xs2.json")
-    assert s1xs2.ids == ("K", "U")
+    assert [c.id for c in s1xs2.components] == ["K", "U"]
     assert _framed_matrix(s1xs2, [0], [-1]) == [[0, -1]]
 
 

@@ -32,6 +32,7 @@ from surgerycalc.invariants import _group_pairs
 from surgerycalc.selftest import _cofactor_det as cofactor_det
 
 from helpers import (
+    dense_diagram,
     fraction_det,
     framed_matrices,
     group_sweep,
@@ -183,7 +184,7 @@ def test_matrix_path_matches_cofactor_oracle_randomized():
             kind = None if unit_only else "integer"
         else:
             try:
-                oracle_diagram = expand_diagram(diagram).derived_diagram
+                oracle_diagram = dense_diagram(expand_diagram(diagram))
             except Unsupported:
                 seen["unsupported"] += 1
                 with pytest.raises(Unsupported):
@@ -269,7 +270,7 @@ def test_dual_invariants_keeps_integer_coefficients_unexpanded():
     assert invariants == DualKnotInvariants(
         tb_q=Fraction(-3, 4), rot_q=Fraction(0), order=4, euler_char=1
     )
-    derived = expand_diagram(diagram).derived_diagram
+    derived = dense_diagram(expand_diagram(diagram))
     assert [c.knot.rot for c in derived.components] == [-2, 0]
     expanded = dual_invariants(derived, "L")
     assert (expanded.tb_q, expanded.order) == (invariants.tb_q, invariants.order)
@@ -286,7 +287,7 @@ def _dense_oracle(diagram, component_id):
     integer-coefficient convention expands it, else on the diagram as
     given."""
     if _convention_expands(diagram, component_id):
-        derived = expand_diagram(diagram).derived_diagram
+        derived = dense_diagram(expand_diagram(diagram))
         return dual_invariants(derived, component_id)
     return dual_invariants(diagram, component_id)
 
@@ -295,7 +296,8 @@ def _convention_expands(diagram, component_id):
     """Whether ``component_id`` names an unsurgered component and, among
     the others in diagram order, a non-integer coefficient comes before
     any unsurgered component."""
-    if component_id not in diagram.ids or diagram.component(component_id).is_surgered:
+    ids = [component.id for component in diagram.components]
+    if component_id not in ids or diagram.component(component_id).is_surgered:
         return False
     for c in diagram.components:
         if c.id == component_id:
@@ -422,7 +424,7 @@ def test_long_chain_shapes_match_dense_oracle(kinds, sizes):
     diagram = SurgeryDiagram(
         ambient=AmbientStatus.UNKNOWN, components=tuple(components), linking=linking
     )
-    derived = expand_diagram(diagram).derived_diagram
+    derived = dense_diagram(expand_diagram(diagram))
     assert len(derived.components) == sum(sizes) + 1
     assert dual_invariants(diagram, "L") == _dense_oracle(diagram, "L")
 
@@ -598,8 +600,9 @@ def test_reversing_a_surgered_component(seed):
         if _unstabilized(diagram, component):
             assert flipped == invariants
         elif len(diagram.components) == 2:
-            derived = expand_diagram(diagram, zigzag_policy="all-positive")
-            derived = derived.derived_diagram
+            derived = dense_diagram(
+                expand_diagram(diagram, zigzag_policy="all-positive")
+            )
             assert flipped == dual_invariants(derived, dual_id)
 
 
@@ -629,7 +632,7 @@ def test_zigzag_policy_changes_rot_q_only(seed):
     outcomes = set()
     for policy in ("all-negative", "all-positive", "balanced"):
         try:
-            derived = expand_diagram(diagram, zigzag_policy=policy).derived_diagram
+            derived = dense_diagram(expand_diagram(diagram, zigzag_policy=policy))
             invariants = dual_invariants(derived, dual_id)
         except ValueError as error:
             outcomes.add((type(error), str(error)))
