@@ -444,7 +444,7 @@ def classify_diagram(
                         f"undefined: {error}",
                     )
                 else:
-                    if tb.denominator == 1 and tb <= -2 and p < -tb:
+                    if tb.denominator == 1 and p < -tb:
                         notes = (
                             f"{CONWAY_FLAG}: tb = {format_rational(tb)} <= -2 in "
                             f"the surgered manifold and 2 <= n = {p} < |tb| = "

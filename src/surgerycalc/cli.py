@@ -18,9 +18,12 @@ Subcommands:
   inputs and handler of ``invariants``, with its own payload.
 * ``selftest``: run the built-in verification grids.
 
-A report is a dict of command, options, results and cited rules:
-``--format json`` writes it with stable key order, and the default
-text format renders it with the command's line renderer. Reports go
+A report is a dict of command, options, results and cited rules.
+This module is the one that writes reports: ``--format json`` writes
+the bytes of ``json.dumps(report, indent=2, sort_keys=True)`` and a
+newline with its own streaming writer, ``_json_pieces``, and the
+default text format renders the report with the command's line
+renderer. Reports go
 to standard output, diagnostics to standard error, and a usage error
 names the subcommand's usage line. A handler runs to completion, and
 raises every input error, before the first byte is written; the
@@ -40,10 +43,12 @@ errors.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from fractions import Fraction
-from operator import attrgetter
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -66,7 +71,6 @@ from .diagram import (
     SurgeryDiagram,
     ValidationError,
     _diagram_obj,
-    _json_pieces,
     _warn_even_euler_char,
     load_diagram,
 )
@@ -74,6 +78,7 @@ from .exact import TooManyDigits, format_rational
 from .expansion import (
     DEFAULT_ZIGZAG_POLICY,
     ExpandedPresentation,
+    LinkingBlocks,
     RangeError,
     Unsupported,
     ZIGZAG_POLICIES,
@@ -370,6 +375,127 @@ def _cmd_selftest(args, parser) -> tuple[dict, int]:
 
 # --------------------------------------------------------------------------
 # Rendering
+
+
+def _json_pieces(obj):
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for
+    byte, as a stream of pieces in order: ``main`` writes each piece as
+    it comes.
+
+    Dict keys must be strs (a report's always are; any other key raises
+    TypeError). CPython's C encoder is used only without ``indent``, so
+    this writes dicts and lists/tuples itself. An expansion's text is
+    megabytes and grows as the square of its curves, so it is never
+    held whole: the largest piece is one linking row. Two shapes keep
+    their work at C level:
+
+    * ``LinkingBlocks``, written as the list of its rows, one piece per
+      row, each from its blocks (``LinkingBlocks.row_texts``);
+    * a list of records, that is of dicts sharing one non-empty key
+      set: one %-template for the whole list, filled once per record
+      with its values' texts, a column at a time.
+
+    Plain strs and ints, None and bools are written the way the encoder
+    writes them, and empty containers as ``[]`` and ``{}``; every other
+    scalar goes through ``json.dumps``.
+    """
+    yield from _json_chunks(obj, "\n")
+    yield "\n"
+
+
+#: The scalars written the way the encoder writes them, by exact type
+#: (an int or str subclass goes through ``json.dumps``).
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: str,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_chunks(obj, newline: str):
+    """The pieces of ``obj`` written at the indent ``newline`` ends in."""
+    write = _SCALAR_TEXT.get(type(obj))
+    if write is not None:
+        yield write(obj)
+        return
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        opener = "{"
+        for key, value in sorted(obj.items()):
+            head = opener + inner + encode_basestring_ascii(key) + ": "
+            write = _SCALAR_TEXT.get(type(value))
+            if write is not None:  # one piece with its key
+                yield head + write(value)
+            else:
+                yield head
+                yield from _json_chunks(value, inner)
+            opener = ","
+        yield newline + "}"
+    elif type(obj) is LinkingBlocks:
+        # each row is one piece, its list separator in front; the first
+        # row's separator becomes the list's "["
+        deeper = inner + "  "
+        rows = obj.row_texts("," + deeper, "," + inner + "[" + deeper, inner + "]")
+        first = next(rows, None)
+        if first is None:
+            yield "[]"
+            return
+        yield "[" + first[1:]
+        yield from rows
+        yield newline + "]"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        if set(map(type, obj)) == {dict} and obj[0]:
+            keys = obj[0].keys()
+            if all(map(keys.__eq__, map(dict.keys, obj))):
+                yield "[" + inner
+                yield _records_text(obj, sorted(keys), inner)
+                yield newline + "]"
+                return
+        opener = "["
+        for value in obj:
+            yield opener + inner
+            yield from _json_chunks(value, inner)
+            opener = ","
+        yield newline + "]"
+    else:
+        yield json.dumps(obj)
+
+
+def _records_text(records, names: list[str], newline: str) -> str:
+    """Dicts with the keys ``names`` (sorted), each written at the indent
+    ``newline`` ends in, joined by the list separator."""
+    inner = newline + "  "
+    template = (
+        "{"
+        + inner
+        + ("," + inner).join(
+            encode_basestring_ascii(name).replace("%", "%%") + ": %s"
+            for name in names
+        )
+        + newline
+        + "}"
+    )
+    columns = [
+        _column_texts(list(map(itemgetter(name), records)), inner) for name in names
+    ]
+    return ("," + newline).join([template % row for row in zip(*columns)])
+
+
+def _column_texts(values: list, newline: str) -> list[str]:
+    """The text of each value, written at the indent ``newline`` ends in:
+    a column of one scalar type at C speed, any other one value by value."""
+    kinds = set(map(type, values))
+    write = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    if write is not None:
+        return list(map(write, values))
+    return ["".join(_json_chunks(value, newline)) for value in values]
 
 
 def _render_text(report: dict):

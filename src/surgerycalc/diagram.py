@@ -23,9 +23,12 @@ are. ``chain_diagram(tb, rot, euler_char, n)`` realizes the
 (+1)-push-off chain of contact (+1/n)-surgery, whose invariants the
 selftest checks against their closed forms.
 
-Diagrams serialize to a small JSON document; rationals travel as
-"p/q" strings, never floats. ``parse_diagram(serialize_diagram(d))``
-returns a diagram equal to ``d``.
+Diagrams serialize to a small JSON document, written by
+``json.dumps`` with sorted keys and an indent of 2; rationals travel
+as "p/q" strings, never floats. ``parse_diagram(serialize_diagram(d))``
+returns a diagram equal to ``d``. The data model ends here: the CLI
+writes its reports, and ``expansion`` lays out an expansion's linking
+matrix in blocks.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Optional
 
 from .exact import as_rational, format_rational
@@ -52,7 +53,6 @@ __all__ = [
     "chain_diagram",
     "diagram_from_obj",
     "diagram_to_obj",
-    "json_text",
     "load_diagram",
     "parse_diagram",
     "serialize_diagram",
@@ -234,63 +234,6 @@ def _check_unique_ids(components) -> None:
         seen.add(component.id)
 
 
-@dataclass(frozen=True)
-class LinkingBlocks:
-    """A linking matrix of curves in consecutive groups, as per-group blocks.
-
-    ``tbs[g]`` holds the tbs of group g's curves in order, and
-    ``source[g][h]`` (g != h) links every curve of group g with every
-    curve of group h; within a group a later curve links an earlier one
-    by the earlier curve's tb. So the row of curve i of group g, which
-    has L curves, is ``source[g][h]`` repeated len(tbs[h]) times for
-    each h < g, the tbs of the curves before i, 0, ``tbs[g][i]``
-    repeated L - i - 1 times, and ``source[g][h]`` repeated len(tbs[h])
-    times for each h > g.
-
-    Entries are ints, the diagonal is 0 and ``source`` is symmetric, by
-    construction from validated knots and diagrams.
-    """
-
-    tbs: tuple[tuple[int, ...], ...]
-    source: tuple[tuple[int, ...], ...]
-
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        """The linking matrix as a tuple of int tuples."""
-        rows = []
-        for g, tbs in enumerate(self.tbs):
-            blocks = [
-                (entry,) * len(self.tbs[h]) for h, entry in enumerate(self.source[g])
-            ]
-            left = sum(blocks[:g], ())
-            right = sum(blocks[g + 1 :], ())
-            for i, tb in enumerate(tbs):
-                rows.append(left + tbs[:i] + (0,) + (tb,) * (len(tbs) - i - 1) + right)
-        return tuple(rows)
-
-    def row_texts(self, sep: str, opener: str, closer: str):
-        """Each row's entries joined by ``sep``, between ``opener`` and ``closer``.
-
-        One str per block and per curve, and none per entry: a block is
-        one string repeated.
-        """
-        for g, tbs in enumerate(self.tbs):
-            row = self.source[g]
-            left = "".join([(str(row[h]) + sep) * len(self.tbs[h]) for h in range(g)])
-            right = "".join(
-                [(sep + str(row[h])) * len(self.tbs[h])
-                 for h in range(g + 1, len(self.tbs))]
-            )
-            pieces = [str(tb) + sep for tb in tbs]
-            earlier = "".join(pieces)
-            offset = 0
-            for i, tb in enumerate(tbs):
-                yield "".join(
-                    (opener, left, earlier[:offset], "0",
-                     (sep + str(tb)) * (len(tbs) - i - 1), right, closer)
-                )
-                offset += len(pieces[i])
-
-
 def chain_diagram(tb: int, rot: int, euler_char: int, n: int) -> SurgeryDiagram:
     """Contact (+1)-surgeries along ``n`` successive push-offs of one knot.
 
@@ -367,9 +310,7 @@ def _framed_matrix(diagram: SurgeryDiagram, indices, rhs) -> list[list[int]]:
                 f"component {component.id!r} carries no contact surgery coefficient"
             )
         q = r.denominator
-        row = [*map(linking[i].__getitem__, indices), rhs[position]]
-        if q != 1:
-            row = [q * entry for entry in row]
+        row = [q * linking[i][j] for j in indices] + [q * rhs[position]]
         row[position] = q * component.knot.tb + r.numerator
         rows.append(row)
     return rows
@@ -423,7 +364,8 @@ def _diagram_obj(ambient: AmbientStatus, rows, linking) -> dict:
 
     ``rows`` gives each component as (id, tb, rot, euler_char,
     coefficient), the coefficient already formatted or None;
-    ``linking`` (a list of rows or ``LinkingBlocks``) is kept as given.
+    ``linking`` (a list of rows or ``expansion.LinkingBlocks``) is kept
+    as given.
     """
     return {
         "ambient": ambient.value,
@@ -441,146 +383,9 @@ def _diagram_obj(ambient: AmbientStatus, rows, linking) -> dict:
     }
 
 
-def json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
-
-    The join of ``_json_pieces(obj)``, which the CLI writes piece by
-    piece instead.
-    """
-    return "".join(_json_pieces(obj))
-
-
-def _json_pieces(obj):
-    """The text of ``json_text(obj)`` as a stream of pieces, in order.
-
-    Dict keys must be strs (a report's always are; any other key raises
-    TypeError). CPython's C encoder is used only without ``indent``, so
-    this writes dicts and lists/tuples itself. An expansion's text is
-    megabytes and grows as the square of its curves, so it is never
-    held whole: the largest piece is one linking row. Three shapes keep
-    their work at C level:
-
-    * a list of plain ints (bools excluded), written with one
-      ``str.join``;
-    * ``LinkingBlocks``, written as the list of its rows, one piece per
-      row, each from its blocks (``LinkingBlocks.row_texts``);
-    * a list of records, that is of dicts sharing one non-empty key
-      set: one %-template for the whole list, filled once per record
-      with its values' texts, a column at a time.
-
-    Plain strs and ints, None and bools are written the way the encoder
-    writes them, and empty containers as ``[]`` and ``{}``; every other
-    scalar goes through ``json.dumps``.
-    """
-    yield from _json_chunks(obj, "\n")
-    yield "\n"
-
-
-#: The scalars written the way the encoder writes them, by exact type
-#: (an int or str subclass goes through ``json.dumps``).
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    int: str,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-def _json_chunks(obj, newline: str):
-    """The pieces of ``obj`` written at the indent ``newline`` ends in."""
-    write = _SCALAR_TEXT.get(type(obj))
-    if write is not None:
-        yield write(obj)
-        return
-    inner = newline + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        opener = "{"
-        for key, value in sorted(obj.items()):
-            head = opener + inner + encode_basestring_ascii(key) + ": "
-            write = _SCALAR_TEXT.get(type(value))
-            if write is not None:  # one piece with its key
-                yield head + write(value)
-            else:
-                yield head
-                yield from _json_chunks(value, inner)
-            opener = ","
-        yield newline + "}"
-    elif type(obj) is LinkingBlocks:
-        # each row is one piece, its list separator in front; the first
-        # row's separator becomes the list's "["
-        deeper = inner + "  "
-        rows = obj.row_texts("," + deeper, "," + inner + "[" + deeper, inner + "]")
-        first = next(rows, None)
-        if first is None:
-            yield "[]"
-            return
-        yield "[" + first[1:]
-        yield from rows
-        yield newline + "]"
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-            return
-        kinds = set(map(type, obj))
-        if kinds == {int}:
-            text = {value: str(value) for value in set(obj)}
-            yield "[" + inner
-            yield ("," + inner).join(map(text.__getitem__, obj))
-            yield newline + "]"
-            return
-        if kinds == {dict} and obj[0]:
-            keys = obj[0].keys()
-            if all(map(keys.__eq__, map(dict.keys, obj))):
-                yield "[" + inner
-                yield _records_text(obj, sorted(keys), inner)
-                yield newline + "]"
-                return
-        opener = "["
-        for value in obj:
-            yield opener + inner
-            yield from _json_chunks(value, inner)
-            opener = ","
-        yield newline + "]"
-    else:
-        yield json.dumps(obj)
-
-
-def _records_text(records, names: list[str], newline: str) -> str:
-    """Dicts with the keys ``names`` (sorted), each written at the indent
-    ``newline`` ends in, joined by the list separator."""
-    inner = newline + "  "
-    template = (
-        "{"
-        + inner
-        + ("," + inner).join(
-            encode_basestring_ascii(name).replace("%", "%%") + ": %s"
-            for name in names
-        )
-        + newline
-        + "}"
-    )
-    columns = [
-        _column_texts(list(map(itemgetter(name), records)), inner) for name in names
-    ]
-    return ("," + newline).join([template % row for row in zip(*columns)])
-
-
-def _column_texts(values: list, newline: str) -> list[str]:
-    """The text of each value, written at the indent ``newline`` ends in:
-    a column of one scalar type at C speed, any other one value by value."""
-    kinds = set(map(type, values))
-    write = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-    if write is not None:
-        return list(map(write, values))
-    return ["".join(_json_chunks(value, newline)) for value in values]
-
-
 def serialize_diagram(diagram: SurgeryDiagram) -> str:
     """Serialize to deterministic JSON (stable key order, trailing newline)."""
-    return json_text(diagram_to_obj(diagram))
+    return json.dumps(diagram_to_obj(diagram), indent=2, sort_keys=True) + "\n"
 
 
 def _require_int(value: object, where: str) -> int:

@@ -153,10 +153,9 @@ def solve_integral(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]
             raise DimensionMismatch(
                 f"row {index} has {len(row)} entries, expected {n + 1}"
             )
-        if not set(map(type, row)) <= {int}:
-            for value in row:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise TypeError(f"row {index}: not an int: {value!r}")
+        for value in row:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"row {index}: not an int: {value!r}")
     if n == 0:
         return (), 1
     reduced = _eliminate(rows, n)

@@ -32,7 +32,8 @@ through as the knot itself, and every other shape gets curves named
 "<id>#<position>". Its shape test is one predicate,
 ``_check_expandable``, which ``invariants`` shares. The expansion is
 kept as one named record per derived curve, which carries the id and
-the Euler characteristic of its source knot.
+the Euler characteristic of its source knot, and its linking matrix as
+per-group blocks (``LinkingBlocks``), which the CLI writes row by row.
 
 Stabilization sign choices ("zigzags") are not canonical and genuinely
 change the resulting contact structure. They are fixed by a named
@@ -51,7 +52,6 @@ from typing import NamedTuple, Optional, Sequence
 from .diagram import (
     AmbientStatus,
     LegendrianKnotData,
-    LinkingBlocks,
     SurgeryComponent,
     SurgeryDiagram,
     _check_unique_ids,
@@ -305,6 +305,63 @@ def _knot_group(
 
 # --------------------------------------------------------------------------
 # The expander
+
+
+@dataclass(frozen=True)
+class LinkingBlocks:
+    """A linking matrix of curves in consecutive groups, as per-group blocks.
+
+    ``tbs[g]`` holds the tbs of group g's curves in order, and
+    ``source[g][h]`` (g != h) links every curve of group g with every
+    curve of group h; within a group a later curve links an earlier one
+    by the earlier curve's tb. So the row of curve i of group g, which
+    has L curves, is ``source[g][h]`` repeated len(tbs[h]) times for
+    each h < g, the tbs of the curves before i, 0, ``tbs[g][i]``
+    repeated L - i - 1 times, and ``source[g][h]`` repeated len(tbs[h])
+    times for each h > g.
+
+    Entries are ints, the diagonal is 0 and ``source`` is symmetric, by
+    construction from validated knots and diagrams.
+    """
+
+    tbs: tuple[tuple[int, ...], ...]
+    source: tuple[tuple[int, ...], ...]
+
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The linking matrix as a tuple of int tuples."""
+        rows = []
+        for g, tbs in enumerate(self.tbs):
+            blocks = [
+                (entry,) * len(self.tbs[h]) for h, entry in enumerate(self.source[g])
+            ]
+            left = sum(blocks[:g], ())
+            right = sum(blocks[g + 1 :], ())
+            for i, tb in enumerate(tbs):
+                rows.append(left + tbs[:i] + (0,) + (tb,) * (len(tbs) - i - 1) + right)
+        return tuple(rows)
+
+    def row_texts(self, sep: str, opener: str, closer: str):
+        """Each row's entries joined by ``sep``, between ``opener`` and ``closer``.
+
+        One str per block and per curve, and none per entry: a block is
+        one string repeated.
+        """
+        for g, tbs in enumerate(self.tbs):
+            row = self.source[g]
+            left = "".join([(str(row[h]) + sep) * len(self.tbs[h]) for h in range(g)])
+            right = "".join(
+                [(sep + str(row[h])) * len(self.tbs[h])
+                 for h in range(g + 1, len(self.tbs))]
+            )
+            pieces = [str(tb) + sep for tb in tbs]
+            earlier = "".join(pieces)
+            offset = 0
+            for i, tb in enumerate(tbs):
+                yield "".join(
+                    (opener, left, earlier[:offset], "0",
+                     (sep + str(tb)) * (len(tbs) - i - 1), right, closer)
+                )
+                offset += len(pieces[i])
 
 
 def expand_diagram(

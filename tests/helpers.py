@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import surgerycalc
+from surgerycalc.cli import _json_pieces
 from surgerycalc import (
     AmbientStatus,
     LegendrianKnotData,
@@ -20,6 +21,12 @@ from surgerycalc import (
     SurgeryDiagram,
 )
 from surgerycalc.selftest import _cofactor_det as cofactor_det
+
+
+def json_text(obj) -> str:
+    """The report writer's pieces of ``obj``, joined: the text
+    ``--format json`` writes."""
+    return "".join(_json_pieces(obj))
 
 
 def child_env(env=None) -> dict:

@@ -18,8 +18,8 @@ import surgerycalc.invariants
 import surgerycalc.selftest
 from surgerycalc.classify import RULE_THM1, BennequinReport, Conclusion
 from surgerycalc.cli import main
-from surgerycalc.diagram import AmbientStatus, LinkingBlocks, load_diagram
-from surgerycalc.expansion import expand_diagram
+from surgerycalc.diagram import AmbientStatus, load_diagram
+from surgerycalc.expansion import LinkingBlocks, expand_diagram
 from surgerycalc.invariants import NonNullhomologousDual
 from surgerycalc.selftest import SelfTestFailure, run_checks
 

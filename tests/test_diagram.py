@@ -32,11 +32,11 @@ from surgerycalc import (
     serialize_diagram,
     solve_integral,
 )
-from surgerycalc.diagram import _check_positive, _dual_links, _framed_matrix, json_text
+from surgerycalc.diagram import _check_positive, _dual_links, _framed_matrix
 from surgerycalc.selftest import _cofactor_det as cofactor_det
 from surgerycalc.selftest import _det as det
 
-from helpers import cramer, fraction_det, framed_matrices, random_diagram
+from helpers import cramer, fraction_det, framed_matrices, json_text, random_diagram
 
 
 def unknot(cid="K", tb=-1, rot=0, chi=1):

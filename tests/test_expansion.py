@@ -29,7 +29,6 @@ from surgerycalc import (
     ValidationError,
 )
 from surgerycalc.cli import _expansion_obj
-from surgerycalc.diagram import json_text
 from surgerycalc.exact import format_rational
 from surgerycalc.expansion import ZIGZAG_POLICIES, _Curve, _knot_group
 
@@ -39,6 +38,7 @@ from helpers import (
     euclid_subtractive_steps,
     fraction_det,
     framed_matrices,
+    json_text,
     random_diagram,
 )
 

@@ -29,8 +29,9 @@ import pytest
 
 import surgerycalc.data as bundled
 from surgerycalc.cli import build_parser, main
-from surgerycalc.diagram import json_text
 from surgerycalc.invariants import NonNullhomologousDual
+
+from helpers import json_text
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_cli.json"
 
