@@ -18,26 +18,25 @@ Subcommands:
   inputs and handler of ``invariants``, with its own payload.
 * ``selftest``: run the built-in verification grids.
 
-A report is a dict of command, options, results and cited rules.
-This module is the one that writes reports: ``--format json`` writes
-the bytes of ``json.dumps(report, indent=2, sort_keys=True)`` and a
+A report is a dict of command, options, results and cited rules. This
+module is the one that writes reports: ``--format json`` writes the
+bytes of ``json.dumps(report, indent=2, sort_keys=True)`` and a
 newline with its own streaming writer, ``_json_pieces``, and the
 default text format renders the report with the command's line
-renderer. Reports go
-to standard output, diagnostics to standard error, and a usage error
-names the subcommand's usage line. A handler runs to completion, and
-raises every input error, before the first byte is written; the
-report is then written as it is rendered, a piece at a time, so an
-expansion's memory is O(N) plus one linking row rather than its
-O(N^2) text. Only writing can fail midway, which may leave a partial
-report on stdout before the one error line. Exit codes: 0 success, 1
-selftest failure, 2 malformed or invalid input or an unwritable
-report, 3 mathematically undefined request (a non-nullhomologous
-dual). The four commands that read a diagram accept a directory
-instead of a file and process every *.json inside it independently,
-in sorted order; the exit code is the worst of the files'. With a
-diagram, the options that describe a knot or a chain are usage
-errors.
+renderer. Reports go to standard output, diagnostics to standard
+error, and a usage error names the subcommand's usage line. A handler
+runs to completion, and raises every input error, before the first
+byte is written; the report is then written as it is rendered, a piece
+at a time, so an expansion's memory is O(N) plus one linking row
+rather than its O(N^2) text. Only writing can fail midway, which may
+leave a partial report on stdout before the one error line. Exit
+codes: 0 success, 1 selftest failure, 2 malformed or invalid input or
+an unwritable report, 3 mathematically undefined request (a
+non-nullhomologous dual). The four commands that read a diagram accept
+a directory instead of a file and process every *.json inside it
+independently, in sorted order; the exit code is the worst of the
+files'. With a diagram, the options that describe a knot or a chain
+are usage errors.
 """
 
 from __future__ import annotations

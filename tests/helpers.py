@@ -13,13 +13,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import surgerycalc
-from surgerycalc.cli import _json_pieces
 from surgerycalc import (
     AmbientStatus,
     LegendrianKnotData,
     SurgeryComponent,
     SurgeryDiagram,
 )
+from surgerycalc.cli import _json_pieces
 from surgerycalc.selftest import _cofactor_det as cofactor_det
 
 
