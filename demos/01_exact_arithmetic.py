@@ -25,7 +25,7 @@ rows = [row + [-2] for row in m]
 print("\n(M | b) =", rows)
 
 # The solve works in integers: it returns y and d with x = y / d, and d
-# is the determinant of the system up to sign.
+# is the determinant of the system, det M = 1 - 4 = -3.
 y, d = solve_integral(rows)
 print("as integers over one denominator: y =", y, " d =", d)
 print("|det M| = |d| =", abs(d), " (equals |n*tb + 1| = 3)")

@@ -42,7 +42,7 @@ def linking_matrices(diagram, dual_id):
 
 def abs_det(rows):
     """|det| of a square int matrix: |d| of a solve with it (d is the
-    determinant of the system up to sign), 0 when it is singular."""
+    determinant of the system), 0 when it is singular."""
     try:
         return abs(solve_integral([row + [0] for row in rows])[1])
     except SingularMatrix:

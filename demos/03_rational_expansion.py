@@ -11,7 +11,7 @@ topological coefficient a/b on a knot in the 3-sphere, |H1| = |a| must
 equal |det| of the derived presentation matrix. That matrix is built
 here from the expansion's curve records by the linking rule, and its
 |det| is read off as |d| from ``solve_integral`` (d is the determinant
-of the system up to sign).
+of the system).
 """
 
 from fractions import Fraction

@@ -14,10 +14,10 @@ system of ``invariants`` (one row per surgered component, never one
 per expanded curve). ``diagram`` builds it with its denominators
 already cleared, so ``solve_integral`` takes augmented rows of Python
 ints only. It runs fraction-free Bareiss elimination (Bareiss 1968)
-and back-substitutes for y = d * x, where d is the last pivot (the
-determinant of the system up to sign). By Cramer's rule y is integral,
-so every division is exact, and no gcd is ever taken. Elimination is
-cubic in the dimension.
+and back-substitutes for y = d * x, where d = det A with its sign
+(the last pivot times the parity of the row swaps). By Cramer's rule
+y is integral, so every division is exact, and no gcd is ever taken.
+Elimination is cubic in the dimension.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def _eliminate(
 
 
 def solve_integral(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
-    """Integers (y, d), d != 0, with A . (y / d) = b exactly.
+    """Integers (y, d), d = det A != 0, with A . (y / d) = b exactly.
 
     ``rows`` are the n augmented rows (A_i | b_i) of the system, each n
     ints and then b_i. Raises TypeError for an entry that is not an int
@@ -161,11 +161,12 @@ def solve_integral(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]
     reduced = _eliminate(rows, n)
     if reduced is None:
         raise SingularMatrix("matrix has determinant zero")
-    upper = reduced[0]
-    # With d the last pivot (the determinant of the permuted system),
-    # y = d * x is integral by Cramer's rule, so back-substitution for y
-    # divides exactly. Row i is (pivot, entries right of it, rhs).
-    d = upper[-1][0]
+    upper, sign = reduced
+    # The last pivot is the determinant of the row-swapped system, so
+    # d = det A. y = d * x is integral by Cramer's rule, so
+    # back-substitution for y divides exactly. Row i is (pivot, entries
+    # right of it, rhs).
+    d = sign * upper[-1][0]
     y = [0] * n
     for i in range(n - 1, -1, -1):
         row = upper[i]

@@ -8,7 +8,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surgerycalc import (
@@ -258,8 +258,8 @@ def test_solve_multiply_back_randomized():
         if cofactor_det(rows) == 0:
             continue
         y, d = multiply_back(rows, tuple(rng.randint(-9, 9) for _ in range(4)))
-        # d is the determinant of the system up to the sign of the swaps
-        assert abs(d) == abs(det(rows))
+        # d is the determinant of the system, row swaps included
+        assert d == cofactor_det(rows)
         done += 1
 
 
@@ -276,6 +276,34 @@ def test_solve_dimension_mismatch():
 
 def test_solve_dimension_zero():
     assert solve_integral([]) == ((), 1)
+
+
+@st.composite
+def int_systems(draw):
+    """Augmented int rows (A | b) of dimension 0-5; about half of them
+    have a zero leading entry, so that elimination must swap rows."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    entries = st.integers(min_value=-3, max_value=3)
+    rows = draw(st.lists(st.lists(entries, min_size=n + 1, max_size=n + 1),
+                         min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        rows[0][0] = 0
+    return rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(int_systems())
+@example([[0, 1, 0], [1, 0, 0]])
+def test_solve_d_is_the_signed_determinant(rows):
+    # d is det A with its sign, row swaps included, against the
+    # independent cofactor oracle; SingularMatrix exactly when det A = 0.
+    determinant = cofactor_det([row[:-1] for row in rows])
+    if determinant == 0:
+        with pytest.raises(SingularMatrix):
+            solve_integral(rows)
+        return
+    y, d = solve_integral(rows)
+    assert d == determinant
 
 
 @settings(deadline=None, max_examples=60)
