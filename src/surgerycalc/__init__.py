@@ -8,16 +8,16 @@ overtwistedness or tightness of the surgered contact manifold where a
 criterion certifies it. All arithmetic is exact; nothing is ever a
 float.
 
-Modules:
+Modules, one owner per pipeline stage; no module imports another's
+private name:
 
-* ``exact``: exact rationals and ``solve_integral``, the one
+* ``exact``: exact rationals and ``solve_integral``, the whole
   fraction-free (Bareiss) elimination kernel: it takes augmented rows
-  of Python ints and returns ints y and d, the solution being y / d.
-* ``diagram``: the surgery diagram data model, the framed linking
-  system of the invariants built cleared of denominators (row i times
-  the denominator q_i of its coefficient, so every entry is an int),
-  the (+1)-push-off chain diagrams (``chain_diagram(tb, rot,
-  euler_char, n)``), and the JSON file format.
+  of Python ints and returns ints y and d = det A, the solution being
+  y / d.
+* ``diagram``: the surgery diagram data model and its validation, the
+  (+1)-push-off chain diagrams (``chain_diagram(tb, rot, euler_char,
+  n)``), and the JSON file format.
 * ``expansion``: negative continued fractions and ``expand_diagram``,
   the one expander of rational coefficients into (+-1)-surgeries with
   stabilization bookkeeping, through one private coefficient-shape
@@ -27,7 +27,10 @@ Modules:
   per-group blocks; the per-curve components and the matrix are built
   only when ``derived_diagram`` is first read.
 * ``invariants``: invariants of surgery-dual knots; ``dual_invariants``
-  is the one entry point: a k x k solve over the unexpanded components
+  is the one entry point. It builds the framed linking system cleared
+  of denominators (row i times the denominator q_i of its coefficient,
+  so every entry is an int) and takes a k x k solve over the unexpanded
+  components
   plus a closed form per expanded curve group, never the curves or the
   expanded matrix, in ints until tb_Q and rot_Q. On an expanded
   diagram it evaluates the dense linking-matrix formulas. The (+1/n)

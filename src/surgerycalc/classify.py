@@ -42,7 +42,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .diagram import (
     AmbientStatus,
@@ -50,7 +50,7 @@ from .diagram import (
     MissingCoefficient,
     SurgeryDiagram,
     ValidationError,
-    _check_positive,
+    check_positive,
 )
 from .exact import RationalLike, as_rational, format_rational
 from .expansion import Unsupported
@@ -223,7 +223,7 @@ def classify_thm1(ambient: AmbientStatus, knot: LegendrianKnotData, n: int) -> V
     re-executes the mechanism: the dual knot's closed-form invariants
     violate the rational Bennequin bound.
     """
-    _check_positive(n, "n")
+    check_positive(n, "n")
     rot, line = _compare("|rot|", abs(knot.rot), ">", -knot.euler_char, "-euler_char")
     reversal = " (orientation reversed: rot negates, tb and euler_char persist)"
     # |rot| is rot itself for rot >= 0, and the held line says rot
@@ -306,10 +306,10 @@ def classify_thm2(ambient: AmbientStatus, coefficient: RationalLike) -> Verdict:
     return _evaluate(RULE_THM2, Conclusion.OVERTWISTED, hypotheses, lines)
 
 
-def _check_coprime_positive(p: int, q: int) -> None:
+def check_coprime_positive(p: int, q: int) -> None:
     """Raise unless p and q are relatively prime positive integers."""
-    _check_positive(p, "p")
-    _check_positive(q, "q")
+    check_positive(p, "p")
+    check_positive(q, "q")
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"p = {p} and q = {q} are not relatively prime")
 
@@ -322,7 +322,7 @@ def classify_lemma_tight(plus_one_known_tight: bool, p: int, q: int) -> Verdict:
     (-p/(p-q))-surgery along its push-off, i.e. Legendrian
     (-1)-surgeries, which preserve tightness (used as an axiom).
     """
-    _check_coprime_positive(p, q)
+    check_coprime_positive(p, q)
     p_above_q, line = _compare("q - p", q - p, "<", 0)
     premise = "contact (+1)-surgery along the knot is"
     hypotheses = [
@@ -429,7 +429,7 @@ def classify_diagram(
         )
 
     if p is not None:
-        _check_coprime_positive(p, q)
+        check_coprime_positive(p, q)
         for component in diagram.components:
             if component.is_surgered:
                 continue

@@ -56,8 +56,8 @@ from .classify import (
     NotCoprime,
     RULE_NONE,
     bennequin_check,
+    check_coprime_positive,
     classify_diagram,
-    _check_coprime_positive,
     verdict_from_bennequin,
     verdict_to_obj,
 )
@@ -69,9 +69,9 @@ from .diagram import (
     SurgeryComponent,
     SurgeryDiagram,
     ValidationError,
-    _diagram_obj,
-    _warn_even_euler_char,
+    diagram_obj,
     load_diagram,
+    warn_even_euler_char,
 )
 from .exact import TooManyDigits, format_rational
 from .expansion import (
@@ -162,7 +162,7 @@ def _expansion_obj(presentation: ExpandedPresentation) -> dict:
     # TooManyDigits before its first byte rather than stopping it midway.
     for field in ("tb", "rot"):
         format_rational(max(map(abs, map(attrgetter(field), records)), default=0))
-    obj = _diagram_obj(
+    obj = diagram_obj(
         presentation.ambient,
         (
             (curve.id, curve.tb, curve.rot, curve.euler_char, texts[curve.coefficient])
@@ -239,7 +239,7 @@ def _knot_from_args(args: argparse.Namespace, knot_id: str) -> LegendrianKnotDat
         id=knot_id, tb=args.tb, rot=args.rot,
         euler_char=1 if args.chi is None else args.chi,
     )
-    _warn_even_euler_char(knot)
+    warn_even_euler_char(knot)
     return knot
 
 
@@ -341,7 +341,7 @@ def _cmd_classify(args, parser) -> tuple[dict, int]:
     q = 1 if args.q is None else args.q
     if args.p is not None:
         try:
-            _check_coprime_positive(p, q)
+            check_coprime_positive(p, q)
         except (ValidationError, NotCoprime) as error:
             parser.error(f"--p/--q: {error}")
     assumptions = {cid: True for cid in (args.assume_plus_one_tight or [])}

@@ -12,23 +12,21 @@ Topological framings are always derived as ``tb + coefficient``, so
 the diagonal of the stored linking matrix is unused and must be zero.
 This avoids carrying redundant, possibly inconsistent data.
 
-The module also builds the one linear system the package solves: the
-framed linking system of the components other than an unsurgered
-dual, whose matrix Lambda has the framings tb_i + p_i/q_i on its
-diagonal and linking numbers elsewhere (on an expanded diagram, the
-integer linking matrix ``M``). It is built with its denominators
-cleared: row i and its right-hand side are multiplied by q_i, so every
-entry is an int and ``exact.solve_integral`` takes the rows as they
-are. ``chain_diagram(tb, rot, euler_char, n)`` realizes the
-(+1)-push-off chain of contact (+1/n)-surgery, whose invariants the
-selftest checks against their closed forms.
+``chain_diagram(tb, rot, euler_char, n)`` realizes the (+1)-push-off
+chain of contact (+1/n)-surgery, whose invariants the selftest checks
+against their closed forms. What other modules share is public here
+without joining ``__all__``: the checks ``check_positive``,
+``check_unique_ids`` and ``warn_even_euler_char``, and ``diagram_obj``,
+the JSON object of a diagram, which the CLI also writes for an
+expansion.
 
 Diagrams serialize to a small JSON document, written by
 ``json.dumps`` with sorted keys and an indent of 2; rationals travel
 as "p/q" strings, never floats. ``parse_diagram(serialize_diagram(d))``
 returns a diagram equal to ``d``. The data model ends here: the CLI
-writes its reports, and ``expansion`` lays out an expansion's linking
-matrix in blocks.
+writes its reports, ``expansion`` lays out an expansion's linking
+matrix in blocks, and ``invariants`` builds the linear system it
+solves.
 """
 
 from __future__ import annotations
@@ -122,13 +120,13 @@ class LegendrianKnotData:
             )
 
 
-def _check_positive(value: object, name: str) -> None:
+def check_positive(value: object, name: str) -> None:
     """Raise unless ``value``, the argument ``name``, is a positive int."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValidationError(f"{name} must be a positive integer, got {value!r}")
 
 
-def _warn_even_euler_char(knot: LegendrianKnotData) -> None:
+def warn_even_euler_char(knot: LegendrianKnotData) -> None:
     """Warn, at the caller's line, when an input knot's euler_char is even."""
     if knot.euler_char % 2 == 0:
         warnings.warn(
@@ -181,7 +179,7 @@ class SurgeryDiagram:
         object.__setattr__(self, "linking", tuple(map(tuple, self.linking)))
         if not isinstance(self.ambient, AmbientStatus):
             raise ValidationError(f"ambient must be an AmbientStatus, got {self.ambient!r}")
-        _check_unique_ids(self.components)
+        check_unique_ids(self.components)
         n = len(self.components)
         linking = self.linking
         if len(linking) != n:
@@ -225,7 +223,7 @@ class SurgeryDiagram:
         return self.components[self.component_index(component_id)]
 
 
-def _check_unique_ids(components) -> None:
+def check_unique_ids(components) -> None:
     """Raise ValidationError naming the first component id seen twice."""
     seen: set[str] = set()
     for component in components:
@@ -252,7 +250,7 @@ def chain_diagram(tb: int, rot: int, euler_char: int, n: int) -> SurgeryDiagram:
     are then built without re-validation, which is sound because they
     come from these checked numbers and from no parsed input.
     """
-    _check_positive(n, "n")
+    check_positive(n, "n")
     LegendrianKnotData(id="L#1", tb=tb, rot=rot, euler_char=euler_char)
     plus_one = Fraction(1)
     coefficients = {f"L#{i}": plus_one for i in range(1, n + 1)}
@@ -289,59 +287,12 @@ def _prebuilt(cls, **fields):
     return obj
 
 
-def _framed_matrix(diagram: SurgeryDiagram, indices, rhs) -> list[list[int]]:
-    """Rows q_i (Lambda_i | rhs_i) of the framed linking system of the
-    components at ``indices``, rhs in the same order.
-
-    Lambda has tb_i + p_i/q_i on the diagonal and linking numbers
-    elsewhere. Row i and its right-hand side are multiplied by the
-    denominator q_i of its coefficient, which leaves the solution
-    Lambda^-1 rhs as it is: every entry is an int, q_i tb_i + p_i on the
-    diagonal, q_i lk_ij off it and q_i rhs_i last. MissingCoefficient
-    for the first unsurgered component.
-    """
-    components, linking = diagram.components, diagram.linking
-    rows = []
-    for position, i in enumerate(indices):
-        component = components[i]
-        r = component.contact_coefficient
-        if r is None:
-            raise MissingCoefficient(
-                f"component {component.id!r} carries no contact surgery coefficient"
-            )
-        q = r.denominator
-        row = [q * linking[i][j] for j in indices] + [q * rhs[position]]
-        row[position] = q * component.knot.tb + r.numerator
-        rows.append(row)
-    return rows
-
-
-def _dual_links(
-    diagram: SurgeryDiagram, dual_index: int
-) -> tuple[list[int], tuple[int, ...]]:
-    """Indices of the components other than the dual, and their links with it.
-
-    ``dual_index`` must name an unsurgered component.
-    """
-    n = len(diagram.components)
-    if not 0 <= dual_index < n:
-        raise ValidationError(f"dual index {dual_index} out of range")
-    dual = diagram.components[dual_index]
-    if dual.is_surgered:
-        raise ValidationError(
-            f"dual component {dual.id!r} must not carry a surgery coefficient"
-        )
-    row = diagram.linking[dual_index]
-    others = [*range(dual_index), *range(dual_index + 1, n)]
-    return others, row[:dual_index] + row[dual_index + 1 :]
-
-
 # --------------------------------------------------------------------------
 # JSON round trip
 
 
 def diagram_to_obj(diagram: SurgeryDiagram) -> dict:
-    return _diagram_obj(
+    return diagram_obj(
         diagram.ambient,
         (
             (
@@ -359,7 +310,7 @@ def diagram_to_obj(diagram: SurgeryDiagram) -> dict:
     )
 
 
-def _diagram_obj(ambient: AmbientStatus, rows, linking) -> dict:
+def diagram_obj(ambient: AmbientStatus, rows, linking) -> dict:
     """The JSON object of a diagram.
 
     ``rows`` gives each component as (id, tb, rot, euler_char,
@@ -439,7 +390,7 @@ def diagram_from_obj(obj: object) -> SurgeryDiagram:
             rot=_require_int(raw["rot"], f"{where}.rot"),
             euler_char=_require_int(raw["euler_char"], f"{where}.euler_char"),
         )
-        _warn_even_euler_char(knot)
+        warn_even_euler_char(knot)
         components.append(
             SurgeryComponent(knot=knot, contact_coefficient=coefficient)
         )

@@ -11,7 +11,7 @@ as 0/1) on top of arbitrary-precision integers.
 
 The one linear system the package solves is the k x k framed linking
 system of ``invariants`` (one row per surgered component, never one
-per expanded curve). ``diagram`` builds it with its denominators
+per expanded curve). ``invariants`` builds it with its denominators
 already cleared, so ``solve_integral`` takes augmented rows of Python
 ints only. It runs fraction-free Bareiss elimination (Bareiss 1968)
 and back-substitutes for y = d * x, where d = det A with its sign
@@ -100,44 +100,6 @@ def format_rational(value: RationalLike) -> str:
         ) from None
 
 
-def _eliminate(
-    rows: Sequence[Sequence[int]], n: int
-) -> tuple[list[Sequence[int]], int] | None:
-    """Integer fraction-free (Bareiss) elimination of the first n columns.
-
-    ``rows`` are rows of Python ints, which are not modified; the
-    elimination runs over ints and no gcd is ever taken. Rows may carry
-    extra columns (a right-hand side) that are transformed along.
-    Returns (upper, sign): upper[k] is row k of the upper triangular
-    integer form from column k on, and sign the parity of the row
-    swaps, so that det = sign * upper[n-1][0]. Returns None when a pivot
-    column is zero, that is, when the matrix is singular.
-    """
-    active = list(rows)
-    upper = []
-    sign = 1
-    previous_pivot = 1
-    for _ in range(n):
-        if not active[0][0]:
-            swap = next((i for i, row in enumerate(active) if row[0]), None)
-            if swap is None:
-                return None
-            active[0], active[swap] = active[swap], active[0]
-            sign = -sign
-        top = active[0]
-        pivot = top[0]
-        tail = top[1:]
-        upper.append(top)
-        # Bareiss step on the rows below, which drop the pivot column:
-        # the division by the previous pivot is exact.
-        active = [
-            [(x * pivot - row[0] * y) // previous_pivot for x, y in zip(row[1:], tail)]
-            for row in active[1:]
-        ]
-        previous_pivot = pivot
-    return upper, sign
-
-
 def solve_integral(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
     """Integers (y, d), d = det A != 0, with A . (y / d) = b exactly.
 
@@ -156,17 +118,35 @@ def solve_integral(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]
         for value in row:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"row {index}: not an int: {value!r}")
-    if n == 0:
-        return (), 1
-    reduced = _eliminate(rows, n)
-    if reduced is None:
-        raise SingularMatrix("matrix has determinant zero")
-    upper, sign = reduced
+    # Fraction-free (Bareiss) elimination over ints, which leaves
+    # ``rows`` unmodified: upper[k] is row k of the upper triangular
+    # form from column k on, rhs last, and sign the parity of the row
+    # swaps.
+    active = list(rows)
+    upper = []
+    sign = pivot = 1
+    for _ in range(n):
+        if not active[0][0]:
+            swap = next((i for i, row in enumerate(active) if row[0]), None)
+            if swap is None:
+                raise SingularMatrix("matrix has determinant zero")
+            active[0], active[swap] = active[swap], active[0]
+            sign = -sign
+        top = active[0]
+        previous_pivot, pivot = pivot, top[0]
+        tail = top[1:]
+        upper.append(top)
+        # Bareiss step on the rows below, which drop the pivot column:
+        # the division by the previous pivot is exact.
+        active = [
+            [(x * pivot - row[0] * y) // previous_pivot for x, y in zip(row[1:], tail)]
+            for row in active[1:]
+        ]
     # The last pivot is the determinant of the row-swapped system, so
-    # d = det A. y = d * x is integral by Cramer's rule, so
+    # d = det A (1 for n = 0). y = d * x is integral by Cramer's rule, so
     # back-substitution for y divides exactly. Row i is (pivot, entries
     # right of it, rhs).
-    d = sign * upper[-1][0]
+    d = sign * pivot
     y = [0] * n
     for i in range(n - 1, -1, -1):
         row = upper[i]

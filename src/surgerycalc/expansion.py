@@ -30,7 +30,8 @@ a one-component diagram. One private dispatch, ``_knot_group``, picks
 the shape of each surgered component; it alone passes +1 and -1
 through as the knot itself, and every other shape gets curves named
 "<id>#<position>". Its shape test is one predicate,
-``_check_expandable``, which ``invariants`` shares. The expansion is
+``check_expandable``, public (outside ``__all__``) because
+``invariants`` runs it too. The expansion is
 kept as one named record per derived curve, which carries the id and
 the Euler characteristic of its source knot, and its linking matrix as
 per-group blocks (``LinkingBlocks``), which the CLI writes row by row.
@@ -54,7 +55,7 @@ from .diagram import (
     LegendrianKnotData,
     SurgeryComponent,
     SurgeryDiagram,
-    _check_unique_ids,
+    check_unique_ids,
 )
 from .exact import RationalLike, as_rational, format_rational
 
@@ -267,7 +268,7 @@ def _negative_chain(
     return curves
 
 
-def _check_expandable(knot: LegendrianKnotData, r: Fraction) -> None:
+def check_expandable(knot: LegendrianKnotData, r: Fraction) -> None:
     """Raise Unsupported unless contact (r)-surgery along ``knot`` has an
     expandable shape: +1/n, +p/q with p > q >= 1, or negative."""
     if r < 0 or r.numerator == 1 or r.numerator > r.denominator:
@@ -288,7 +289,7 @@ def _knot_group(
     expansion; +1 and -1 are the knot itself. Every curve is a
     (+1)-surgery along an unstabilized push-off or a (-1)-surgery.
     """
-    _check_expandable(knot, r)
+    check_expandable(knot, r)
     if abs(r) == 1:
         return [_unstabilized(knot, r.numerator)]
     if r < 0:
@@ -385,7 +386,7 @@ def expand_diagram(
     No knot, component or matrix is built. The checks that can fail on
     input run here, in the order the objects' constructors and
     ``SurgeryDiagram`` would make them: the policy name, the
-    coefficient shape (``_check_expandable``) while the groups are
+    coefficient shape (``check_expandable``) while the groups are
     built, then unique ids on the curves. Every other check those
     constructors make holds by construction, since the curves come
     from a diagram that was already validated: ids are non-empty strs;
@@ -405,7 +406,7 @@ def expand_diagram(
         for component in diagram.components
     ]
     records = tuple(chain.from_iterable(groups))
-    _check_unique_ids(records)
+    check_unique_ids(records)
     blocks = LinkingBlocks(
         tbs=tuple(tuple(curve.tb for curve in group) for group in groups),
         source=diagram.linking,

@@ -21,15 +21,16 @@ knot, so its Euler characteristic is carried over verbatim.
 ``dual_invariants`` is the one entry point. On an expanded diagram,
 where every surgered coefficient is +-1, each surgered curve is a
 one-curve group with pair (1, rot) (step 3 below), so it evaluates
-exactly these formulas with M the matrix it solves. It takes the solve
-as integers y / d (``exact.solve_integral``, on the int rows that
-``diagram`` builds) and builds only tb_Q and rot_Q as Fractions.
+exactly these formulas with M the matrix it solves. This module builds
+the system it solves, as int rows cleared of denominators
+(``_framed_matrix``, step 1 below), takes the solve as integers y / d
+(``exact.solve_integral``) and builds only tb_Q and rot_Q as Fractions.
 
 Integer-coefficient convention. When every surgered coefficient is an
 integer, each surgered component is one curve with its own tb and rot
 and M is the k x k framed linking matrix. Otherwise every surgered
 component K_i (coefficient r_i) stands for its group of m_i curves
-c_1, ..., c_m from ``expansion._knot_group`` with the default
+c_1, ..., c_m in ``expand_diagram``'s expansion with the default
 (all-negative) zigzags: tb t_j, rot rot_j, coefficient e_j = +-1.
 Within a group c_a and c_b (a < b) link by t_a; curves of different
 groups link as their sources do, and each links L by l_i = lk(L, K_i).
@@ -125,15 +126,14 @@ from fractions import Fraction
 from operator import mul
 
 from .diagram import (
+    MissingCoefficient,
     SurgeryComponent,
     SurgeryDiagram,
     ValidationError,
-    _check_positive,
-    _dual_links,
-    _framed_matrix,
+    check_positive,
 )
 from .exact import SingularMatrix, format_rational, solve_integral
-from .expansion import _check_expandable
+from .expansion import check_expandable
 
 __all__ = [
     "DualKnotInvariants",
@@ -184,7 +184,7 @@ def dual_invariants_closed_form(
     The homological order is |n*tb + 1|; n*tb + 1 = 0 is the degenerate
     case, NonNullhomologousDual.
     """
-    _check_positive(n, "n")
+    check_positive(n, "n")
     denominator = n * tb + 1
     if denominator == 0:
         raise NonNullhomologousDual(
@@ -244,6 +244,54 @@ def dual_invariants(diagram: SurgeryDiagram, component_id: str) -> DualKnotInvar
     )
 
 
+def _dual_links(
+    diagram: SurgeryDiagram, dual_index: int
+) -> tuple[list[int], tuple[int, ...]]:
+    """Indices of the components other than the dual, and their links with it.
+
+    ``dual_index`` must name an unsurgered component.
+    """
+    n = len(diagram.components)
+    if not 0 <= dual_index < n:
+        raise ValidationError(f"dual index {dual_index} out of range")
+    dual = diagram.components[dual_index]
+    if dual.is_surgered:
+        raise ValidationError(
+            f"dual component {dual.id!r} must not carry a surgery coefficient"
+        )
+    row = diagram.linking[dual_index]
+    others = [*range(dual_index), *range(dual_index + 1, n)]
+    return others, row[:dual_index] + row[dual_index + 1 :]
+
+
+def _framed_matrix(diagram: SurgeryDiagram, indices, rhs) -> list[list[int]]:
+    """Rows q_i (Lambda_i | rhs_i) of the framed linking system of the
+    components at ``indices``, rhs in the same order (module docstring,
+    step 1).
+
+    Lambda has tb_i + p_i/q_i on the diagonal and linking numbers
+    elsewhere. Row i and its right-hand side are multiplied by the
+    denominator q_i of its coefficient, which leaves the solution
+    Lambda^-1 rhs as it is: every entry is an int, q_i tb_i + p_i on the
+    diagonal, q_i lk_ij off it and q_i rhs_i last. MissingCoefficient
+    for the first unsurgered component.
+    """
+    components, linking = diagram.components, diagram.linking
+    rows = []
+    for position, i in enumerate(indices):
+        component = components[i]
+        r = component.contact_coefficient
+        if r is None:
+            raise MissingCoefficient(
+                f"component {component.id!r} carries no contact surgery coefficient"
+            )
+        q = r.denominator
+        row = [q * linking[i][j] for j in indices] + [q * rhs[position]]
+        row[position] = q * component.knot.tb + r.numerator
+        rows.append(row)
+    return rows
+
+
 def _group_pairs(components: list[SurgeryComponent]) -> list[tuple[int, int]]:
     """(D_2, w) of each component other than the dual, up to one sign per
     pair (module docstring, step 3).
@@ -270,7 +318,7 @@ def _group_pairs(components: list[SurgeryComponent]) -> list[tuple[int, int]]:
     for c in components:
         if expand and c.is_surgered:
             r = c.contact_coefficient
-            _check_expandable(c.knot, r)
+            check_expandable(c.knot, r)
             p, q = r.numerator, r.denominator
             pairs.append((q, q * c.knot.rot + p - (1 if p > 0 else -1)))
         else:

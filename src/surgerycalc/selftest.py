@@ -25,7 +25,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from . import exact
 from .classify import (
     CONWAY_FLAG,
     Conclusion,
@@ -41,10 +40,9 @@ from .diagram import (
     parse_diagram,
     SurgeryComponent,
     SurgeryDiagram,
-    _dual_links,
-    _framed_matrix,
     serialize_diagram,
 )
+from .exact import RationalLike, SingularMatrix, solve_integral
 from .expansion import (
     evaluate_negative_continued_fraction,
     expand_diagram,
@@ -64,7 +62,7 @@ class SelfTestFailure(Exception):
     """A built-in identity check failed; the message names the identity."""
 
 
-def _cofactor_det(rows: Sequence[Sequence[exact.RationalLike]]) -> Fraction:
+def _cofactor_det(rows: Sequence[Sequence[RationalLike]]) -> Fraction:
     """Independent determinant oracle: Laplace expansion along rows.
 
     Deliberately naive so that it shares no code path with the
@@ -96,29 +94,34 @@ def _cofactor_det(rows: Sequence[Sequence[exact.RationalLike]]) -> Fraction:
 
 def _det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square int matrix by the package's elimination
-    kernel; the 0 x 0 matrix has determinant 1."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    reduced = exact._eliminate(rows, n)
-    if reduced is None:
+    kernel: the d of ``solve_integral`` on the rows and a zero column, 0
+    when it is singular. The 0 x 0 matrix has determinant 1."""
+    try:
+        return solve_integral([[*row, 0] for row in rows])[1]
+    except SingularMatrix:
         return 0
-    upper, sign = reduced
-    return sign * upper[-1][0]
 
 
 def _bordered(diagram: SurgeryDiagram, dual: str) -> tuple[list, list]:
     """``M`` and the bordered ``M0`` of a diagram whose surgery
-    coefficients are all integers (so no row of its system is scaled).
+    coefficients are all integers, read off the diagram's fields.
 
     ``M`` is the framed linking matrix of the components other than the
-    unsurgered ``dual``; ``M0`` borders it with corner 0 and their
-    linking numbers with the dual.
+    unsurgered ``dual``: tb + coefficient on the diagonal and linking
+    numbers elsewhere. ``M0`` borders it with corner 0 and their linking
+    numbers with the dual. Nothing here is shared with the system that
+    ``dual_invariants`` builds.
     """
-    others, link_vector = _dual_links(diagram, diagram.component_index(dual))
-    system = _framed_matrix(diagram, others, link_vector)
-    m = [row[:-1] for row in system]
-    return m, [[0, *link_vector]] + [row[-1:] + row[:-1] for row in system]
+    index = diagram.component_index(dual)
+    others = [i for i in range(len(diagram.components)) if i != index]
+    link_vector = [diagram.linking[index][i] for i in others]
+    m = []
+    for i in others:
+        row = [diagram.linking[i][j] for j in others]
+        component = diagram.components[i]
+        row[len(m)] = component.knot.tb + component.contact_coefficient.numerator
+        m.append(row)
+    return m, [[0, *link_vector]] + [[v, *row] for v, row in zip(link_vector, m)]
 
 
 def _run(name: str, rows: Iterable[tuple[str, object, object]]) -> dict:

@@ -1,9 +1,11 @@
-"""The public API: every exported name resolves, the README's
-quickstart runs and prints what its comments show, and the commands
-import nothing outside the standard library."""
+"""The public API: every exported name resolves, no module reaches into
+another module's private names, the README's quickstart runs and prints
+what its comments show, and the commands import nothing outside the
+standard library."""
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import importlib
 import io
@@ -20,6 +22,7 @@ import surgerycalc
 import surgerycalc.data as bundled
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(surgerycalc.__file__).resolve().parent
 
 # The layers whose public functions the benchmark's traced run wraps by
 # reading their ``__all__``, and the package itself.
@@ -42,6 +45,45 @@ def test_every_name_in_all_resolves(name):
     assert len(exported) == len(set(exported))
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reaches(path: Path) -> list[str]:
+    """Each private name the module at ``path`` takes from a module of
+    its package: by a ``from`` import, or as an attribute of a module
+    it imported whole (``from . import exact``, then ``exact._name``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reaches, modules = [], set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        package = node.level == 1 or (node.module or "").split(".")[0] == "surgerycalc"
+        if not package:
+            continue
+        for alias in node.names:
+            if node.module is None or node.module == "surgerycalc":
+                modules.add(alias.asname or alias.name)
+            elif _private(alias.name):
+                reaches.append(f"{path.stem}: {node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _private(node.attr)
+        ):
+            reaches.append(f"{path.stem}: {node.value.id}.{node.attr}")
+    return reaches
+
+
+def test_no_module_takes_a_private_name_of_another():
+    # A check two modules share is public in the module that owns it; a
+    # private name stays inside its module. Tests may still reach one.
+    reaches = [r for path in sorted(PACKAGE.glob("*.py")) for r in private_reaches(path)]
+    assert reaches == []
 
 
 def quickstart_block() -> str:

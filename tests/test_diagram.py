@@ -20,9 +20,7 @@ from surgerycalc import (
     AmbientStatus,
     DualKnotInvariants,
     LegendrianKnotData,
-    MissingCoefficient,
     ParseError,
-    SingularMatrix,
     SurgeryComponent,
     SurgeryDiagram,
     ValidationError,
@@ -30,13 +28,12 @@ from surgerycalc import (
     dual_invariants,
     parse_diagram,
     serialize_diagram,
-    solve_integral,
 )
-from surgerycalc.diagram import _check_positive, _dual_links, _framed_matrix
+from surgerycalc.diagram import check_positive
 from surgerycalc.selftest import _cofactor_det as cofactor_det
 from surgerycalc.selftest import _det as det
 
-from helpers import cramer, fraction_det, framed_matrices, json_text, random_diagram
+from helpers import fraction_det, framed_matrices, json_text, random_diagram
 
 
 def unknot(cid="K", tb=-1, rot=0, chi=1):
@@ -243,101 +240,6 @@ def test_constructors_accept_subclasses():
 
 
 # --------------------------------------------------------------------------
-# The framed linking system, row-scaled where it is built
-
-
-def one_surgery(tb, coefficient, dual_linking=2):
-    """Knot K (tb ``tb``) surgered with ``coefficient``; unsurgered dual L."""
-    return SurgeryDiagram(
-        ambient=AmbientStatus.UNKNOWN,
-        components=(
-            SurgeryComponent(knot=unknot(tb=tb), contact_coefficient=coefficient),
-            SurgeryComponent(knot=unknot("L")),
-        ),
-        linking=((0, dual_linking), (dual_linking, 0)),
-    )
-
-
-def test_framed_matrix_diagonal_values():
-    # the row of tb + p/q is q times (tb + p/q | lk): q tb + p and q lk
-    for tb, coefficient, row in (
-        (-2, Fraction(1, 3), [-5, 6]),
-        (-1, Fraction(1), [0, 2]),
-        (-1, Fraction(-1), [-2, 2]),
-        (4, Fraction(-7, 5), [13, 10]),
-    ):
-        assert _framed_matrix(one_surgery(tb, coefficient), [0], [2]) == [row]
-        assert framed_matrices(one_surgery(tb, coefficient), "L")[0] == [
-            [tb + coefficient]
-        ]
-
-
-def test_framed_matrix_missing_coefficient():
-    diagram = SurgeryDiagram(
-        ambient=AmbientStatus.UNKNOWN,
-        components=(SurgeryComponent(knot=unknot()), SurgeryComponent(knot=unknot("L"))),
-        linking=((0, 1), (1, 0)),
-    )
-    for build in (
-        lambda: _framed_matrix(diagram, [0], [1]),
-        lambda: dual_invariants(diagram, "L"),
-    ):
-        with pytest.raises(MissingCoefficient) as raised:
-            build()
-        assert str(raised.value) == "component 'K' carries no contact surgery coefficient"
-
-
-def _random_system_diagram(rng):
-    """1-4 surgered components p/q (|p| <= 30, q <= 7), then the dual L."""
-    k = rng.randint(1, 4)
-    components = []
-    for index in range(k):
-        while True:
-            coefficient = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
-            if coefficient:
-                break
-        components.append(
-            SurgeryComponent(
-                knot=unknot(f"K{index}", tb=rng.randint(-6, 3)),
-                contact_coefficient=coefficient,
-            )
-        )
-    components.append(SurgeryComponent(knot=unknot("L")))
-    linking = [[0] * (k + 1) for _ in range(k + 1)]
-    for i in range(k + 1):
-        for j in range(i):
-            linking[i][j] = linking[j][i] = rng.randint(-3, 3)
-    return SurgeryDiagram(AmbientStatus.UNKNOWN, tuple(components), linking)
-
-
-def test_row_scaled_system_solves_like_lambda():
-    # The int rows q_i (Lambda_i | l_i) have the solution of the
-    # unscaled rational system Lambda x = l, by Cramer's rule over the
-    # cofactor determinant, and are singular exactly when Lambda is.
-    rng = random.Random(20261019)
-    singular = 0
-    for _ in range(1200):
-        diagram = _random_system_diagram(rng)
-        others, link_vector = _dual_links(diagram, diagram.component_index("L"))
-        rows = _framed_matrix(diagram, others, link_vector)
-        lam, _, lk = framed_matrices(diagram, "L")
-        assert lk == link_vector
-        for row, lam_row, l, component in zip(rows, lam, lk, diagram.components):
-            q = component.contact_coefficient.denominator
-            assert {type(entry) for entry in row} == {int}
-            assert row == [q * entry for entry in (*lam_row, l)]
-        expected = cramer(lam, lk)
-        if expected is None:
-            singular += 1
-            with pytest.raises(SingularMatrix):
-                solve_integral(rows)
-            continue
-        y, d = solve_integral(rows)
-        assert tuple(Fraction(v, d) for v in y) == expected
-    assert singular > 0
-
-
-# --------------------------------------------------------------------------
 # Chain matrices
 
 
@@ -382,7 +284,7 @@ def test_determinant_identities_on_grid():
 
 def validated_chain(tb, rot, euler_char, n):
     """The chain built through the validating constructors."""
-    _check_positive(n, "n")
+    check_positive(n, "n")
     components = [
         SurgeryComponent(
             knot=LegendrianKnotData(id=f"L#{i}", tb=tb, rot=rot, euler_char=euler_char),
@@ -461,145 +363,6 @@ def test_chain_diagram_rejects_what_the_constructors_reject(args, message):
 
 
 # --------------------------------------------------------------------------
-# General matrices
-
-
-def dual_system(diagram, dual_id):
-    """The library's int rows of the dual's system, as ``dual_invariants``
-    builds them."""
-    others, link_vector = _dual_links(diagram, diagram.component_index(dual_id))
-    return _framed_matrix(diagram, others, link_vector)
-
-
-def test_general_matrices_counterexample_diagram():
-    diagram = bundled.load("figure1.json")
-    m, m0, link_vector = framed_matrices(diagram, "L")
-    assert m == [[0, -1], [-1, -2]]
-    assert m0 == [[0, -1, 0], [-1, 0, -1], [0, -1, -2]]
-    assert link_vector == (-1, 0)
-    assert dual_system(diagram, "L") == [[0, -1, -1], [-1, -2, 0]]
-
-
-def test_general_matrices_degenerate_pushoff():
-    diagram = bundled.load("s1xs2.json")
-    m, m0, link_vector = framed_matrices(diagram, "U")
-    assert m == [[0]]
-    assert det(m) == 0
-    assert link_vector == (-1,)
-    with pytest.raises(SingularMatrix):
-        solve_integral(dual_system(diagram, "U"))
-
-
-def test_general_matrices_match_chain_builders():
-    # Entries written out from the formulas: diagonal tb + 1 and
-    # off-diagonal tb for M; M0 borders it with tb and corner 0.
-    for tb in range(-5, 3):
-        for n in range(1, 6):
-            m_rows = [[tb + 1 if i == j else tb for j in range(n)] for i in range(n)]
-            m0_rows = [[0] + [tb] * n] + [[tb] + row for row in m_rows]
-            diagram = chain_diagram(tb, 2, -1, n)
-            m, m0, link_vector = framed_matrices(diagram, "dual")
-            assert m == chain_m(tb, 2, -1, n) == m_rows
-            assert m0 == chain_m0(tb, 2, -1, n) == m0_rows
-            assert link_vector == (tb,) * n
-            assert dual_system(diagram, "dual") == [row + [tb] for row in m_rows]
-            ids = [c.id for c in diagram.components]
-            assert ids == [f"L#{i}" for i in range(1, n + 1)] + ["dual"]
-
-
-def test_dual_system_table():
-    figure1 = bundled.load("figure1.json")
-    s1xs2 = bundled.load("s1xs2.json")
-    lone = SurgeryDiagram(
-        ambient=AmbientStatus.UNKNOWN,
-        components=(SurgeryComponent(knot=unknot("L")),),
-        linking=((0,),),
-    )
-    chain = chain_diagram(-3, 1, 1, 4)
-    for diagram, dual_id in ((figure1, "L"), (s1xs2, "U"), (lone, "L"), (chain, "dual")):
-        m, m0, link_vector = framed_matrices(diagram, dual_id)
-        # every coefficient here is an integer, so no row is scaled
-        assert dual_system(diagram, dual_id) == [
-            row + [entry] for row, entry in zip(m, link_vector)
-        ]
-        assert m0 == [[0, *link_vector]] + [
-            [entry, *row] for entry, row in zip(link_vector, m)
-        ]
-    for diagram, index, message in (
-        (figure1, 3, "out of range"),
-        (figure1, -1, "out of range"),
-        (figure1, figure1.component_index("U"), "must not carry a surgery"),
-        (s1xs2, s1xs2.component_index("K"), "must not carry a surgery"),
-    ):
-        with pytest.raises(ValidationError, match=message):
-            _dual_links(diagram, index)
-
-
-def test_general_matrices_no_surgered_components():
-    # Degenerate bordered case: M is 0 x 0 with det 1, M0 = [[0]].
-    diagram = SurgeryDiagram(
-        ambient=AmbientStatus.UNKNOWN,
-        components=(SurgeryComponent(knot=unknot("L")),),
-        linking=((0,),),
-    )
-    m, m0, link_vector = framed_matrices(diagram, "L")
-    assert m == [] == dual_system(diagram, "L")
-    assert det(m) == 1
-    assert solve_integral([]) == ((), 1)
-    assert m0 == [[0]]
-    assert link_vector == ()
-
-
-def test_general_matrices_rejects_surgered_dual():
-    diagram = bundled.load("s1xs2.json")
-    with pytest.raises(ValidationError):
-        _dual_links(diagram, diagram.component_index("K"))
-    with pytest.raises(ValidationError):
-        dual_invariants(diagram, "K")
-
-
-def test_rational_coefficients_give_lambda():
-    # Rational coefficients frame by tb + p/q: the unscaled matrix is
-    # Lambda, with Fractions only on those diagonal entries, and the
-    # library's rows are q_i (Lambda_i | l_i), all ints.
-    a = SurgeryComponent(knot=unknot("A", tb=-2), contact_coefficient=Fraction(1, 2))
-    b = SurgeryComponent(knot=unknot("B", tb=-3), contact_coefficient=Fraction(-7, 3))
-    c = SurgeryComponent(knot=unknot("C", tb=-1), contact_coefficient=Fraction(-2))
-    lam = [[Fraction(-3, 2), 2, 1], [2, Fraction(-16, 3), -1], [1, -1, -3]]
-    diagram = SurgeryDiagram(
-        ambient=AmbientStatus.UNKNOWN,
-        components=(a, b, c, SurgeryComponent(knot=unknot("L"))),
-        linking=((0, 2, 1, 1), (2, 0, -1, 0), (1, -1, 0, 3), (1, 0, 3, 0)),
-    )
-    m, m0, link_vector = framed_matrices(diagram, "L")
-    assert m == lam
-    assert m0 == [[0, 1, 0, 3]] + [[v] + row for v, row in zip((1, 0, 3), lam)]
-    assert link_vector == (1, 0, 3)
-    rows = dual_system(diagram, "L")
-    assert rows == [[-3, 4, 2, 2], [6, -16, -3, 0], [1, -1, -3, 3]]
-    assert {type(entry) for row in rows for entry in row} == {int}
-
-
-def test_general_matrices_rejects_second_unsurgered():
-    diagram = SurgeryDiagram(
-        ambient=AmbientStatus.UNKNOWN,
-        components=(
-            SurgeryComponent(knot=unknot("A")),
-            SurgeryComponent(knot=unknot("L")),
-        ),
-        linking=((0, 1), (1, 0)),
-    )
-    with pytest.raises(MissingCoefficient):
-        dual_system(diagram, "L")
-
-
-def test_framed_matrix_requires_all_surgered():
-    diagram = bundled.load("s1xs2.json")
-    with pytest.raises(MissingCoefficient):
-        _framed_matrix(diagram, range(2), (0, 0))
-
-
-# --------------------------------------------------------------------------
 # Serialization
 
 
@@ -613,7 +376,7 @@ def test_bundled_diagrams_parse():
 
     s1xs2 = bundled.load("s1xs2.json")
     assert [c.id for c in s1xs2.components] == ["K", "U"]
-    assert _framed_matrix(s1xs2, [0], [-1]) == [[0, -1]]
+    assert framed_matrices(s1xs2, "U") == ([[0]], [[0, -1], [-1, 0]], (-1,))
 
 
 def test_round_trip_bundled():

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import ast
 import random
 import sys
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import surgerycalc
 from surgerycalc import (
     DimensionMismatch,
     SingularMatrix,
@@ -347,3 +350,48 @@ def test_kernel_rejects_floats_and_bools(inexact):
             solve_integral(rows)
     assert solve_integral([[1, 0, 1], [0, 1, 1]]) == ((1, 1), 1)
 
+
+# --------------------------------------------------------------------------
+# No float anywhere
+
+
+def inexact_sites(source: str) -> list[str]:
+    """Where a module could make a float: a true division ``/``, a float
+    or complex literal, or a call of ``float``, ``round`` or ``complex``."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            what = "/"
+        elif isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            what = repr(node.value)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("float", "round", "complex")
+        ):
+            what = f"{node.func.id}()"
+        else:
+            continue
+        sites.append((node.lineno, node.col_offset, what))
+    return [f"line {line}: {what}" for line, _, what in sorted(sites)]
+
+
+def test_inexact_sites_finds_each_kind():
+    source = "a = b / c\na /= 2\nx = 0.5 + 1j\ny = float(a) + round(a) + complex(a)\n"
+    assert inexact_sites(source) == [
+        "line 1: /", "line 2: /", "line 3: 0.5", "line 3: 1j",
+        "line 4: float()", "line 4: round()", "line 4: complex()",
+    ]
+    assert inexact_sites("a = b // c\nr = Fraction(1, 2)\n") == []
+
+
+def test_the_package_makes_no_float():
+    # Every number is an int or a Fraction: the verdicts flip on exact
+    # signs, so no module divides with / or names a float.
+    package = Path(surgerycalc.__file__).resolve().parent
+    found = {
+        path.name: sites
+        for path in sorted(package.glob("*.py"))
+        if (sites := inexact_sites(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
