@@ -19,6 +19,12 @@ The reference has no answer for two input classes, and raises:
 ``classify`` is the exception: the program skips its Conway check, says
 so in the trace and exits 0, where the reference raises computing the
 flag.
+
+A third class the reference cannot answer, while the program can: a
+multi-curve group whose framing tb + r is 0 makes the reference's
+per-group solve singular (the benchmark's generator never draws one).
+Those requests are counted and left unchecked here; the dense oracle of
+``test_invariants`` covers them.
 """
 
 from __future__ import annotations
@@ -113,8 +119,9 @@ def requests(gen, path: str, name: str, model: dict) -> list:
 
 def outcomes(bench, directory: Path, texts: dict[str, str]) -> Counter:
     """Check every request on each diagram document (file name -> text)
-    against the reference; how many were checked and how many the
-    reference refused, by its exception."""
+    against the reference; how many were checked, how many the
+    reference refused, by its exception, and how many it could not
+    answer for a singular group."""
     ref, gen, check = bench
     inputs = gen.Inputs()
     for name, text in texts.items():
@@ -133,6 +140,12 @@ def outcomes(bench, directory: Path, texts: dict[str, str]) -> Counter:
             assert sum(c["r"] is None for c in model["components"]) >= 2, req.argv
             outcome = "TypeError"
         except ref.ReferenceError as error:
+            if str(error).startswith("singular group "):
+                source = str(error)[len("singular group "):]
+                component = next(c for c in model["components"] if c["id"] == source)
+                assert component["tb"] + component["r"] == 0, req.argv
+                counts["singular group"] += 1
+                continue
             assert str(error).endswith("has no expansion rule"), (req.argv, error)
             assert any(c["r"] is not None and 1 < c["r"].numerator < c["r"].denominator
                        for c in model["components"]), req.argv
@@ -157,28 +170,36 @@ def test_reference_matches_the_bundled_diagrams(bench, directory):
     assert outcomes(bench, directory, texts) == {"checked": 24}
 
 
-def _diagram(coefficients: dict[str, Fraction | None]) -> str:
-    """Unknots (tb -1, rot 0) with these coefficients, each pair linked once."""
+def _diagram(knots: dict[str, tuple[int, Fraction | None]]) -> str:
+    """Knots (id -> tb, coefficient) with rot 0, each pair linked once."""
     components = tuple(
-        SurgeryComponent(LegendrianKnotData(id=cid, tb=-1, rot=0, euler_char=1), r)
-        for cid, r in coefficients.items()
+        SurgeryComponent(LegendrianKnotData(id=cid, tb=tb, rot=0, euler_char=1), r)
+        for cid, (tb, r) in knots.items()
     )
     size = len(components)
     linking = [[int(i != j) for j in range(size)] for i in range(size)]
     return serialize_diagram(SurgeryDiagram(AmbientStatus.UNKNOWN, components, linking))
 
 
-def test_reference_refusals_are_input_errors(bench, directory):
+def test_reference_refusals(bench, directory):
     texts = {
         # a second unsurgered component: the duals' systems have no coefficient
-        "two-duals.json": _diagram({"K": Fraction(-1), "L": None, "M": None}),
+        "two-duals.json": _diagram(
+            {"K": (-1, Fraction(-1)), "L": (-1, None), "M": (-1, None)}
+        ),
         # +2/3 has no expansion rule, so it expands nowhere
-        "two-thirds.json": _diagram({"K": Fraction(2, 3), "L": None}),
+        "two-thirds.json": _diagram({"K": (-1, Fraction(2, 3)), "L": (-1, None)}),
+        # K's group of curves for +2 has framing tb + 2 = 0, and J's +1/2
+        # makes every surgered component a group
+        "singular-group.json": _diagram(
+            {"K": (-2, Fraction(2)), "J": (-1, Fraction(1, 2)), "L": (-1, None)}
+        ),
     }
     # two-duals: 6 expand checked, and per dual and format invariants,
-    # bennequin and classify refused; two-thirds: every request refused
+    # bennequin and classify refused; two-thirds: every request refused;
+    # singular-group: 6 expand checked, the 6 dual requests unanswered
     assert outcomes(bench, directory, texts) == {
-        "checked": 6, "TypeError": 12, "ReferenceError": 12
+        "checked": 12, "TypeError": 12, "ReferenceError": 12, "singular group": 6
     }
 
 
