@@ -755,6 +755,13 @@ def test_classify_rejects_assumption_on_surgered_component():
         classify_diagram(diagram, {"K": True}, p=2, q=1)
 
 
+def test_classify_rejects_a_non_boolean_assumption():
+    diagram = bundled.load("figure1.json")
+    with pytest.raises(ValidationError) as raised:
+        classify_diagram(diagram, {"L": 1}, p=2, q=1)
+    assert str(raised.value) == "assumption for 'L' must be a boolean"
+
+
 def test_classify_no_tight_and_overtwisted_together():
     rng = random.Random(777)
     seen_tight = seen_overtwisted = 0

@@ -249,6 +249,22 @@ def test_classify_batch_directory(tmp_path, capsys):
     assert files == sorted(files) == ["chain.json", "figure1.json"]
 
 
+def test_classify_empty_directory_exit_2(tmp_path, capsys):
+    code = main(["classify", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: directory {str(tmp_path)!r} contains no *.json diagrams\n"
+
+
+def test_classify_diagram_without_components(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"ambient": "tight", "components": [], "linking": []}', encoding="utf-8")
+    code = main(["classify", str(path), "--n", "2"])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("\nno verdicts (no components to classify)\n")
+
+
 ALL_SURGERED = {
     "ambient": "tight",
     "components": [
@@ -662,6 +678,10 @@ def test_classify_n_with_q_exit_2(tmp_path, capsys):
          "--tb does not apply to a diagram file"),
         (["invariants", "FIG", "--dual", "L", "--tb", "7", "--n", "2"],
          "--tb does not apply to a diagram file"),
+        (["expand", "--tb", "-2", "--rot", "0"],
+         "a coefficient is required: --n N for +1/N, or --p/--q"),
+        (["expand", "--tb", "-2", "--rot", "0", "--p", "5", "--q", "0"],
+         "--q must be a positive integer"),
     ],
 )
 def test_usage_error_in_handler_prints_subcommand_usage(tmp_path, capsys, argv, message):

@@ -161,10 +161,20 @@ def component_of(coefficient):
     return SurgeryComponent(knot=unknot(), contact_coefficient=coefficient)
 
 
+def diagram_of(**fields):
+    values = {
+        "ambient": AmbientStatus.UNKNOWN,
+        "components": (SurgeryComponent(knot=unknot()),),
+        "linking": ((0,),),
+    }
+    return SurgeryDiagram(**{**values, **fields})
+
+
 # Values each validating constructor rejects, with the error it raises:
 # bools, floats and numeric strs are not ints, and a zero coefficient, an
 # euler_char above 1 and an order that a denominator does not divide are
-# out of range.
+# out of range; a diagram needs an AmbientStatus and one linking entry per
+# component in each row.
 CONSTRUCTOR_ERRORS = [
     (lambda: knot_of(tb=True), ValidationError, "K.tb must be an integer, got True"),
     (lambda: knot_of(rot=False), ValidationError, "K.rot must be an integer, got False"),
@@ -199,6 +209,10 @@ CONSTRUCTOR_ERRORS = [
     (lambda: dual_of(tb_q=-1), ValidationError, "tb_q must be a Fraction, got -1"),
     (lambda: dual_of(rot_q=0.5), ValidationError, "rot_q must be a Fraction, got 0.5"),
     (lambda: dual_of(rot_q="1/3"), ValidationError, "rot_q must be a Fraction, got '1/3'"),
+    (lambda: diagram_of(linking=((0, 0),)), ValidationError,
+     "linking[0] has 2 entries, expected 1"),
+    (lambda: diagram_of(ambient="tight"), ValidationError,
+     "ambient must be an AmbientStatus, got 'tight'"),
 ]
 
 
@@ -492,6 +506,29 @@ def test_parse_rejects_asymmetric_linking():
     """
     with pytest.raises(ValidationError, match=r"linking\[1\]\[0\]"):
         parse_diagram(text)
+
+
+KNOT_OBJ = {"id": "A", "tb": -1, "rot": 0, "euler_char": 1}
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([], "diagram document must be a JSON object"),
+        ({"components": [], "linking": []}, "ambient: field missing"),
+        ({"ambient": "tight", "components": {}, "linking": []},
+         "components: expected a list"),
+        ({"ambient": "tight", "components": [5], "linking": [[0]]},
+         "components[0]: expected an object"),
+        ({"ambient": "tight", "components": []}, "linking: expected a list of lists"),
+        ({"ambient": "tight", "components": [KNOT_OBJ], "linking": [5]},
+         "linking[0]: expected a list"),
+    ],
+)
+def test_parse_rejects_bad_structure(obj, message):
+    with pytest.raises(ParseError) as raised:
+        parse_diagram(json.dumps(obj))
+    assert str(raised.value) == message
 
 
 def test_parse_rejects_bad_ambient():

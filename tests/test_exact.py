@@ -67,7 +67,7 @@ def test_parse_rational_basic():
     assert parse_rational(" 2/6 ") == Fraction(1, 3)
 
 
-@pytest.mark.parametrize("bad", ["", "a", "1.5", "1/0", "1/-2", "--3", "3/", "/2"])
+@pytest.mark.parametrize("bad", ["", "a", "1.5", "1/0", "1/-2", "--3", "3/", "/2", 5])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

@@ -97,6 +97,14 @@ def test_digits_rejects_nonnegative():
         negative_continued_fraction(0)
 
 
+@pytest.mark.parametrize(
+    "digits_function", [evaluate_negative_continued_fraction, stabilization_counts]
+)
+def test_empty_digits_rejected(digits_function):
+    with pytest.raises(ValueError, match="^empty continued fraction$"):
+        digits_function(())
+
+
 def test_round_trip_grid():
     for p in range(1, 41):
         for q in range(1, 41):
