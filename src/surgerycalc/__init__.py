@@ -39,109 +39,23 @@ private name:
   justification traces.
 * ``cli`` / ``selftest``: the command-line tool and its built-in
   verification grids.
+
+The package re-exports each library module's ``__all__``, the one list
+of its public names, in the order above; ``cli`` stays out.
 """
 
-from .classify import (
-    BennequinReport,
-    Conclusion,
-    InconsistentAssumptions,
-    NotCoprime,
-    Verdict,
-    bennequin_check,
-    classify_diagram,
-    classify_lemma_tight,
-    classify_thm1,
-    classify_thm2,
-    verdict_from_bennequin,
-    verdict_to_obj,
-)
-from .diagram import (
-    AmbientStatus,
-    LegendrianKnotData,
-    MissingCoefficient,
-    ParseError,
-    SurgeryComponent,
-    SurgeryDiagram,
-    ValidationError,
-    chain_diagram,
-    diagram_from_obj,
-    diagram_to_obj,
-    load_diagram,
-    parse_diagram,
-    serialize_diagram,
-)
-from .exact import (
-    DimensionMismatch,
-    SingularMatrix,
-    TooManyDigits,
-    as_rational,
-    format_rational,
-    parse_rational,
-    solve_integral,
-)
-from .expansion import (
-    ExpandedPresentation,
-    RangeError,
-    Unsupported,
-    evaluate_negative_continued_fraction,
-    expand_diagram,
-    negative_continued_fraction,
-    stabilization_counts,
-)
-from .invariants import (
-    DualKnotInvariants,
-    NonNullhomologousDual,
-    dual_invariants,
-    dual_invariants_closed_form,
-)
-from .selftest import SelfTestFailure, run_checks
+from . import classify, diagram, exact, expansion, invariants, selftest
+from .exact import *
+from .diagram import *
+from .expansion import *
+from .invariants import *
+from .classify import *
+from .selftest import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbientStatus",
-    "BennequinReport",
-    "Conclusion",
-    "DimensionMismatch",
-    "DualKnotInvariants",
-    "ExpandedPresentation",
-    "InconsistentAssumptions",
-    "LegendrianKnotData",
-    "MissingCoefficient",
-    "NonNullhomologousDual",
-    "NotCoprime",
-    "ParseError",
-    "RangeError",
-    "SelfTestFailure",
-    "SingularMatrix",
-    "SurgeryComponent",
-    "SurgeryDiagram",
-    "TooManyDigits",
-    "Unsupported",
-    "ValidationError",
-    "Verdict",
-    "as_rational",
-    "bennequin_check",
-    "chain_diagram",
-    "classify_diagram",
-    "classify_lemma_tight",
-    "classify_thm1",
-    "classify_thm2",
-    "diagram_from_obj",
-    "diagram_to_obj",
-    "dual_invariants",
-    "dual_invariants_closed_form",
-    "evaluate_negative_continued_fraction",
-    "expand_diagram",
-    "format_rational",
-    "load_diagram",
-    "negative_continued_fraction",
-    "parse_diagram",
-    "parse_rational",
-    "run_checks",
-    "serialize_diagram",
-    "solve_integral",
-    "stabilization_counts",
-    "verdict_from_bennequin",
-    "verdict_to_obj",
+    name
+    for module in (exact, diagram, expansion, invariants, classify, selftest)
+    for name in module.__all__
 ]

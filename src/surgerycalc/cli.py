@@ -78,7 +78,6 @@ from .expansion import (
     DEFAULT_ZIGZAG_POLICY,
     ExpandedPresentation,
     LinkingBlocks,
-    RangeError,
     Unsupported,
     ZIGZAG_POLICIES,
     expand_diagram,
@@ -102,7 +101,6 @@ _INPUT_ERRORS = (
     ParseError,
     ValidationError,
     MissingCoefficient,
-    RangeError,
     Unsupported,
     InconsistentAssumptions,
     TooManyDigits,
@@ -425,13 +423,8 @@ def _json_chunks(obj, newline: str):
             return
         opener = "{"
         for key, value in sorted(obj.items()):
-            head = opener + inner + encode_basestring_ascii(key) + ": "
-            write = _SCALAR_TEXT.get(type(value))
-            if write is not None:  # one piece with its key
-                yield head + write(value)
-            else:
-                yield head
-                yield from _json_chunks(value, inner)
+            yield opener + inner + encode_basestring_ascii(key) + ": "
+            yield from _json_chunks(value, inner)
             opener = ","
         yield newline + "}"
     elif type(obj) is LinkingBlocks:

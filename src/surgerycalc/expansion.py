@@ -269,15 +269,15 @@ def _negative_chain(
 
 
 def check_expandable(knot: LegendrianKnotData, r: Fraction) -> None:
-    """Raise Unsupported unless contact (r)-surgery along ``knot`` has an
-    expandable shape: +1/n, +p/q with p > q >= 1, or negative."""
-    if r < 0 or r.numerator == 1 or r.numerator > r.denominator:
-        return
-    raise Unsupported(
-        f"contact coefficient {format_rational(r)} on component "
-        f"{knot.id!r} is not of an expandable shape "
-        "(+-1, +1/n, +p/q with p > q >= 1, or negative)"
-    )
+    """Raise Unsupported for contact (r)-surgery along ``knot`` with r =
+    +p/q in lowest terms and 1 < p < q, the one shape that is not
+    expandable (+1/n, +p/q with p > q >= 1, or negative; r is never 0)."""
+    if 1 < r.numerator < r.denominator:
+        raise Unsupported(
+            f"contact coefficient {format_rational(r)} on component "
+            f"{knot.id!r} is not of an expandable shape "
+            "(+-1, +1/n, +p/q with p > q >= 1, or negative)"
+        )
 
 
 def _knot_group(

@@ -252,8 +252,6 @@ def _dual_links(
     ``dual_index`` must name an unsurgered component.
     """
     n = len(diagram.components)
-    if not 0 <= dual_index < n:
-        raise ValidationError(f"dual index {dual_index} out of range")
     dual = diagram.components[dual_index]
     if dual.is_surgered:
         raise ValidationError(

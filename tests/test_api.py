@@ -1,4 +1,5 @@
-"""The public API: every exported name resolves, no module reaches into
+"""The public API: every exported name resolves, the package exports
+each library module's public names and no others, no module reaches into
 another module's private names, the README's quickstart runs and prints
 what its comments show, and the commands import nothing outside the
 standard library."""
@@ -45,6 +46,18 @@ def test_every_name_in_all_resolves(name):
     assert len(exported) == len(set(exported))
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == []
+
+
+# The library modules whose ``__all__`` the package re-exports, in order.
+LIBRARY = ("exact", "diagram", "expansion", "invariants", "classify", "selftest")
+
+
+def test_package_exports_each_library_module_all():
+    modules = [importlib.import_module(f"surgerycalc.{name}") for name in LIBRARY]
+    assert surgerycalc.__all__ == [name for m in modules for name in m.__all__]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(surgerycalc, name) is getattr(module, name), name
 
 
 def _private(name: str) -> bool:

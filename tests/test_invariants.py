@@ -447,8 +447,6 @@ def test_dual_system_table():
             [entry, *row] for entry, row in zip(link_vector, m)
         ]
     for diagram, index, message in (
-        (figure1, 3, "out of range"),
-        (figure1, -1, "out of range"),
         (figure1, figure1.component_index("U"), "must not carry a surgery"),
         (s1xs2, s1xs2.component_index("K"), "must not carry a surgery"),
     ):
